@@ -17,8 +17,8 @@ root: wall-clock of a seeded 500-fingerprint ``glove()`` run per
 compute backend against the pre-engine dense-matrix baseline
 (:mod:`benchmarks.seed_path`), a ``kernel`` microbenchmark of the
 per-call ``one_vs_all`` dispatch cost (numpy vs compiled tier, small
-and large target counts) plus the batched multi-probe entries at batch
-sizes 1/8/64, a 10k+-fingerprint sharded-tier audit with dispatch
+and large target counts) plus the bounded row entry across prune
+rates, a 10k+-fingerprint sharded-tier audit with dispatch
 counters and a ``kernel_threads`` byte-identity sweep,
 a ``suite_cached`` record timing a repeated experiment-suite run cold
 vs warm through the artifact pipeline, a ``stream`` record with the
@@ -353,44 +353,7 @@ def _run_kernel_bench() -> dict:
             / record["backends"]["compiled"]["small"]["per_call_us"],
             2,
         )
-        # The batched multi-probe entries: one native call moves the
-        # whole probe batch, so the per-probe dispatch cost amortizes
-        # with batch size while the per-probe one_vs_all loop pays the
-        # full Python→native crossing every row.
         compiled = backends["compiled"]
-        targets = target_sets["small"]
-        batched = {}
-        for batch_size in (1, 8, 64):
-            probes = [fps[i % n].data for i in range(batch_size)]
-            counts = [fps[i % n].count for i in range(batch_size)]
-            calls = max(4, 256 // batch_size)
-            out = compiled.many_vs_all(probes, counts, packed, targets)  # warm-up
-            t0 = time.perf_counter()
-            for _ in range(calls):
-                out = compiled.many_vs_all(probes, counts, packed, targets)
-            batched_elapsed = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            for _ in range(calls):
-                loop = np.stack(
-                    [
-                        compiled.one_vs_all(p, float(c), packed, targets)
-                        for p, c in zip(probes, counts)
-                    ]
-                )
-            loop_elapsed = time.perf_counter() - t0
-            per_probe = batched_elapsed / calls / batch_size
-            per_probe_loop = loop_elapsed / calls / batch_size
-            batched[str(batch_size)] = {
-                "per_probe_us": round(per_probe * 1e6, 2),
-                "per_probe_loop_us": round(per_probe_loop * 1e6, 2),
-                "batched_speedup": round(per_probe_loop / per_probe, 2)
-                if per_probe > 0
-                else None,
-                "crossings_per_call": 1,
-                "probes_per_crossing": batch_size,
-                "identical_to_loop": bool(np.array_equal(out, loop)),
-            }
-        record["batched_dispatch"] = batched
 
         # The fused bounded row entry across the prune-rate spectrum
         # (Issue 10): per-probe dispatch cost when the in-kernel bound
@@ -411,7 +374,7 @@ def _run_kernel_bench() -> dict:
             t_lists = [bd_targets] * probe_slots.size
             rev = [np.zeros(bd_targets.size, dtype=bool)] * probe_slots.size
             best_vals = np.full(store.capacity, np.inf)
-            ref_rows = engine.rows(probe_slots, bd_targets)
+            ref_rows = [engine.row(int(p), bd_targets) for p in probe_slots]
 
             hull, bhull, bocc = engine._hull, engine._bucket_hull, engine._bucket_occ
             # ~0%: every slot summarized by the global envelope — all

@@ -247,7 +247,7 @@ def cmd_anonymize(args) -> int:
                 f"{stats.n_boundary_crossings} kernel calls "
                 f"({per_crossing:.1f} probes/call, "
                 f"{stats.n_batched_probes} via batched entries, "
-                f"{stats.n_bound_pruned} pairs pruned in-kernel)"
+                f"{stats.n_bound_pruned} pairs pruned by bounds)"
             )
     else:
         s = result.stats

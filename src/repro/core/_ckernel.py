@@ -201,95 +201,6 @@ int glove_one_vs_all(
     return 0;
 }
 
-/* Batched multi-probe entry points: one boundary crossing per probe
- * batch instead of one per probe.  Probes arrive as their own padded
- * (n_probes, p_m_max, NCOLS) tensor (the ProbeBatch layout); each
- * probe's pad width is max(p_len, m_max) exactly as in the per-probe
- * entry, and the scratch vectors are sized to the widest probe and
- * re-zeroed by pair_effort, so every output value is bitwise the
- * per-probe call's.  Scratch is allocated per call, never shared, so
- * concurrent calls from GIL-released threads are safe. */
-int glove_many_vs_all(
-    const double *p_data, int64_t p_m_max,
-    const int64_t *p_lengths, const int64_t *p_counts, int64_t n_probes,
-    const double *data, int64_t m_max,
-    const int64_t *lengths, const int64_t *counts,
-    const int64_t *targets, int64_t n_targets,
-    double w_sigma, double w_tau, double phi_sigma, double phi_tau,
-    double *out)
-{
-    int64_t pad_max = p_m_max > m_max ? p_m_max : m_max;
-    double *sa = calloc((size_t)pad_max, sizeof(double));
-    double *sb = calloc((size_t)pad_max, sizeof(double));
-    double *tb = malloc((size_t)(9 * m_max) * sizeof(double));
-    if (sa == NULL || sb == NULL || tb == NULL) {
-        free(sa);
-        free(sb);
-        free(tb);
-        return -1;
-    }
-    for (int64_t p = 0; p < n_probes; p++) {
-        const double *a = p_data + p * p_m_max * NCOLS;
-        int64_t ma = p_lengths[p];
-        double n_a = (double)p_counts[p];
-        int64_t pad_width = ma > m_max ? ma : m_max;
-        double *row = out + p * n_targets;
-        for (int64_t idx = 0; idx < n_targets; idx++) {
-            int64_t t = targets[idx];
-            row[idx] = pair_effort(
-                a, ma, n_a,
-                data + t * m_max * NCOLS, lengths[t], (double)counts[t],
-                sa, sb, tb, m_max, pad_width,
-                w_sigma, w_tau, phi_sigma, phi_tau);
-        }
-    }
-    free(sa);
-    free(sb);
-    free(tb);
-    return 0;
-}
-
-/* Ragged twin: probe p evaluates flat_targets[offsets[p] ..
- * offsets[p+1]) into the same flat positions of out (CSR layout). */
-int glove_many_vs_some(
-    const double *p_data, int64_t p_m_max,
-    const int64_t *p_lengths, const int64_t *p_counts, int64_t n_probes,
-    const double *data, int64_t m_max,
-    const int64_t *lengths, const int64_t *counts,
-    const int64_t *flat_targets, const int64_t *offsets,
-    double w_sigma, double w_tau, double phi_sigma, double phi_tau,
-    double *out)
-{
-    int64_t pad_max = p_m_max > m_max ? p_m_max : m_max;
-    double *sa = calloc((size_t)pad_max, sizeof(double));
-    double *sb = calloc((size_t)pad_max, sizeof(double));
-    double *tb = malloc((size_t)(9 * m_max) * sizeof(double));
-    if (sa == NULL || sb == NULL || tb == NULL) {
-        free(sa);
-        free(sb);
-        free(tb);
-        return -1;
-    }
-    for (int64_t p = 0; p < n_probes; p++) {
-        const double *a = p_data + p * p_m_max * NCOLS;
-        int64_t ma = p_lengths[p];
-        double n_a = (double)p_counts[p];
-        int64_t pad_width = ma > m_max ? ma : m_max;
-        for (int64_t idx = offsets[p]; idx < offsets[p + 1]; idx++) {
-            int64_t t = flat_targets[idx];
-            out[idx] = pair_effort(
-                a, ma, n_a,
-                data + t * m_max * NCOLS, lengths[t], (double)counts[t],
-                sa, sb, tb, m_max, pad_width,
-                w_sigma, w_tau, phi_sigma, phi_tau);
-        }
-    }
-    free(sa);
-    free(sb);
-    free(tb);
-    return 0;
-}
-
 /* ---- fused bound-and-prune sweep ----------------------------------
  * Transliteration of the bounded_* pure twins: the level-0 hull-gap
  * bound and the level-1 per-time-bucket bound are evaluated inside the
@@ -299,7 +210,7 @@ int glove_many_vs_some(
  * replicates NumPy's maximum/minimum tie rule, every mean runs the
  * same pairwise summation over the same (padded) widths, and the walk
  * order is a stable sort by level-0 bound — so evaluated positions and
- * values are bitwise those of the reference walk. */
+ * values are bitwise those of the pure twins. */
 
 static double interval_gap(double a_lo, double a_hi, double b_lo, double b_hi)
 {
@@ -696,26 +607,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         i64, i64,                          # lengths, counts
         c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
         f64,                               # mat
-    ]
-    lib.glove_many_vs_all.restype = ctypes.c_int
-    lib.glove_many_vs_all.argtypes = [
-        f64, c_i64,                        # p_data, p_m_max
-        i64, i64, c_i64,                   # p_lengths, p_counts, n_probes
-        f64, c_i64,                        # data, m_max
-        i64, i64,                          # lengths, counts
-        i64, c_i64,                        # targets, n_targets
-        c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64,                               # out
-    ]
-    lib.glove_many_vs_some.restype = ctypes.c_int
-    lib.glove_many_vs_some.argtypes = [
-        f64, c_i64,                        # p_data, p_m_max
-        i64, i64, c_i64,                   # p_lengths, p_counts, n_probes
-        f64, c_i64,                        # data, m_max
-        i64, i64,                          # lengths, counts
-        i64, i64,                          # flat_targets, offsets
-        c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64,                               # out
     ]
     u8 = npc.ndpointer(dtype="uint8", flags="C_CONTIGUOUS")
     lib.glove_bounded_many_vs_some.restype = ctypes.c_int

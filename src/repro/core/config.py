@@ -104,8 +104,10 @@ class ComputeConfig:
     pruning:
         Enable the bounding-box lower-bound pruning of exact Eq. 10
         evaluations in the GLOVE nearest-neighbour search.  Pruning is
-        exact (never changes results); disable only for debugging or
-        benchmarking the unpruned path.
+        exact (never changes results).  Disabled, the engine keeps
+        neutral bound summaries, so the same bounded entries evaluate
+        every pair; use it for debugging or to measure what the bounds
+        save.
     lb_bucket_minutes:
         Width of the time buckets of the level-1 lower bound (per-slot
         spatial hulls per time bucket).
@@ -241,7 +243,8 @@ def add_compute_arguments(parser, pruning: bool = False) -> None:
         parser.add_argument(
             "--no-prune",
             action="store_true",
-            help="disable lower-bound pruning (identical results, slower)",
+            help="evaluate every pair: neutral lower bounds prune nothing "
+            "(identical results, slower)",
         )
 
 

@@ -14,9 +14,10 @@ algorithm:
   extra) and ``auto`` (workload-size dispatch, preferring the compiled
   tier inline when importable); new tiers (sharded, GPU) register
   through :func:`register_backend`;
-* :class:`StretchEngine` ties a store to a backend and adds the cheap
-  bounding-box lower bounds on fingerprint stretch that let callers
-  prune exact evaluations which provably cannot beat a current best.
+* :class:`StretchEngine` ties a store to a backend and keeps the cheap
+  bounding-box summaries behind the lower bounds that let every
+  backend's bounded pair prune exact evaluations which provably cannot
+  beat a current best.
 
 All backends run the identical kernel per (probe, target) pair, so
 results are byte-identical regardless of backend, chunking or worker
@@ -37,8 +38,8 @@ from repro.core.config import ComputeConfig, StretchConfig, env_int
 from repro.core.fingerprint import Fingerprint
 from repro.core.pairwise import (
     PaddedFingerprints,
-    ProbeBatch,
-    many_vs_all,
+    bucket_lower_bounds,
+    hull_lower_bounds,
     many_vs_some,
     one_vs_all,
 )
@@ -213,22 +214,14 @@ class StretchBackend(abc.ABC):
     Implementations must be *value-transparent*: every (probe, target)
     pair goes through the same floating-point kernel, so any two
     backends return byte-identical arrays for the same inputs.
+
+    The bounded pair (:meth:`bounded_many_vs_all` /
+    :meth:`bounded_many_vs_some`) is the only contract between the GLOVE
+    loop and a backend (DESIGN.md D13); :meth:`one_vs_all` and
+    :meth:`pairwise_matrix` serve k-gap matrices and exact references.
     """
 
     name: str = "?"
-
-    #: True when the backend's exact kernel is cheap enough that the
-    #: engine's level-1 bucket bounds cost more to compute than the
-    #: exact evaluations they would prune.  Callers walking candidates
-    #: may drop that refinement level — pruning tightness never changes
-    #: outputs, only which evaluations run (DESIGN.md D7/D9).
-    fast_exact: bool = False
-
-    #: True when the backend offers the fused in-kernel bound-and-prune
-    #: entries (:meth:`bounded_many_vs_all` / :meth:`bounded_many_vs_some`,
-    #: DESIGN.md D13).  The engine's walkers switch to them when pruning
-    #: is enabled; tiers without the entries keep the Python-side walk.
-    supports_bounded: bool = False
 
     def __init__(self, compute: ComputeConfig, stretch: StretchConfig):
         self.compute = compute
@@ -238,13 +231,12 @@ class StretchBackend(abc.ABC):
         self.n_boundary_crossings = 0
         #: Probe rows dispatched, across all entry points.
         self.n_probe_dispatches = 0
-        #: Probe rows that went through a *batched* multi-probe kernel
-        #: entry (native ``many_vs_all``/``many_vs_some``); zero on
-        #: tiers that fall back to per-probe loops.
+        #: Probe rows that went through a *batched* native multi-probe
+        #: entry; zero on the NumPy tier, whose walk enters the chunked
+        #: kernel once per probe and round.
         self.n_batched_probes = 0
-        #: (probe, target) pairs whose exact evaluation the fused
-        #: bounded entries skipped in-kernel; zero on tiers without
-        #: them.
+        #: (probe, target) pairs whose exact evaluation the bounded
+        #: entries skipped because a lower bound ruled them out.
         self.n_bound_pruned = 0
 
     def dispatch_counters(self) -> Tuple[int, int, int, int]:
@@ -275,53 +267,36 @@ class StretchBackend(abc.ABC):
     def pairwise_matrix(self, packed) -> np.ndarray:
         """Full symmetric ``Delta`` matrix with ``+inf`` diagonal."""
 
-    def many_vs_all(
-        self,
-        probes: Sequence[np.ndarray],
-        probe_counts: Sequence[int],
-        packed,
-        targets: np.ndarray,
-    ) -> np.ndarray:
-        """Eq. 10 efforts from several probes to one shared target set.
+    @abc.abstractmethod
+    def bounded_many_vs_all(
+        self, probe_slots, store, bounds, targets, thresholds
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Bounded argmin per probe slot over one shared target set.
 
-        Returns a ``(P, len(targets))`` matrix whose row ``p`` equals
-        :meth:`one_vs_all` of probe ``p`` (bitwise).  The default stacks
-        per-probe rows through the subclass's own :meth:`one_vs_all`,
-        so every backend stays value-transparent; tiers with a cheaper
-        multi-probe path (shared target gathers) override it.
+        ``store`` holds the slots, ``bounds`` is the engine's
+        ``(hull, bucket_hull, bucket_occ)`` summary triple.  Returns
+        ``(best, best_idx, pruned)``: the lowest-id minimum of the
+        probe's exact efforts when it is strictly below
+        ``thresholds[p]``, ``(thresholds[p], -1)`` otherwise, and the
+        number of pairs a bound pruned.  A probe skips its own slot
+        without counting it as pruned.
         """
-        targets = np.asarray(targets, dtype=np.int64)
-        if not len(probes):
-            return np.empty((0, targets.size), dtype=np.float64)
-        return np.stack(
-            [
-                self.one_vs_all(p, int(c), packed, targets)
-                for p, c in zip(probes, probe_counts)
-            ]
-        )
 
-    def many_vs_some(
-        self,
-        probes: Sequence[np.ndarray],
-        probe_counts: Sequence[int],
-        packed,
-        targets_list: Sequence[np.ndarray],
-    ) -> List[np.ndarray]:
-        """Ragged multi-probe dispatch: probe ``p`` vs its own subset.
+    @abc.abstractmethod
+    def bounded_many_vs_some(
+        self, probe_slots, store, bounds, targets_list, thresholds,
+        reverse_list, best_vals,
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Bounded ragged rows: probe ``p`` against ``targets_list[p]``.
 
-        Entry ``p`` of the result is bitwise equal to :meth:`one_vs_all`
-        of probe ``p`` against ``targets_list[p]``.  The batched merge
-        frontier in :mod:`repro.core.glove` uses this to coalesce all
-        refresh scans of one iteration into a single dispatch.
+        Returns ``(rows, pruned)``.  ``rows[p]`` holds the exact effort
+        at every evaluated position and ``+inf`` where a bound pruned
+        the pair.  A pair is pruned only when its bound exceeds the
+        probe's running best (seeded from ``thresholds[p]``) and, for
+        ``reverse_list[p]``-flagged targets, is at least the target's
+        ``best_vals`` entry, so reverse propagation sees every pair
+        that could update it.
         """
-        out = []
-        for p, c, t in zip(probes, probe_counts, targets_list):
-            t = np.asarray(t, dtype=np.int64)
-            if t.size == 0:
-                out.append(np.empty(0, dtype=np.float64))
-            else:
-                out.append(self.one_vs_all(p, int(c), packed, t))
-        return out
 
     def close(self) -> None:
         """Release pooled resources (idempotent)."""
@@ -334,8 +309,12 @@ class StretchBackend(abc.ABC):
         return False
 
 
+#: Candidates per exact round of the NumPy bounded walk.
+_SCAN_BATCH = 32
+
+
 class NumpyBackend(StretchBackend):
-    """Single-process chunked-broadcasting backend (the default tier)."""
+    """Single-process chunked-broadcasting backend (the reference tier)."""
 
     name = "numpy"
 
@@ -351,26 +330,101 @@ class NumpyBackend(StretchBackend):
             chunk=self.compute.chunk,
         )
 
-    def many_vs_all(self, probes, probe_counts, packed, targets):
-        targets = np.asarray(targets, dtype=np.int64)
-        if not len(probes):
-            return np.empty((0, targets.size), dtype=np.float64)
-        # The broadcast kernel shares target gathers across probes but
-        # still enters the chunked kernel once per probe row.
-        self.n_boundary_crossings += len(probes)
-        self.n_probe_dispatches += len(probes)
-        return many_vs_all(
-            probes, probe_counts, packed, self.stretch,
-            indices=targets, chunk=self.compute.chunk,
-        )
-
     def many_vs_some(self, probes, probe_counts, packed, targets_list):
+        """Ragged rows: entry ``p`` is :meth:`one_vs_all` of probe ``p``
+        against ``targets_list[p]``, bitwise; one crossing per probe."""
         self.n_boundary_crossings += len(probes)
         self.n_probe_dispatches += len(probes)
         return many_vs_some(
             probes, probe_counts, packed, targets_list,
             self.stretch, chunk=self.compute.chunk,
         )
+
+    def bounded_many_vs_all(self, probe_slots, store, bounds, targets, thresholds):
+        """The row walk without reverse targets, reduced to an argmin."""
+        probe_slots = np.asarray(probe_slots, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        t_lists = [targets[targets != a] for a in probe_slots]
+        # No target is reverse-flagged, so no cached best is ever read.
+        rows, pruned = self.bounded_many_vs_some(
+            probe_slots, store, bounds, t_lists, thresholds,
+            [np.zeros(t.size, dtype=bool) for t in t_lists], np.empty(0),
+        )
+        best = np.array(thresholds, dtype=np.float64)
+        best_idx = np.full(probe_slots.size, -1, dtype=np.int64)
+        for p, (row, tgts) in enumerate(zip(rows, t_lists)):
+            vmin = row.min(initial=np.inf)
+            if vmin < best[p]:
+                best[p], best_idx[p] = vmin, tgts[row == vmin].min()
+        return best, best_idx, pruned
+
+    def bounded_many_vs_some(
+        self, probe_slots, store, bounds, targets_list, thresholds,
+        reverse_list, best_vals,
+    ):
+        """The vectorized bounded walk (DESIGN.md D13).
+
+        Each probe visits its targets in stable level-0 bound order, in
+        rounds of :data:`_SCAN_BATCH`.  Per round it keeps the
+        candidates whose level-0, then level-1 bound could still beat
+        its running best (or a reverse target's cached best), and all
+        probes' survivors go to one :meth:`many_vs_some` dispatch.  The
+        running best tightens per round rather than per candidate, so
+        the evaluated set is a superset of the native sweep's with the
+        same values.
+        """
+        probe_slots = np.asarray(probe_slots, dtype=np.int64)
+        hull, bucket_hull, bucket_occ = bounds
+        cfg = self.stretch
+        t_lists = [np.asarray(t, dtype=np.int64) for t in targets_list]
+        rows = [np.full(t.size, np.inf) for t in t_lists]
+        best = np.array(thresholds, dtype=np.float64)
+        pruned = np.array([t.size for t in t_lists], dtype=np.int64)
+        walks = []
+        for p, (a, tgts, rev) in enumerate(zip(probe_slots, t_lists, reverse_list)):
+            if tgts.size == 0:
+                continue
+            lb0 = hull_lower_bounds(hull, a, tgts, cfg)
+            # A pair may also run to update a reverse target's cached
+            # best: ``lb < cap`` folds that test into one comparison.
+            rev = np.asarray(rev, dtype=bool)
+            cap = np.full(tgts.size, -np.inf)
+            cap[rev] = best_vals[tgts[rev]]
+            walks.append((p, a, tgts, lb0, np.argsort(lb0, kind="stable"), cap))
+        pos = 0
+        while walks:
+            live, batch = [], []
+            for walk in walks:
+                p, a, tgts, lb0, order, cap = walk
+                rest = order[pos:]
+                if rest.size == 0:
+                    continue
+                if lb0[rest[0]] > best[p] and not (lb0[rest] < cap[rest]).any():
+                    continue
+                live.append(walk)
+                sub = rest[:_SCAN_BATCH]
+                sub = sub[(lb0[sub] <= best[p]) | (lb0[sub] < cap[sub])]
+                if sub.size:
+                    lb1 = bucket_lower_bounds(
+                        store, bucket_hull, bucket_occ, a, tgts[sub], cfg
+                    )
+                    sub = sub[(lb1 <= best[p]) | (lb1 < cap[sub])]
+                if sub.size:
+                    batch.append((p, a, tgts, sub))
+            if batch:
+                vals = self.many_vs_some(
+                    [store.data[a, : store.lengths[a]] for _, a, _, _ in batch],
+                    [int(store.counts[a]) for _, a, _, _ in batch],
+                    store, [tgts[sub] for _, _, tgts, sub in batch],
+                )
+                for (p, _, _, sub), v in zip(batch, vals):
+                    rows[p][sub] = v
+                    pruned[p] -= sub.size
+                    best[p] = min(best[p], v.min())
+            walks = live
+            pos += _SCAN_BATCH
+        self.n_bound_pruned += int(pruned.sum())
+        return rows, pruned
 
     def pairwise_matrix(self, packed):
         n = len(packed)
@@ -444,7 +498,7 @@ def _ova_shard(args) -> np.ndarray:
     )
 
 
-class ProcessBackend(StretchBackend):
+class ProcessBackend(NumpyBackend):
     """Multi-core tier: Eq. 10 evaluations sharded over a process pool.
 
     Full matrix builds ship the packed tensors to each worker once (pool
@@ -452,7 +506,8 @@ class ProcessBackend(StretchBackend):
     shard their target set with stateless tasks.  Small calls run inline
     on the NumPy kernel — below
     :attr:`~repro.core.config.ComputeConfig.parallel_targets_threshold`
-    the per-call pool overhead exceeds the kernel time.
+    the per-call pool overhead exceeds the kernel time.  The bounded
+    pair is the NumPy tier's, inherited.
     """
 
     name = "process"
@@ -501,7 +556,7 @@ class ProcessBackend(StretchBackend):
     def pairwise_matrix(self, packed):
         n = len(packed)
         if n < 4 or self.workers <= 1:
-            return NumpyBackend(self.compute, self.stretch).pairwise_matrix(packed)
+            return super().pairwise_matrix(packed)
         mat = np.full((n, n), np.inf, dtype=np.float64)
         blocks = [
             np.arange(s, min(s + self.MATRIX_BLOCK, n - 1))
@@ -549,8 +604,6 @@ class CompiledBackend(StretchBackend):
     """
 
     name = "compiled"
-    fast_exact = True
-    supports_bounded = True
 
     def __init__(self, compute: ComputeConfig, stretch: StretchConfig):
         super().__init__(compute, stretch)
@@ -597,77 +650,6 @@ class CompiledBackend(StretchBackend):
             packed.data, packed.lengths, packed.counts, targets, *self._args(),
         )
 
-    def many_vs_all(self, probes, probe_counts, packed, targets):
-        targets = np.asarray(targets, dtype=np.int64)
-        P = len(probes)
-        if P == 0:
-            return np.empty((0, targets.size), dtype=np.float64)
-        batch = ProbeBatch(probes, probe_counts)
-        slices = self._probe_slices(P)
-        self.n_boundary_crossings += len(slices)
-        self.n_probe_dispatches += P
-        self.n_batched_probes += P
-        args = self._args()
-
-        def run(s: int, e: int) -> np.ndarray:
-            return kernels.many_vs_all_arrays(
-                batch.data[s:e], batch.lengths[s:e], batch.counts[s:e],
-                packed.data, packed.lengths, packed.counts, targets, *args,
-            )
-
-        if len(slices) == 1:
-            return run(0, P)
-        out = np.empty((P, targets.size), dtype=np.float64)
-        futures = [(s, self._thread_pool().submit(run, s, e)) for s, e in slices]
-        for s, fut in futures:
-            rows = fut.result()
-            out[s : s + rows.shape[0]] = rows
-        return out
-
-    def many_vs_some(self, probes, probe_counts, packed, targets_list):
-        P = len(probes)
-        if P == 0:
-            return []
-        t_arrays = [np.asarray(t, dtype=np.int64) for t in targets_list]
-        offsets = np.zeros(P + 1, dtype=np.int64)
-        np.cumsum([t.size for t in t_arrays], out=offsets[1:])
-        total = int(offsets[-1])
-        flat_out = np.empty(total, dtype=np.float64)
-        if total:
-            flat_targets = np.concatenate(t_arrays)
-            batch = ProbeBatch(probes, probe_counts)
-            # Slices with no targets dispatch nothing (the frontier may
-            # batch probes whose candidate lists all emptied).
-            slices = [
-                (s, e) for s, e in self._probe_slices(P) if offsets[e] > offsets[s]
-            ]
-            self.n_boundary_crossings += len(slices)
-            args = self._args()
-
-            def run(s: int, e: int) -> np.ndarray:
-                # Rebase the CSR offsets so each sub-batch addresses its
-                # own flat slice starting at zero.
-                return kernels.many_vs_some_arrays(
-                    batch.data[s:e], batch.lengths[s:e], batch.counts[s:e],
-                    packed.data, packed.lengths, packed.counts,
-                    flat_targets[offsets[s] : offsets[e]],
-                    np.ascontiguousarray(offsets[s : e + 1] - offsets[s]),
-                    *args,
-                )
-
-            if len(slices) == 1:
-                s, e = slices[0]
-                flat_out[offsets[s] : offsets[e]] = run(s, e)
-            else:
-                futures = [
-                    (s, e, self._thread_pool().submit(run, s, e)) for s, e in slices
-                ]
-                for s, e, fut in futures:
-                    flat_out[offsets[s] : offsets[e]] = fut.result()
-        self.n_probe_dispatches += P
-        self.n_batched_probes += P
-        return [flat_out[offsets[p] : offsets[p + 1]] for p in range(P)]
-
     def pairwise_matrix(self, packed):
         self.n_boundary_crossings += 1
         self.n_probe_dispatches += len(packed)
@@ -676,12 +658,10 @@ class CompiledBackend(StretchBackend):
         )
 
     def bounded_many_vs_all(self, probe_slots, store, bounds, targets, thresholds):
-        """Fused bound-and-prune argmin sweep (DESIGN.md D13).
+        """Native argmin sweep: bounds, sort and walk in one call.
 
-        Per probe slot, returns the running-best ``(min, argmin)`` over
-        ``targets`` (self-pairs skipped in-kernel) plus the count of
-        pairs whose exact evaluation the inline level-0/level-1 bounds
-        pruned.  Probes are independent, so the thread splitter applies
+        The running best tightens per candidate (DESIGN.md D13).
+        Probes are independent, so the thread splitter applies
         unchanged.
         """
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
@@ -726,14 +706,7 @@ class CompiledBackend(StretchBackend):
         self, probe_slots, store, bounds, targets_list, thresholds,
         reverse_list, best_vals,
     ):
-        """Fused bound-and-prune row sweep with reverse-aware skipping.
-
-        Returns per-probe rows with ``+inf`` sentinels at pruned
-        positions plus per-probe pruned counts.  ``reverse`` pairs are
-        only skipped when the bound also clears the target's cached
-        best (``best_vals``), keeping reverse propagation
-        value-transparent (DESIGN.md D13).
-        """
+        """Native ragged row sweep, thread-split and CSR-flattened."""
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
         pruned = np.zeros(P, dtype=np.int64)
@@ -813,8 +786,6 @@ class AutoBackend(StretchBackend):
         # parity suite) keeps the switch value-transparent.
         if kernels.COMPILED_AVAILABLE:
             self._inline: StretchBackend = CompiledBackend(compute, stretch)
-            self.fast_exact = True
-            self.supports_bounded = True
         else:
             self._inline = self._numpy
         self._process: Optional[ProcessBackend] = None
@@ -844,12 +815,6 @@ class AutoBackend(StretchBackend):
         ):
             return self._pooled().one_vs_all(probe_data, probe_count, packed, targets)
         return self._inline.one_vs_all(probe_data, probe_count, packed, targets)
-
-    def many_vs_all(self, probes, probe_counts, packed, targets):
-        return self._inline.many_vs_all(probes, probe_counts, packed, targets)
-
-    def many_vs_some(self, probes, probe_counts, packed, targets_list):
-        return self._inline.many_vs_some(probes, probe_counts, packed, targets_list)
 
     def bounded_many_vs_all(self, probe_slots, store, bounds, targets, thresholds):
         return self._inline.bounded_many_vs_all(
@@ -992,30 +957,34 @@ def compute_pairwise_matrix(
 
 
 # ----------------------------------------------------------------------
-# The engine: store + backend + lower bounds
+# The engine: store + backend + bound summaries
 # ----------------------------------------------------------------------
-def _interval_gap(a_lo, a_hi, b_lo, b_hi):
-    """Separation between intervals ``[a_lo, a_hi]`` and ``[b_lo, b_hi]``."""
-    return np.maximum(0.0, np.maximum(a_lo - b_hi, b_lo - a_hi))
+#: A neutral hull: every interval spans the whole line, so every gap —
+#: and with it both bound levels — is 0 and no pair is ever pruned.
+_NEUTRAL_HULL = np.array([-np.inf, np.inf] * 3)
 
 
 class StretchEngine:
     """Stretch-compute subsystem driving one GLOVE (or k-gap) workload.
 
-    Owns a :class:`SlotStore`, a backend instance, and — when pruning is
-    enabled — per-slot bounding-box summaries supporting two levels of
-    lower bounds on the fingerprint stretch effort (Eq. 10):
+    Owns a :class:`SlotStore`, a backend instance, and per-slot
+    bounding-box summaries behind two levels of lower bounds on the
+    fingerprint stretch effort (Eq. 10), which the backends' bounded
+    pair evaluates (:func:`repro.core.pairwise.hull_lower_bounds`,
+    :func:`~repro.core.pairwise.bucket_lower_bounds` and their scalar
+    twins in :mod:`repro.core.kernels`):
 
-    * **level 0** (:meth:`hull_lower_bounds`): the spatiotemporal gap
-      between two slots' global bounding boxes, O(1) per pair;
-    * **level 1** (:meth:`bucket_lower_bounds`): the probe's samples
-      against the target's per-time-bucket spatial hulls (and vice
-      versa, following Eq. 10's longer-side rule), O(m·B) per pair with
-      ``B`` a small constant.
+    * **level 0**: the spatiotemporal gap between two slots' global
+      bounding boxes, O(1) per pair;
+    * **level 1**: the probe's samples against the target's
+      per-time-bucket spatial hulls (and vice versa, following Eq. 10's
+      longer-side rule), O(m·B) per pair with ``B`` a small constant.
 
     Both bounds never exceed the exact effort (see DESIGN.md for the
-    proof sketch), so a caller tracking a current-best value may skip
-    the exact kernel for any candidate whose bound is already worse.
+    proof sketch), so the bounded pair may skip the exact kernel for
+    any candidate whose bound is already worse than its current best.
+    With ``pruning`` off every summary is neutral: both bounds are 0
+    and the same entries evaluate every pair.
     """
 
     def __init__(
@@ -1029,27 +998,14 @@ class StretchEngine:
         self.store = SlotStore(fingerprints)
         self.backend = create_backend(self.compute, stretch)
         self.pruning = self.compute.pruning
-        # With a compiled exact kernel the level-1 bucket refinement
-        # costs more than the (at most one batch of) evaluations it
-        # prunes, so walkers consult this flag and stop at level 0.
-        # Bound tightness never changes outputs, only eval counts.
-        self.lb1_pruning = self.pruning and not self.backend.fast_exact
-        # Fused in-kernel bound-and-prune sweep (DESIGN.md D13): when
-        # the backend exposes the bounded entries, walkers hand the
-        # whole bound→sort→walk loop to one native call per pass and
-        # skip the Python-side bound sweep entirely.
-        self.fused_pruning = self.pruning and getattr(
-            self.backend, "supports_bounded", False
-        )
-        if self.pruning:
-            self._init_bounds()
+        self._init_bounds()
 
     # -- slot lifecycle -------------------------------------------------
     def append(self, fp: Fingerprint) -> int:
         """Add a fingerprint (e.g. a merge product); returns its slot."""
         slot = self.store.append(fp)
+        self._ensure_bound_capacity()
         if self.pruning:
-            self._ensure_bound_capacity()
             self._summarize(slot)
         return slot
 
@@ -1065,41 +1021,11 @@ class StretchEngine:
             self.store.probe(slot), int(self.store.counts[slot]), self.store, targets
         )
 
-    def rows(self, slots: Sequence[int], targets: np.ndarray) -> np.ndarray:
-        """Exact efforts from several live slots to one shared target set.
-
-        Returns a ``(len(slots), len(targets))`` matrix; row ``p`` is
-        bitwise equal to :meth:`row` of ``slots[p]``.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        store = self.store
-        return self.backend.many_vs_all(
-            [store.probe(int(s)) for s in slots],
-            [int(store.counts[s]) for s in slots],
-            store, targets,
-        )
-
-    def rows_some(
-        self, slots: Sequence[int], targets_list: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Exact efforts from several live slots, each to its own targets.
-
-        The ragged multi-probe dispatch behind the batched merge
-        frontier: entry ``p`` is bitwise equal to :meth:`row` of
-        ``slots[p]`` against ``targets_list[p]``.
-        """
-        store = self.store
-        return self.backend.many_vs_some(
-            [store.probe(int(s)) for s in slots],
-            [int(store.counts[s]) for s in slots],
-            store, targets_list,
-        )
-
     def pairwise_matrix(self) -> np.ndarray:
         """Full matrix over the currently stored slots."""
         return self.backend.pairwise_matrix(self.store.view())
 
-    # -- fused bound-and-prune dispatch (DESIGN.md D13) -----------------
+    # -- bounded dispatch (DESIGN.md D13) --------------------------------
     def _bounds_pack(self):
         return (self._hull, self._bucket_hull, self._bucket_occ)
 
@@ -1111,14 +1037,13 @@ class StretchEngine:
     def bounded_argmin(
         self, slots: Sequence[int], targets: np.ndarray, thresholds=None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fused ``(min, argmin, pruned)`` per probe slot over ``targets``.
+        """Bounded ``(min, argmin, pruned)`` per probe slot over ``targets``.
 
-        Requires :attr:`fused_pruning`.  Self-pairs are skipped
-        in-kernel; a probe whose exact minimum is not strictly below
-        its threshold reports ``(threshold, -1)``.  Without thresholds
-        (``+inf``) the result is bitwise the lowest-index argmin of the
-        exact :meth:`row` — the in-kernel running best only prunes
-        pairs that cannot win (DESIGN.md D13).
+        Self-pairs are skipped; a probe whose exact minimum is not
+        strictly below its threshold reports ``(threshold, -1)``.
+        Without thresholds (``+inf``) the result is bitwise the
+        lowest-index argmin of the exact :meth:`row` — the running best
+        only prunes pairs that cannot win (DESIGN.md D13).
         """
         slots_arr = np.ascontiguousarray(slots, dtype=np.int64)
         return self.backend.bounded_many_vs_all(
@@ -1134,14 +1059,14 @@ class StretchEngine:
         best_vals: np.ndarray,
         thresholds=None,
     ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Fused ragged rows with ``+inf`` sentinels at pruned positions.
+        """Bounded ragged rows with ``+inf`` sentinels at pruned positions.
 
-        Requires :attr:`fused_pruning`.  Entry ``p`` equals :meth:`row`
-        of ``slots[p]`` at every evaluated position; a pair is pruned
-        only when its bound exceeds the probe's running best *and* —
-        for ``reverse``-flagged targets — is at least the target's
-        cached best in ``best_vals``, so reverse propagation sees every
-        pair that could update it.
+        Entry ``p`` equals :meth:`row` of ``slots[p]`` at every
+        evaluated position; a pair is pruned only when its bound exceeds
+        the probe's running best *and* — for ``reverse``-flagged
+        targets — is at least the target's cached best in
+        ``best_vals``, so reverse propagation sees every pair that
+        could update it.
         """
         slots_arr = np.ascontiguousarray(slots, dtype=np.int64)
         return self.backend.bounded_many_vs_some(
@@ -1149,10 +1074,16 @@ class StretchEngine:
             self._thresholds(slots_arr.size, thresholds), reverse_list, best_vals,
         )
 
-    # -- pruning summaries ---------------------------------------------
+    # -- bound summaries -------------------------------------------------
     def _init_bounds(self) -> None:
         store = self.store
         n = store.size
+        cap = store.capacity
+        if not self.pruning:
+            self._hull = np.repeat(_NEUTRAL_HULL[:, None], cap, axis=1)
+            self._bucket_hull = np.tile(_NEUTRAL_HULL, (cap, 1, 1))
+            self._bucket_occ = np.ones((cap, 1), dtype=bool)
+            return
         t_lo = min(float(store.data[s, : store.lengths[s], T].min()) for s in range(n))
         t_hi = max(
             float(
@@ -1164,7 +1095,6 @@ class StretchEngine:
         n_buckets = int(np.ceil(span / self.compute.lb_bucket_minutes))
         n_buckets = int(np.clip(n_buckets, 1, self.compute.lb_max_buckets))
         self._bucket_edges = np.linspace(t_lo, t_hi, n_buckets + 1)
-        cap = store.capacity
         # Component-major (struct-of-arrays) layout: row c holds one
         # hull component for every slot, so the level-0 bound sweep
         # gathers six contiguous vectors instead of strided columns.
@@ -1177,13 +1107,14 @@ class StretchEngine:
     def _ensure_bound_capacity(self) -> None:
         cap = self.store.capacity
         # The SoA hull grows along columns (slots are axis 1); the
-        # shared grow_array helper only grows rows.
+        # shared grow_array helper only grows rows.  New slots start
+        # neutral until summarized.
         if self._hull.shape[1] < cap:
-            hull = np.zeros((6, cap), dtype=np.float64)
+            hull = np.repeat(_NEUTRAL_HULL[:, None], cap, axis=1)
             hull[:, : self._hull.shape[1]] = self._hull
             self._hull = hull
-        for name in ("_bucket_hull", "_bucket_occ"):
-            setattr(self, name, grow_array(getattr(self, name), cap))
+        self._bucket_hull = grow_array(self._bucket_hull, cap, _NEUTRAL_HULL)
+        self._bucket_occ = grow_array(self._bucket_occ, cap, True)
 
     def _summarize(self, slot: int) -> None:
         """Compute the hull and per-bucket hulls of a slot."""
@@ -1213,135 +1144,6 @@ class StretchEngine:
         bh[:, 4] = np.maximum(bucket_min(t_lo), edges[:-1])
         bh[:, 5] = np.minimum(-bucket_min(-t_hi), edges[1:])
         self._bucket_occ[slot] = occ
-
-    # -- lower bounds ---------------------------------------------------
-    def hull_lower_bounds(self, slot: int, targets: np.ndarray) -> np.ndarray:
-        """Level-0 bound: gap between global bounding boxes, O(1)/pair."""
-        h = self._hull[:, slot]
-        H = self._hull[:, targets]
-        gx = _interval_gap(h[0], h[1], H[0], H[1])
-        gy = _interval_gap(h[2], h[3], H[2], H[3])
-        gt = _interval_gap(h[4], h[5], H[4], H[5])
-        cfg = self.stretch
-        return cfg.w_sigma * np.minimum((gx + gy) / cfg.phi_max_sigma_m, 1.0) + (
-            cfg.w_tau * np.minimum(gt / cfg.phi_max_tau_min, 1.0)
-        )
-
-    def hull_lower_bounds_many(
-        self, slots: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        """Level-0 bounds for several probe slots at once: ``(P, T)``.
-
-        Row ``p`` is bitwise equal to :meth:`hull_lower_bounds` of
-        ``slots[p]`` (pure elementwise arithmetic), computed in one
-        broadcast instead of ``P`` dispatches.
-        """
-        h = self._hull[:, np.asarray(slots, dtype=np.int64)][:, :, None]  # (6, P, 1)
-        H = self._hull[:, targets][:, None, :]  # (6, 1, T)
-        gx = _interval_gap(h[0], h[1], H[0], H[1])
-        gy = _interval_gap(h[2], h[3], H[2], H[3])
-        gt = _interval_gap(h[4], h[5], H[4], H[5])
-        cfg = self.stretch
-        return cfg.w_sigma * np.minimum((gx + gy) / cfg.phi_max_sigma_m, 1.0) + (
-            cfg.w_tau * np.minimum(gt / cfg.phi_max_tau_min, 1.0)
-        )
-
-    def bucket_lower_bounds(self, slot: int, targets: np.ndarray) -> np.ndarray:
-        """Level-1 bound: samples vs per-time-bucket hulls, O(m·B)/pair.
-
-        Follows Eq. 10's direction rule: the mean runs over the longer
-        fingerprint's samples (both directions averaged on equal
-        lengths), so each direction is bounded with the corresponding
-        side's samples against the other side's bucket hulls.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        ma = int(self.store.lengths[slot])
-        len_t = self.store.lengths[targets]
-        a_side = ma >= len_t  # probe is the longer (or equal) side
-        b_side = len_t >= ma  # target is the longer (or equal) side
-        la = np.zeros(targets.size)
-        lb = np.zeros(targets.size)
-        if a_side.any():
-            la[a_side] = self._lb_probe_samples(slot, targets[a_side])
-        if b_side.any():
-            lb[b_side] = self._lb_target_samples(slot, targets[b_side])
-        out = np.where(
-            ma > len_t, la, np.where(len_t > ma, lb, (la + lb) / 2.0)
-        )
-        return out
-
-    def _sample_bucket_lb(self, s_lo, s_hi, hulls, occ):
-        """Per-(sample, bucket) bound; ``inf`` on unoccupied buckets.
-
-        ``s_lo``/``s_hi`` are ``(..., 3)`` interval bounds (x, y, t) and
-        ``hulls`` is ``(..., B, 6)``; broadcasting aligns the rest.
-        """
-        gx = _interval_gap(s_lo[..., 0], s_hi[..., 0], hulls[..., 0], hulls[..., 1])
-        gy = _interval_gap(s_lo[..., 1], s_hi[..., 1], hulls[..., 2], hulls[..., 3])
-        gt = _interval_gap(s_lo[..., 2], s_hi[..., 2], hulls[..., 4], hulls[..., 5])
-        cfg = self.stretch
-        lb = cfg.w_sigma * np.minimum((gx + gy) / cfg.phi_max_sigma_m, 1.0) + (
-            cfg.w_tau * np.minimum(gt / cfg.phi_max_tau_min, 1.0)
-        )
-        return np.where(occ, lb, np.inf)
-
-    def _lb_probe_samples(self, slot: int, targets: np.ndarray) -> np.ndarray:
-        """Mean over probe samples of the min bound to target buckets."""
-        d = self.store.probe(slot)
-        s_lo = np.stack([d[:, X], d[:, Y], d[:, T]], axis=-1)
-        s_hi = np.stack([d[:, X] + d[:, DX], d[:, Y] + d[:, DY], d[:, T] + d[:, DT]], axis=-1)
-        ma = d.shape[0]
-        n_buckets = self._bucket_hull.shape[1]
-        out = np.empty(targets.size)
-        block = max(1, (1 << 21) // max(ma * n_buckets, 1))
-        for start in range(0, targets.size, block):
-            sel = targets[start : start + block]
-            hulls = self._bucket_hull[sel][:, None, :, :]  # (C, 1, B, 6)
-            occ = self._bucket_occ[sel][:, None, :]  # (C, 1, B)
-            lb = self._sample_bucket_lb(
-                s_lo[None, :, None, :], s_hi[None, :, None, :], hulls, occ
-            )  # (C, ma, B)
-            out[start : start + sel.size] = lb.min(axis=2).mean(axis=1)
-        return out
-
-    def _lb_target_samples(self, slot: int, targets: np.ndarray) -> np.ndarray:
-        """Masked mean over target samples of the min bound to probe buckets.
-
-        Targets are grouped by length so the broadcast work is sliced to
-        each block's own maximum sample count; the final mean still sums
-        a zero-padded width-``m_max`` array, so every bound value is
-        bitwise independent of the block composition (same argument as
-        :func:`repro.core.pairwise._chunk_efforts`).
-        """
-        occ = self._bucket_occ[slot]
-        hulls = self._bucket_hull[slot][occ]  # (Bo, 6)
-        n_b = hulls.shape[0]
-        m_max = self.store.m_max
-        out = np.empty(targets.size)
-        order = (
-            np.argsort(self.store.lengths[targets], kind="stable")
-            if targets.size > 1
-            else np.arange(targets.size)
-        )
-        block = max(1, (1 << 21) // max(m_max * n_b, 1))
-        for start in range(0, targets.size, block):
-            pos = order[start : start + block]
-            sel = targets[pos]
-            width = int(self.store.lengths[sel].max())
-            d = self.store.data[sel, :width]  # (C, W, 6)
-            mask = self.store.mask[sel, :width]
-            s_lo = np.stack([d[:, :, X], d[:, :, Y], d[:, :, T]], axis=-1)
-            s_hi = np.stack(
-                [d[:, :, X] + d[:, :, DX], d[:, :, Y] + d[:, :, DY], d[:, :, T] + d[:, :, DT]],
-                axis=-1,
-            )
-            lb = self._sample_bucket_lb(
-                s_lo[:, :, None, :], s_hi[:, :, None, :], hulls[None, None, :, :], True
-            )  # (C, W, Bo)
-            per_sample = np.zeros((sel.size, m_max), dtype=np.float64)
-            per_sample[:, :width] = np.where(mask, lb.min(axis=2), 0.0)
-            out[pos] = per_sample.sum(axis=1) / self.store.lengths[sel]
-        return out
 
     # -- resource management -------------------------------------------
     def close(self) -> None:

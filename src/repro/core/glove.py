@@ -23,10 +23,11 @@ Eq. 10 evaluations run on the pluggable
 :class:`repro.core.engine.StretchEngine` (the reproduction's stand-in
 for the paper's CUDA offload); instead of materializing a dense
 ``(2n, 2n)`` stretch matrix, the loop keeps one cached nearest
-neighbour per live slot (O(n) state) and uses the engine's bounding-box
-lower bounds to prune exact evaluations that provably cannot beat a
-current best.  The pruning is exact: results are identical, merge for
-merge, to an exhaustive search (see DESIGN.md).
+neighbour per live slot (O(n) state) and asks the engine's bounded
+pair, whose bounding-box lower bounds prune exact evaluations that
+provably cannot beat a current best.  The pruning is exact: results
+are identical, merge for merge, to an exhaustive search (see
+DESIGN.md).
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ class GloveStats:
         Exact Eq. 10 fingerprint-pair evaluations executed.
     n_pruned_evaluations:
         Candidate pairs skipped because a lower bound proved they could
-        not beat the current best (0 when pruning is disabled).
+        not beat the current best (0 when pruning is disabled).  Every
+        search runs through the backend's bounded pair, so this equals
+        ``n_bound_pruned``.
     n_boundary_crossings:
         Python→kernel transitions the run's backend performed (a
         batched native call moving a whole probe batch counts one).
@@ -90,13 +93,13 @@ class GloveStats:
         points.  ``n_probe_dispatches / n_boundary_crossings`` is the
         mean probes-per-crossing of the run.
     n_batched_probes:
-        Probe rows that went through a batched multi-probe kernel
-        entry; 0 when every dispatch was a per-probe call.
+        Probe rows that went through a batched native multi-probe
+        entry; 0 on the NumPy tier, whose walk enters the chunked
+        kernel once per probe and round.
     n_bound_pruned:
         (probe, target) pairs whose exact evaluation the backend's
-        fused in-kernel bound sweep skipped (DESIGN.md D13); 0 on
-        tiers without bounded entries.  These pairs are also counted
-        in ``n_pruned_evaluations``.
+        bounded pair skipped (DESIGN.md D13), as the backend counted
+        them; equal to ``n_pruned_evaluations`` on every backend.
     suppression:
         Sample-suppression statistics (zero counts when disabled).
     """
@@ -141,9 +144,6 @@ class GloveResult:
     config: GloveConfig
 
 
-#: Candidates per exact-kernel batch in the pruned best-first scans.
-_SCAN_BATCH = 32
-
 #: Probe slots per multi-probe block in the triangular initial build.
 #: Larger blocks coalesce more dispatches but see staler candidate
 #: bests (more non-prunable evaluations); 8 balances the two.
@@ -157,10 +157,12 @@ class _NearestNeighbours:
     ``best_idx[r]``: the minimum stretch effort to any other pending
     slot and that slot's id (ties broken toward the lowest id, exactly
     like an exhaustive ``argmin``).  The cache is repaired lazily: a
-    slot is re-scanned only when its cached neighbour is merged away,
-    and scans walk candidates in lower-bound order so that the exact
-    Eq. 10 kernel runs only for candidates whose bound does not already
-    exceed the current best.
+    slot is re-scanned only when its cached neighbour is merged away.
+    Every search goes through the engine's bounded pair
+    (:meth:`~repro.core.engine.StretchEngine.bounded_argmin` /
+    :meth:`~repro.core.engine.StretchEngine.bounded_rows_some`), which
+    runs the exact Eq. 10 kernel only where a lower bound does not
+    already rule a candidate out (DESIGN.md D13).
     """
 
     def __init__(self, engine: StretchEngine, stats: GloveStats):
@@ -181,57 +183,34 @@ class _NearestNeighbours:
         self.best_val[slot] = np.inf
         self.best_idx[slot] = -1
 
-    def _exact(self, slot: int, targets: np.ndarray) -> np.ndarray:
-        self.stats.n_exact_evaluations += targets.size
-        return self.engine.row(slot, targets)
+    def _count(self, n_pairs: int, pruned: np.ndarray) -> None:
+        n_pruned = int(pruned.sum())
+        self.stats.n_exact_evaluations += n_pairs - n_pruned
+        self.stats.n_pruned_evaluations += n_pruned
 
     def scan(self, slot: int, candidates: np.ndarray) -> tuple:
         """Nearest candidate of a slot: ``(value, candidate_slot)``.
 
-        ``candidates`` must be in ascending slot order; ties in the
-        effort resolve to the lowest slot id regardless of the order in
-        which the pruned walk visits them.
+        ``candidates`` must not contain ``slot``; ties in the effort
+        resolve to the lowest slot id.
         """
         cands = np.asarray(candidates, dtype=np.int64)
-        engine = self.engine
-        if engine.fused_pruning and cands.size:
-            best, best_idx, pruned = engine.bounded_argmin([slot], cands)
-            self.stats.n_exact_evaluations += int(cands.size - pruned[0])
-            self.stats.n_pruned_evaluations += int(pruned[0])
-            return float(best[0]), int(best_idx[0])
-        return self._walk(slot, cands, np.zeros(cands.size, dtype=bool))
-
-    def refresh(self, slot: int, candidates: np.ndarray) -> None:
-        """Re-derive a slot's cached neighbour from scratch."""
-        self.best_val[slot], self.best_idx[slot] = self.scan(slot, candidates)
+        if cands.size == 0:
+            return np.inf, -1
+        best, best_idx, pruned = self.engine.bounded_argmin([slot], cands)
+        self._count(cands.size, pruned)
+        return float(best[0]), int(best_idx[0])
 
     def refresh_many(self, slots: np.ndarray, candidates: np.ndarray) -> None:
         """Re-derive several slots' cached neighbours in one batched pass.
 
-        ``candidates`` is the shared pending set (ascending); each probe
-        slot is masked out of its own candidates.  All probes' exact
-        evaluations of one walk round coalesce into a single multi-probe
-        engine dispatch, but the per-pair values — and hence every
-        ``(value, neighbour)`` result — are bitwise identical to calling
-        :meth:`refresh` per slot (see :meth:`_walk_many`).
+        ``candidates`` is the shared pending set; the argmin entry skips
+        each probe's own slot, so the set goes down unmasked.
         """
         slots = np.asarray(slots, dtype=np.int64)
         cands = np.asarray(candidates, dtype=np.int64)
-        engine = self.engine
-        if engine.fused_pruning:
-            # The argmin kernel skips self-pairs in-kernel, so the
-            # shared candidate set goes down unmasked.
-            best, best_idx, pruned = engine.bounded_argmin(slots, cands)
-            n_valid = int((cands[None, :] != slots[:, None]).sum())
-            n_pruned = int(pruned.sum())
-            self.stats.n_exact_evaluations += n_valid - n_pruned
-            self.stats.n_pruned_evaluations += n_pruned
-            self.best_val[slots] = best
-            self.best_idx[slots] = best_idx
-            return
-        valid = cands[None, :] != slots[:, None]
-        reverse = np.zeros((slots.size, cands.size), dtype=bool)
-        best, best_idx, _ = self._walk_many(slots, cands, valid, reverse)
+        best, best_idx, pruned = self.engine.bounded_argmin(slots, cands)
+        self._count(int((cands[None, :] != slots[:, None]).sum()), pruned)
         self.best_val[slots] = best
         self.best_idx[slots] = best_idx
 
@@ -240,43 +219,20 @@ class _NearestNeighbours:
 
         Each slot scans only the slots before it and propagates the
         directed value back, so every unordered pair is evaluated at
-        most once — like the seed path's upper-triangle build.  Blocks
-        of ``_BUILD_BLOCK`` probes walk in lock-step with coalesced
-        exact dispatches; results are bitwise identical to the
-        sequential ``insert()``-per-slot build (see :meth:`_walk_many`):
-        walk results are assigned first and buffered reverse proposals
-        resolved afterwards, which reproduces the sequential
-        strict-improvement order exactly.
+        most once — like the seed path's upper-triangle build.  Each
+        block of ``_BUILD_BLOCK`` probes is one bounded row dispatch;
+        results are bitwise identical to a sequential
+        ``insert()``-per-slot build: the block's own results are
+        assigned first and its reverse proposals (minimum value, ties
+        to the lowest probe slot) resolved afterwards, which reproduces
+        the sequential strict-improvement order.  A pruned pair has a
+        bound above the probe's running best (it cannot change the
+        probe's argmin) and at least the target's cached best (it
+        cannot win a proposal, which applies only on strict
+        improvement).
         """
         self.ensure_capacity()
         initial = np.asarray(initial, dtype=np.int64)
-        if self.engine.fused_pruning:
-            self._build_fused(initial)
-            return
-        for s in range(0, initial.size, _BUILD_BLOCK):
-            block = initial[s : s + _BUILD_BLOCK]
-            cands = initial[: s + block.size - 1]
-            # Probe q (global position s+q) may only see its prefix.
-            valid = np.arange(cands.size)[None, :] < (s + np.arange(block.size))[:, None]
-            best, best_idx, proposals = self._walk_many(block, cands, valid, valid)
-            self.best_val[block] = best
-            self.best_idx[block] = best_idx
-            for tgt, (val, probe) in proposals.items():
-                if val < self.best_val[tgt]:
-                    self.best_val[tgt] = val
-                    self.best_idx[tgt] = probe
-
-    def _build_fused(self, initial: np.ndarray) -> None:
-        """Triangular build through the fused bounded row kernel.
-
-        Same block structure and proposal resolution as :meth:`build`,
-        but each probe's prefix row comes back from one bounded kernel
-        call with ``+inf`` sentinels at pruned positions.  Pruned pairs
-        have bound > the probe's running best (can't change its argmin)
-        and bound >= the target's cached best snapshot (can't win a
-        resolved proposal: the sequential path applies a proposal only
-        on strict improvement), so results stay bitwise identical.
-        """
         engine = self.engine
         for s in range(0, initial.size, _BUILD_BLOCK):
             block = initial[s : s + _BUILD_BLOCK]
@@ -286,10 +242,7 @@ class _NearestNeighbours:
             rows, pruned = engine.bounded_rows_some(
                 block, t_lists, rev_lists, self.best_val
             )
-            n_valid = sum(t.size for t in t_lists)
-            n_pruned = int(pruned.sum())
-            self.stats.n_exact_evaluations += n_valid - n_pruned
-            self.stats.n_pruned_evaluations += n_pruned
+            self._count(sum(t.size for t in t_lists), pruned)
             proposals: dict = {}
             best = np.full(block.size, np.inf)
             best_idx = np.full(block.size, -1, dtype=np.int64)
@@ -316,199 +269,32 @@ class _NearestNeighbours:
     def insert(self, slot: int, candidates: np.ndarray, reverse: np.ndarray) -> None:
         """Find a fresh slot's neighbour and propagate it into others.
 
-        Combines two walks the dense-matrix formulation did with one
+        Combines two searches the dense-matrix formulation did with one
         row: finding the new slot's own nearest candidate, and updating
         every candidate ``r`` whose cached best the new slot strictly
         beats.  ``reverse`` masks which candidates may receive that
         propagation (slots queued for a full refresh hold stale values
-        and are excluded).  Candidates must be in ascending slot order.
+        and are excluded).  Ties resolve to the lowest slot id.
         """
         self.ensure_capacity()
         cands = np.asarray(candidates, dtype=np.int64)
-        self.best_val[slot], self.best_idx[slot] = self._walk(slot, cands, reverse)
-
-    def _walk(self, slot: int, cands: np.ndarray, reverse: np.ndarray) -> tuple:
-        """Pruned best-first walk shared by :meth:`scan` and :meth:`insert`.
-
-        Walks candidates in lower-bound order, running the exact kernel
-        only where a bound could still beat the running best (tie rule:
-        lowest slot id, exactly like an exhaustive ``argmin``) or —
-        where ``reverse`` allows — strictly beat a candidate's own
-        cached best, in which case that candidate adopts ``slot``.
-        Returns the ``(value, candidate)`` nearest pair for ``slot``.
-        """
         if cands.size == 0:
-            return np.inf, -1
-        engine = self.engine
-
-        if engine.fused_pruning:
-            rows, pruned = engine.bounded_rows_some(
-                [slot], [cands], [reverse], self.best_val
-            )
-            vals = rows[0]
-            self.stats.n_exact_evaluations += int(cands.size - pruned[0])
-            self.stats.n_pruned_evaluations += int(pruned[0])
-            # +inf sentinels at pruned positions lose both comparisons
-            # below by construction (bound > running best, and for
-            # reverse targets bound >= their cached best).
-            upd = reverse & (vals < self.best_val[cands])
-            tgt = cands[upd]
-            self.best_val[tgt] = vals[upd]
-            self.best_idx[tgt] = slot
-            vmin = float(vals.min())
-            return vmin, int(cands[vals == vmin].min())
-
-        def propagate(sub: np.ndarray, vals: np.ndarray) -> None:
-            upd = reverse[sub] & (vals < self.best_val[cands[sub]])
-            tgt = cands[sub[upd]]
-            self.best_val[tgt] = vals[upd]
-            self.best_idx[tgt] = slot
-
-        if not engine.pruning:
-            vals = self._exact(slot, cands)
-            j = int(vals.argmin())
-            propagate(np.arange(cands.size), vals)
-            return float(vals[j]), int(cands[j])
-
-        lb0 = engine.hull_lower_bounds(slot, cands)
-        order = np.argsort(lb0, kind="stable")
-        best, best_idx = np.inf, -1
-        evaluated = 0
-        pos = 0
-        while pos < order.size:
-            rest = order[pos:]
-            if lb0[rest[0]] > best and not (
-                reverse[rest] & (lb0[rest] < self.best_val[cands[rest]])
-            ).any():
-                break
-            sel = rest[:_SCAN_BATCH]
-            need = (lb0[sel] <= best) | (reverse[sel] & (lb0[sel] < self.best_val[cands[sel]]))
-            sub = sel[need]
-            if sub.size and engine.lb1_pruning:
-                lb1 = engine.bucket_lower_bounds(slot, cands[sub])
-                need = (lb1 <= best) | (reverse[sub] & (lb1 < self.best_val[cands[sub]]))
-                sub = sub[need]
-            if sub.size:
-                vals = self._exact(slot, cands[sub])
-                evaluated += sub.size
-                vmin = float(vals.min())
-                cmin = int(cands[sub][vals == vmin].min())
-                if vmin < best or (vmin == best and cmin < best_idx):
-                    best, best_idx = vmin, cmin
-                propagate(sub, vals)
-            pos += _SCAN_BATCH
-        self.stats.n_pruned_evaluations += cands.size - evaluated
-        return best, best_idx
-
-    def _walk_many(
-        self,
-        slots: np.ndarray,
-        cands: np.ndarray,
-        valid: np.ndarray,
-        reverse: np.ndarray,
-    ) -> tuple:
-        """Lock-step pruned walks of several probes over shared candidates.
-
-        The multi-probe counterpart of :meth:`_walk`: each probe walks
-        its valid candidates (``valid[p, c]``) in lower-bound order with
-        the same batch size and pruning conditions, but the exact
-        evaluations of all still-active probes in a round are coalesced
-        into one ragged engine dispatch.  Reverse propagations are
-        buffered as proposals and resolved by the caller (minimum value,
-        ties to the lowest probe slot) *after* assigning the walk
-        results, which reproduces the sequential apply order bit for
-        bit.  Correctness of the batching does not depend on probes
-        seeing each other's in-flight updates: candidate cached bests
-        read during the walk are upper bounds of their sequential
-        counterparts, so every pair the sequential walks would evaluate
-        for its result is also evaluated here, extra evaluations never
-        change a minimum or a resolved proposal, and per-pair values are
-        batch-composition-independent.
-
-        Returns ``(best_vals, best_idxs, proposals)`` with ``proposals``
-        mapping candidate slot -> ``(value, probe_slot)``.
-        """
-        P, C = slots.size, cands.size
-        best = np.full(P, np.inf)
-        best_idx = np.full(P, -1, dtype=np.int64)
-        proposals: dict = {}
-
-        def propose(p_slot: int, tgts: np.ndarray, vals: np.ndarray) -> None:
-            for t, v in zip(tgts.tolist(), vals.tolist()):
-                cur = proposals.get(t)
-                if cur is None or v < cur[0] or (v == cur[0] and p_slot < cur[1]):
-                    proposals[t] = (v, p_slot)
-
-        if P == 0 or C == 0:
-            return best, best_idx, proposals
-        engine = self.engine
-
-        if not engine.pruning:
-            t_lists = [cands[valid[p]] for p in range(P)]
-            rows = engine.rows_some(slots, t_lists)
-            for p in range(P):
-                vals, tgts = rows[p], t_lists[p]
-                self.stats.n_exact_evaluations += tgts.size
-                if vals.size:
-                    j = int(vals.argmin())
-                    best[p], best_idx[p] = float(vals[j]), int(tgts[j])
-                    rmask = reverse[p, valid[p]]
-                    propose(int(slots[p]), tgts[rmask], vals[rmask])
-            return best, best_idx, proposals
-
-        lb0 = engine.hull_lower_bounds_many(slots, cands)
-        n_valid = valid.sum(axis=1)
-        # Invalid candidates carry finite hull bounds too, so push them
-        # past every valid candidate: the first n_valid positions of
-        # each probe's order are then exactly its valid candidates.
-        lb0 = np.where(valid, lb0, np.inf)
-        order = np.argsort(lb0, axis=1, kind="stable")
-        pos = np.zeros(P, dtype=np.int64)
-        active = n_valid > 0
-        evaluated = np.zeros(P, dtype=np.int64)
-        while active.any():
-            round_subs: list = []
-            for p in np.flatnonzero(active):
-                if pos[p] >= n_valid[p]:
-                    active[p] = False
-                    continue
-                rest = order[p, pos[p] : n_valid[p]]
-                l_rest = lb0[p, rest]
-                if l_rest[0] > best[p] and not (
-                    reverse[p, rest] & (l_rest < self.best_val[cands[rest]])
-                ).any():
-                    active[p] = False
-                    continue
-                sel = rest[:_SCAN_BATCH]
-                need = (lb0[p, sel] <= best[p]) | (
-                    reverse[p, sel] & (lb0[p, sel] < self.best_val[cands[sel]])
-                )
-                sub = sel[need]
-                if sub.size and engine.lb1_pruning:
-                    lb1 = engine.bucket_lower_bounds(int(slots[p]), cands[sub])
-                    need = (lb1 <= best[p]) | (
-                        reverse[p, sub] & (lb1 < self.best_val[cands[sub]])
-                    )
-                    sub = sub[need]
-                pos[p] += _SCAN_BATCH
-                if sub.size:
-                    round_subs.append((int(p), sub))
-            if round_subs:
-                probe_pos = [p for p, _ in round_subs]
-                t_lists = [cands[sub] for _, sub in round_subs]
-                rows = engine.rows_some(slots[probe_pos], t_lists)
-                for (p, sub), tgts, vals in zip(round_subs, t_lists, rows):
-                    self.stats.n_exact_evaluations += sub.size
-                    evaluated[p] += sub.size
-                    vmin = float(vals.min())
-                    cmin = int(tgts[vals == vmin].min())
-                    if vmin < best[p] or (vmin == best[p] and cmin < best_idx[p]):
-                        best[p], best_idx[p] = vmin, cmin
-                    rmask = reverse[p, sub]
-                    if rmask.any():
-                        propose(int(slots[p]), tgts[rmask], vals[rmask])
-        self.stats.n_pruned_evaluations += int((n_valid - evaluated).sum())
-        return best, best_idx, proposals
+            self.best_val[slot], self.best_idx[slot] = np.inf, -1
+            return
+        rows, pruned = self.engine.bounded_rows_some(
+            [slot], [cands], [reverse], self.best_val
+        )
+        vals = rows[0]
+        self._count(cands.size, pruned)
+        # +inf sentinels at pruned positions lose both comparisons
+        # below by construction (bound > running best, and for reverse
+        # targets bound >= their cached best).
+        upd = reverse & (vals < self.best_val[cands])
+        tgt = cands[upd]
+        self.best_val[tgt] = vals[upd]
+        self.best_idx[tgt] = slot
+        vmin = float(vals.min())
+        self.best_val[slot], self.best_idx[slot] = vmin, int(cands[vals == vmin].min())
 
 
 def glove(

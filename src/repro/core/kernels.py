@@ -248,67 +248,6 @@ def _build_kernels(decorate):
         return mat
 
     @decorate
-    def many_vs_all_arrays(
-        p_data, p_lengths, p_counts, data, lengths, counts, targets,
-        w_sigma, w_tau, phi_sigma, phi_tau,
-    ):
-        # Multi-probe face of one_vs_all_arrays over a packed probe
-        # batch (ProbeBatch layout): row p is bitwise one_vs_all of
-        # probe p.  The scratch vectors are sized to the widest probe's
-        # pad width and re-zeroed by pair_effort, so per-pair values
-        # are independent of the batch composition.
-        P = p_data.shape[0]
-        m_max = data.shape[1]
-        p_m_max = p_data.shape[1]
-        pad_max = p_m_max if p_m_max > m_max else m_max
-        scratch_a = np.zeros(pad_max)
-        scratch_b = np.zeros(pad_max)
-        out = np.empty((P, targets.shape[0]))
-        for p in range(P):
-            ma = p_lengths[p]
-            a_data = p_data[p, :ma]
-            n_a = float(p_counts[p])
-            pad_width = ma if ma > m_max else m_max
-            for idx in range(targets.shape[0]):
-                t = targets[idx]
-                out[p, idx] = pair_effort(
-                    a_data, n_a, data[t], lengths[t], float(counts[t]),
-                    scratch_a, scratch_b, pad_width,
-                    w_sigma, w_tau, phi_sigma, phi_tau,
-                )
-        return out
-
-    @decorate
-    def many_vs_some_arrays(
-        p_data, p_lengths, p_counts, data, lengths, counts,
-        flat_targets, offsets,
-        w_sigma, w_tau, phi_sigma, phi_tau,
-    ):
-        # Ragged twin: probe p evaluates flat_targets[offsets[p] :
-        # offsets[p + 1]] (CSR layout), one flat result row.  Same
-        # scratch discipline as many_vs_all_arrays.
-        P = p_data.shape[0]
-        m_max = data.shape[1]
-        p_m_max = p_data.shape[1]
-        pad_max = p_m_max if p_m_max > m_max else m_max
-        scratch_a = np.zeros(pad_max)
-        scratch_b = np.zeros(pad_max)
-        out = np.empty(flat_targets.shape[0])
-        for p in range(P):
-            ma = p_lengths[p]
-            a_data = p_data[p, :ma]
-            n_a = float(p_counts[p])
-            pad_width = ma if ma > m_max else m_max
-            for idx in range(offsets[p], offsets[p + 1]):
-                t = flat_targets[idx]
-                out[idx] = pair_effort(
-                    a_data, n_a, data[t], lengths[t], float(counts[t]),
-                    scratch_a, scratch_b, pad_width,
-                    w_sigma, w_tau, phi_sigma, phi_tau,
-                )
-        return out
-
-    @decorate
     def interval_gap(a_lo, a_hi, b_lo, b_hi):
         # np.maximum(0.0, np.maximum(a_lo - b_hi, b_lo - a_hi)) with
         # NumPy's tie rule (in1 > in2 ? in1 : in2) written out, so the
@@ -322,7 +261,7 @@ def _build_kernels(decorate):
     def hull_bound(hull, a, t, w_sigma, w_tau, phi_sigma, phi_tau):
         # Level-0 bound: gap between the (6, cap) component-major hull
         # SoA columns of slots a and t — the scalar twin of
-        # StretchEngine.hull_lower_bounds.
+        # pairwise.hull_lower_bounds.
         gx = interval_gap(hull[0, a], hull[1, a], hull[0, t], hull[1, t])
         gy = interval_gap(hull[2, a], hull[3, a], hull[2, t], hull[3, t])
         gt = interval_gap(hull[4, a], hull[5, a], hull[4, t], hull[5, t])
@@ -341,7 +280,7 @@ def _build_kernels(decorate):
     ):
         # Level-1 bound: samples vs per-time-bucket hulls following
         # Eq. 10's longer-side rule — the scalar twin of
-        # StretchEngine.bucket_lower_bounds.  The a-side direction folds
+        # pairwise.bucket_lower_bounds.  The a-side direction folds
         # the minimum over *all* buckets (unoccupied contribute +inf);
         # the c-side direction folds only the probe's occupied buckets
         # and sums a zero-padded width-m_max vector, replicating the
@@ -416,7 +355,7 @@ def _build_kernels(decorate):
     def stable_argsort(keys, idx, tmp):
         # Bottom-up stable mergesort of indices by key.  A stable sort's
         # permutation is unique, so this matches np.argsort(kind="stable")
-        # exactly — the property the walkers' visit order relies on.
+        # exactly — the visit order of the NumPy walk.
         n = keys.shape[0]
         for i in range(n):
             idx[i] = i
@@ -463,10 +402,10 @@ def _build_kernels(decorate):
         flat_targets, offsets, thresholds, reverse, best_vals,
         w_sigma, w_tau, phi_sigma, phi_tau,
     ):
-        # Fused bound-and-prune ragged sweep (CSR layout like
-        # many_vs_some_arrays, but slot-addressed: probes are slot ids
-        # into the same store tensors, because both bound levels need
-        # the probe's hull and bucket summaries).  Each probe walks its
+        # Fused bound-and-prune ragged sweep (CSR layout: probe p
+        # visits flat_targets[offsets[p] : offsets[p + 1]]; probes are
+        # slot ids into the store tensors, because both bound levels
+        # need the probe's hull and bucket summaries).  Each probe walks its
         # targets in level-0 bound order and runs the exact kernel only
         # where the level-0 then level-1 bound could still beat the
         # probe's running best (seeded from thresholds[p]) or — where
@@ -603,8 +542,6 @@ def _build_kernels(decorate):
         pairwise_sum,
         one_vs_all_arrays,
         pairwise_matrix_arrays,
-        many_vs_all_arrays,
-        many_vs_some_arrays,
         bounded_many_vs_all_arrays,
         bounded_many_vs_some_arrays,
     )
@@ -617,8 +554,6 @@ def _build_kernels(decorate):
     pairwise_sum_py,
     one_vs_all_pure,
     pairwise_matrix_pure,
-    many_vs_all_pure,
-    many_vs_some_pure,
     bounded_many_vs_all_pure,
     bounded_many_vs_some_pure,
 ) = _build_kernels(lambda f: f)
@@ -659,41 +594,6 @@ def _bind_cc():
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
         return mat
-
-    def many_vs_all_cc(
-        p_data, p_lengths, p_counts, data, lengths, counts, targets,
-        w_sigma, w_tau, phi_sigma, phi_tau,
-    ):
-        out = np.empty((p_data.shape[0], targets.shape[0]), dtype=np.float64)
-        if out.size == 0:
-            return out
-        rc = lib.glove_many_vs_all(
-            p_data, p_data.shape[1], p_lengths, p_counts, p_data.shape[0],
-            data, data.shape[1], lengths, counts,
-            np.ascontiguousarray(targets), targets.shape[0],
-            w_sigma, w_tau, phi_sigma, phi_tau, out,
-        )
-        if rc != 0:
-            raise MemoryError("stretch kernel scratch allocation failed")
-        return out
-
-    def many_vs_some_cc(
-        p_data, p_lengths, p_counts, data, lengths, counts,
-        flat_targets, offsets,
-        w_sigma, w_tau, phi_sigma, phi_tau,
-    ):
-        out = np.empty(flat_targets.shape[0], dtype=np.float64)
-        if out.size == 0:
-            return out
-        rc = lib.glove_many_vs_some(
-            p_data, p_data.shape[1], p_lengths, p_counts, p_data.shape[0],
-            data, data.shape[1], lengths, counts,
-            np.ascontiguousarray(flat_targets), np.ascontiguousarray(offsets),
-            w_sigma, w_tau, phi_sigma, phi_tau, out,
-        )
-        if rc != 0:
-            raise MemoryError("stretch kernel scratch allocation failed")
-        return out
 
     def _occ_u8(bucket_occ):
         # The C entries take the occupancy mask as uint8; a bool array
@@ -757,8 +657,6 @@ def _bind_cc():
     return (
         one_vs_all_cc,
         pairwise_matrix_cc,
-        many_vs_all_cc,
-        many_vs_some_cc,
         bounded_many_vs_all_cc,
         bounded_many_vs_some_cc,
     )
@@ -773,8 +671,6 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised via compiled-parity CI
         _,
         one_vs_all_arrays,
         pairwise_matrix_arrays,
-        many_vs_all_arrays,
-        many_vs_some_arrays,
         bounded_many_vs_all_arrays,
         bounded_many_vs_some_arrays,
     ) = _build_kernels(njit(cache=True, nogil=True))
@@ -785,8 +681,6 @@ else:
         (
             one_vs_all_arrays,
             pairwise_matrix_arrays,
-            many_vs_all_arrays,
-            many_vs_some_arrays,
             bounded_many_vs_all_arrays,
             bounded_many_vs_some_arrays,
         ) = _cc
@@ -794,8 +688,6 @@ else:
         COMPILED_TIER = None
         one_vs_all_arrays = one_vs_all_pure
         pairwise_matrix_arrays = pairwise_matrix_pure
-        many_vs_all_arrays = many_vs_all_pure
-        many_vs_some_arrays = many_vs_some_pure
         bounded_many_vs_all_arrays = bounded_many_vs_all_pure
         bounded_many_vs_some_arrays = bounded_many_vs_some_pure
 

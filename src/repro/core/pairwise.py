@@ -4,12 +4,14 @@ The paper offloads the O(|M|^2) evaluations of Eq. 10 to a CUDA GPU
 (Section 6.3).  This module is the reproduction's equivalent substrate:
 fingerprints are packed into a padded ``(N, m_max, 6)`` tensor with a
 validity mask, and one-vs-all stretch efforts are computed with NumPy
-broadcasting, chunked to bound peak memory.
+broadcasting, chunked to bound peak memory.  The two lower bounds that
+let the GLOVE search prune exact evaluations live here too, as plain
+functions over the same packed arrays.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -50,42 +52,6 @@ class PaddedFingerprints:
         for i, fp in enumerate(fps):
             self.data[i, : fp.m] = fp.data
             self.mask[i, : fp.m] = True
-
-    def __len__(self) -> int:
-        return self.data.shape[0]
-
-
-class ProbeBatch:
-    """A probe batch packed into a contiguous padded tensor.
-
-    The multi-probe counterpart of :class:`PaddedFingerprints` for the
-    *probe* side of a batched dispatch: ``P`` variable-length probes
-    become one C-contiguous ``(P, p_m_max, 6)`` float64 tensor plus
-    ``lengths``/``counts`` vectors, the exact struct-of-arrays layout
-    the batched native kernels (:mod:`repro.core.kernels`
-    ``many_vs_all_arrays``/``many_vs_some_arrays``) take — one
-    Python→native boundary crossing moves the whole batch.  Row slices
-    (``data[a:b]``, ``lengths[a:b]``, …) stay contiguous, which is what
-    lets the engine's thread splitter hand disjoint sub-batches to
-    GIL-released kernel calls without copies.
-    """
-
-    __slots__ = ("data", "lengths", "counts")
-
-    def __init__(self, probes: Sequence[np.ndarray], probe_counts: Sequence[int]):
-        if len(probes) != len(probe_counts):
-            raise ValueError("probes and probe_counts must have equal length")
-        if any(p.shape[0] == 0 for p in probes):
-            raise ValueError("probe fingerprint has no samples")
-        P = len(probes)
-        p_m_max = max((p.shape[0] for p in probes), default=1)
-        self.data = np.zeros((P, p_m_max, NCOLS), dtype=np.float64)
-        self.lengths = np.empty(P, dtype=np.int64)
-        self.counts = np.empty(P, dtype=np.int64)
-        for i, (p, c) in enumerate(zip(probes, probe_counts)):
-            self.data[i, : p.shape[0]] = p
-            self.lengths[i] = p.shape[0]
-            self.counts[i] = c
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -242,47 +208,6 @@ def one_vs_all(
     return out
 
 
-def many_vs_all(
-    probes: Sequence[np.ndarray],
-    probe_counts: Sequence[int],
-    packed: PaddedFingerprints,
-    config: StretchConfig = StretchConfig(),
-    indices: Optional[np.ndarray] = None,
-    chunk: int = DEFAULT_CHUNK,
-) -> np.ndarray:
-    """Eq. 10 efforts from several probes to one shared target set.
-
-    The multi-probe face of :func:`one_vs_all`: target chunks are
-    gathered from the padded store once and reused across all probes,
-    so ``P`` probes pay one gather instead of ``P``.  Returns a
-    ``(P, len(indices))`` float64 matrix whose row ``p`` is bitwise
-    equal to ``one_vs_all(probes[p], ...)`` on the same targets.
-    """
-    if len(probes) != len(probe_counts):
-        raise ValueError("probes and probe_counts must have equal length")
-    if indices is None:
-        indices = np.arange(len(packed))
-    indices = np.asarray(indices, dtype=np.int64)
-    views = [_ProbeViews(p, int(n)) for p, n in zip(probes, probe_counts)]
-    out = np.empty((len(views), indices.shape[0]), dtype=np.float64)
-    m_max = packed.data.shape[1]
-
-    order = _length_sorted(packed, indices)
-    for start in range(0, indices.shape[0], chunk):
-        pos = order[start : start + chunk]
-        sel = indices[pos]
-        len_b = packed.lengths[sel]
-        width = int(len_b.max())
-        b = packed.data[sel, :width]
-        mask = packed.mask[sel, :width]
-        n_b = packed.counts[sel].astype(np.float64)
-        for row, probe in enumerate(views):
-            out[row, pos] = _chunk_efforts(
-                probe, b, mask, len_b, n_b, max(probe.ma, m_max), config
-            )
-    return out
-
-
 def many_vs_some(
     probes: Sequence[np.ndarray],
     probe_counts: Sequence[int],
@@ -339,6 +264,143 @@ def many_vs_some(
             )
         outs.append(out)
     return outs
+
+
+# ----------------------------------------------------------------------
+# Lower bounds on the stretch effort (DESIGN.md D4)
+# ----------------------------------------------------------------------
+# The NumPy twins of ``kernels.hull_bound`` / ``kernels.bucket_bound``,
+# over a packed store and the engine's bound summaries: a ``(6, cap)``
+# component-major hull, ``(cap, B, 6)`` per-time-bucket hulls and a
+# ``(cap, B)`` bucket occupancy mask.
+def _interval_gap(a_lo, a_hi, b_lo, b_hi):
+    """Separation between intervals ``[a_lo, a_hi]`` and ``[b_lo, b_hi]``."""
+    return np.maximum(0.0, np.maximum(a_lo - b_hi, b_lo - a_hi))
+
+
+def _gap_effort(gx, gy, gt, config: StretchConfig):
+    """Eq. 10's saturating per-sample effort applied to gaps."""
+    return config.w_sigma * np.minimum((gx + gy) / config.phi_max_sigma_m, 1.0) + (
+        config.w_tau * np.minimum(gt / config.phi_max_tau_min, 1.0)
+    )
+
+
+def hull_lower_bounds(
+    hull: np.ndarray, slot: int, targets: np.ndarray, config: StretchConfig
+) -> np.ndarray:
+    """Level-0 bound: gap between global bounding boxes, O(1)/pair."""
+    h = hull[:, slot]
+    H = hull[:, targets]
+    return _gap_effort(
+        _interval_gap(h[0], h[1], H[0], H[1]),
+        _interval_gap(h[2], h[3], H[2], H[3]),
+        _interval_gap(h[4], h[5], H[4], H[5]),
+        config,
+    )
+
+
+def bucket_lower_bounds(
+    packed,
+    bucket_hull: np.ndarray,
+    bucket_occ: np.ndarray,
+    slot: int,
+    targets: np.ndarray,
+    config: StretchConfig,
+) -> np.ndarray:
+    """Level-1 bound: samples vs per-time-bucket hulls, O(m·B)/pair.
+
+    Follows Eq. 10's direction rule: the mean runs over the longer
+    fingerprint's samples (both directions averaged on equal lengths),
+    so each direction is bounded with the corresponding side's samples
+    against the other side's bucket hulls.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    ma = int(packed.lengths[slot])
+    len_t = packed.lengths[targets]
+    a_side = ma >= len_t  # probe is the longer (or equal) side
+    b_side = len_t >= ma  # target is the longer (or equal) side
+    la = np.zeros(targets.size)
+    lb = np.zeros(targets.size)
+    if a_side.any():
+        la[a_side] = _lb_probe_samples(
+            packed, bucket_hull, bucket_occ, slot, targets[a_side], config
+        )
+    if b_side.any():
+        lb[b_side] = _lb_target_samples(
+            packed, bucket_hull, bucket_occ, slot, targets[b_side], config
+        )
+    return np.where(ma > len_t, la, np.where(len_t > ma, lb, (la + lb) / 2.0))
+
+
+def _sample_bucket_lb(s_lo, s_hi, hulls, occ, config: StretchConfig):
+    """Per-(sample, bucket) bound; ``inf`` on unoccupied buckets.
+
+    ``s_lo``/``s_hi`` are ``(..., 3)`` interval bounds (x, y, t) and
+    ``hulls`` is ``(..., B, 6)``; broadcasting aligns the rest.
+    """
+    lb = _gap_effort(
+        _interval_gap(s_lo[..., 0], s_hi[..., 0], hulls[..., 0], hulls[..., 1]),
+        _interval_gap(s_lo[..., 1], s_hi[..., 1], hulls[..., 2], hulls[..., 3]),
+        _interval_gap(s_lo[..., 2], s_hi[..., 2], hulls[..., 4], hulls[..., 5]),
+        config,
+    )
+    return np.where(occ, lb, np.inf)
+
+
+def _sample_intervals(d: np.ndarray):
+    """``(lo, hi)`` stacks of the (x, y, t) sample intervals of ``d``."""
+    lo = np.stack([d[..., X], d[..., Y], d[..., T]], axis=-1)
+    hi = np.stack(
+        [d[..., X] + d[..., DX], d[..., Y] + d[..., DY], d[..., T] + d[..., DT]], axis=-1
+    )
+    return lo, hi
+
+
+def _lb_probe_samples(packed, bucket_hull, bucket_occ, slot, targets, config):
+    """Mean over probe samples of the min bound to target buckets."""
+    d = packed.data[slot, : packed.lengths[slot]]
+    s_lo, s_hi = _sample_intervals(d)
+    ma = d.shape[0]
+    n_buckets = bucket_hull.shape[1]
+    out = np.empty(targets.size)
+    block = max(1, (1 << 21) // max(ma * n_buckets, 1))
+    for start in range(0, targets.size, block):
+        sel = targets[start : start + block]
+        hulls = bucket_hull[sel][:, None, :, :]  # (C, 1, B, 6)
+        occ = bucket_occ[sel][:, None, :]  # (C, 1, B)
+        lb = _sample_bucket_lb(
+            s_lo[None, :, None, :], s_hi[None, :, None, :], hulls, occ, config
+        )  # (C, ma, B)
+        out[start : start + sel.size] = lb.min(axis=2).mean(axis=1)
+    return out
+
+
+def _lb_target_samples(packed, bucket_hull, bucket_occ, slot, targets, config):
+    """Masked mean over target samples of the min bound to probe buckets.
+
+    Targets are grouped by length so the broadcast work is sliced to
+    each block's own maximum sample count; the final mean still sums a
+    zero-padded width-``m_max`` array, so every bound value is bitwise
+    independent of the block composition (same argument as
+    :func:`_chunk_efforts`).
+    """
+    hulls = bucket_hull[slot][bucket_occ[slot]]  # (Bo, 6)
+    m_max = packed.data.shape[1]
+    out = np.empty(targets.size)
+    order = _length_sorted(packed, targets)
+    block = max(1, (1 << 21) // max(m_max * hulls.shape[0], 1))
+    for start in range(0, targets.size, block):
+        pos = order[start : start + block]
+        sel = targets[pos]
+        width = int(packed.lengths[sel].max())
+        s_lo, s_hi = _sample_intervals(packed.data[sel, :width])  # (C, W, 3)
+        lb = _sample_bucket_lb(
+            s_lo[:, :, None, :], s_hi[:, :, None, :], hulls[None, None, :, :], True, config
+        )  # (C, W, Bo)
+        per_sample = np.zeros((sel.size, m_max), dtype=np.float64)
+        per_sample[:, :width] = np.where(packed.mask[sel, :width], lb.min(axis=2), 0.0)
+        out[pos] = per_sample.sum(axis=1) / packed.lengths[sel]
+    return out
 
 
 def pairwise_matrix(

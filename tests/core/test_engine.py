@@ -20,7 +20,13 @@ from repro.core.engine import (
 )
 from repro.core.glove import glove
 from repro.core.merge import merge_fingerprints
-from repro.core.pairwise import PaddedFingerprints, one_vs_all, pairwise_matrix
+from repro.core.pairwise import (
+    PaddedFingerprints,
+    bucket_lower_bounds,
+    hull_lower_bounds,
+    one_vs_all,
+    pairwise_matrix,
+)
 from repro.core.parallel import parallel_pairwise_matrix
 from tests.conftest import make_fp
 from tests.properties.test_k_anonymity import populations
@@ -127,6 +133,16 @@ class TestBackendEquivalence:
         assert pruned.stats.n_exact_evaluations < full.stats.n_exact_evaluations
 
 
+def _bounds(engine, slot, targets):
+    """Level-0 and level-1 bounds of ``slot`` over the engine's summaries."""
+    lb0 = hull_lower_bounds(engine._hull, slot, targets, engine.stretch)
+    lb1 = bucket_lower_bounds(
+        engine.store, engine._bucket_hull, engine._bucket_occ, slot, targets,
+        engine.stretch,
+    )
+    return lb0, lb1
+
+
 class TestLowerBounds:
     """The pruning bounds must never exceed the exact Eq. 10 effort."""
 
@@ -139,7 +155,7 @@ class TestLowerBounds:
         for slot in range(0, n, 5):
             targets = np.array([t for t in range(n) if t != slot], dtype=np.int64)
             exact = engine.row(slot, targets)
-            lb = engine.hull_lower_bounds(slot, targets)
+            lb, _ = _bounds(engine, slot, targets)
             assert (lb <= exact + 1e-12).all()
 
     def test_bucket_bound_is_a_lower_bound_and_tighter(self, engine):
@@ -148,8 +164,7 @@ class TestLowerBounds:
         for slot in range(0, n, 5):
             targets = np.array([t for t in range(n) if t != slot], dtype=np.int64)
             exact = engine.row(slot, targets)
-            lb0 = engine.hull_lower_bounds(slot, targets)
-            lb1 = engine.bucket_lower_bounds(slot, targets)
+            lb0, lb1 = _bounds(engine, slot, targets)
             assert (lb1 <= exact + 1e-12).all()
             assert (lb0 <= lb1 + 1e-12).all()
             total_lb0 += lb0.sum()
@@ -162,8 +177,9 @@ class TestLowerBounds:
         slot = engine.append(merged)
         targets = np.arange(2, 10, dtype=np.int64)
         exact = engine.row(slot, targets)
-        assert (engine.hull_lower_bounds(slot, targets) <= exact + 1e-12).all()
-        assert (engine.bucket_lower_bounds(slot, targets) <= exact + 1e-12).all()
+        lb0, lb1 = _bounds(engine, slot, targets)
+        assert (lb0 <= exact + 1e-12).all()
+        assert (lb1 <= exact + 1e-12).all()
 
 
 class TestKernelProperties:
@@ -202,8 +218,7 @@ class TestKernelProperties:
         for slot in range(n):
             targets = np.array([t for t in range(n) if t != slot], dtype=np.int64)
             exact = engine.row(slot, targets)
-            lb0 = engine.hull_lower_bounds(slot, targets)
-            lb1 = engine.bucket_lower_bounds(slot, targets)
+            lb0, lb1 = _bounds(engine, slot, targets)
             assert (lb0 <= lb1 + 1e-12).all()
             assert (lb1 <= exact + 1e-12).all()
 
@@ -366,48 +381,43 @@ class TestDispatchCounters:
     only in wall time.
     """
 
-    def _probes(self, small_civ, n=4):
-        fps = list(small_civ)[:8]
-        packed = PaddedFingerprints(fps)
-        probes = [fp.data for fp in fps[:n]]
-        counts = [fp.count for fp in fps[:n]]
-        targets = np.arange(len(fps), dtype=np.int64)
-        return packed, probes, counts, targets
+    def _engine(self, small_civ, **compute):
+        return StretchEngine(list(small_civ)[:8], compute=ComputeConfig(**compute))
 
     def test_numpy_many_vs_all_counts_per_probe(self, small_civ):
-        packed, probes, counts, targets = self._probes(small_civ)
-        backend = NumpyBackend(ComputeConfig(backend="numpy"), StretchConfig())
-        backend.many_vs_all(probes, counts, packed, targets)
-        assert backend.dispatch_counters() == (4, 4, 0, 0)
-        backend.one_vs_all(probes[0], counts[0], packed, targets)
-        assert backend.dispatch_counters() == (5, 5, 0, 0)
+        # The NumPy walk crosses once per probe and exact round; eight
+        # targets fit one round.
+        engine = self._engine(small_civ, backend="numpy")
+        targets = np.arange(8, dtype=np.int64)
+        _, _, pruned = engine.bounded_argmin(np.arange(4), targets)
+        bound_pruned = int(pruned.sum())
+        assert engine.backend.dispatch_counters() == (4, 4, 0, bound_pruned)
+        engine.row(0, targets)
+        assert engine.backend.dispatch_counters() == (5, 5, 0, bound_pruned)
 
     def test_compiled_many_vs_all_counts_one_crossing(self, small_civ):
         from repro.core import kernels
 
         if not kernels.COMPILED_AVAILABLE:
             pytest.skip("no accelerated kernel binding")
-        from repro.core.engine import CompiledBackend
-
-        packed, probes, counts, targets = self._probes(small_civ)
-        backend = CompiledBackend(ComputeConfig(backend="compiled"), StretchConfig())
-        with backend:
-            backend.many_vs_all(probes, counts, packed, targets)
-            assert backend.dispatch_counters() == (1, 4, 4, 0)
-            backend.many_vs_some(probes, counts, packed, [targets] * 4)
-            assert backend.dispatch_counters() == (2, 8, 8, 0)
+        targets = np.arange(8, dtype=np.int64)
+        with self._engine(small_civ, backend="compiled", kernel_threads=1) as engine:
+            _, _, a = engine.bounded_argmin(np.arange(4), targets)
+            assert engine.backend.dispatch_counters() == (1, 4, 4, int(a.sum()))
+            t_lists = [targets[targets != p] for p in range(4)]
+            _, b = engine.bounded_rows_some(
+                np.arange(4), t_lists, [np.zeros(7, dtype=bool)] * 4,
+                np.full(16, np.inf),
+            )
+            assert engine.backend.dispatch_counters() == (2, 8, 8, int(a.sum() + b.sum()))
 
     def test_auto_backend_aggregates_children(self, small_civ):
-        from repro.core.engine import AutoBackend
-
-        packed, probes, counts, targets = self._probes(small_civ)
-        backend = AutoBackend(ComputeConfig(backend="auto", workers=1), StretchConfig())
-        with backend:
-            backend.many_vs_all(probes, counts, packed, targets)
-            crossings, dispatches, batched, _ = backend.dispatch_counters()
+        with self._engine(small_civ, backend="auto", workers=1) as engine:
+            engine.bounded_argmin(np.arange(4), np.arange(8))
+            crossings, dispatches, batched, _ = engine.backend.dispatch_counters()
         assert dispatches == 4
         # Aggregation covers whichever inline tier the environment has:
-        # batched native (1 crossing) or the per-probe NumPy fallback.
+        # batched native (1 crossing) or the per-probe NumPy walk.
         assert crossings in (1, 4)
 
     def test_glove_stats_harvest_counters(self, small_civ):
@@ -426,3 +436,38 @@ class TestDispatchCounters:
         )
         assert result.stats.n_boundary_crossings > 0
         assert result.stats.n_probe_dispatches > 0
+
+
+class TestPruneAccounting:
+    """One accounting path: every pruned pair is a bound-pruned pair.
+
+    Every backend's search goes through the bounded pair, so the loop's
+    ``n_pruned_evaluations`` and the backend's ``n_bound_pruned`` count
+    the same pairs; with ``pruning=False`` (neutral summaries) both are
+    0 and the output is unchanged.
+    """
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            dict(backend="numpy"),
+            dict(backend="compiled"),
+            dict(backend="auto"),
+            dict(backend="process", workers=1),
+            dict(backend="sharded", shards=1, workers=1),
+            dict(backend="sharded", shards=2, workers=1),
+        ],
+        ids=["numpy", "compiled", "auto", "process", "sharded1", "sharded2"],
+    )
+    def test_pruned_equals_bound_pruned(self, small_civ, compute):
+        from repro.core import kernels
+        from repro.core.artifacts import dataset_digest
+
+        if compute["backend"] == "compiled" and not kernels.COMPILED_AVAILABLE:
+            pytest.skip("no accelerated kernel binding")
+        pruned = glove(small_civ, GloveConfig(k=2), ComputeConfig(**compute))
+        full = glove(small_civ, GloveConfig(k=2), ComputeConfig(pruning=False, **compute))
+        assert pruned.stats.n_bound_pruned > 0
+        assert pruned.stats.n_pruned_evaluations == pruned.stats.n_bound_pruned
+        assert full.stats.n_pruned_evaluations == full.stats.n_bound_pruned == 0
+        assert dataset_digest(full.dataset) == dataset_digest(pruned.dataset)

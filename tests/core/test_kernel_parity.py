@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.core import kernels
 from repro.core.config import StretchConfig
 from repro.core.fingerprint import Fingerprint
-from repro.core.pairwise import PaddedFingerprints, ProbeBatch, one_vs_all, pairwise_matrix
+from repro.core.pairwise import PaddedFingerprints, one_vs_all, pairwise_matrix
 from repro.core.sample import Sample
 
 # Wide value ranges on purpose: spatial spreads far beyond phi_sigma
@@ -146,147 +146,48 @@ class TestKernelParity:
         assert got[1] == 0.0
 
 
-BATCHED_BINDINGS = [("pure", kernels.many_vs_all_pure, kernels.many_vs_some_pure)]
-if kernels.COMPILED_AVAILABLE:
-    BATCHED_BINDINGS.append(
-        (kernels.COMPILED_TIER, kernels.many_vs_all_arrays, kernels.many_vs_some_arrays)
-    )
+def _numpy_bounded():
+    """``NumpyBackend``'s bounded pair behind the kernel entries' signatures.
 
-
-def _pack_probes(probes):
-    return ProbeBatch([fp.data for fp in probes], [fp.count for fp in probes])
-
-
-@pytest.mark.parametrize(
-    "tier,mva,mvs", BATCHED_BINDINGS, ids=[b[0] for b in BATCHED_BINDINGS]
-)
-class TestBatchedParity:
-    """The batched multi-probe entries against the per-probe loop.
-
-    Row ``p`` of ``many_vs_all``/slice ``p`` of ``many_vs_some`` must be
-    bitwise equal to a standalone ``one_vs_all`` dispatch of probe ``p``
-    — the property that makes the engine's thread splitter byte-identical
-    by construction (DESIGN.md D11).  The NumPy reference is the anchor;
-    the inline per-probe loop of the same tier guards against batch
-    scratch reuse leaking state between probes.
+    The NumPy pair reads a packed store (its level-1 bound needs the
+    sample mask) and ragged per-probe lists, so the adapter rebuilds both
+    from the flat arrays the native entries take.
     """
+    from types import SimpleNamespace
 
-    @given(probes=collections(min_n=1, max_n=5), fps=collections(), data=st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_many_vs_all_bitwise(self, tier, mva, mvs, probes, fps, data):
-        packed = PaddedFingerprints(fps)
-        config = StretchConfig()
-        subset = data.draw(
-            st.lists(
-                st.integers(min_value=0, max_value=len(fps) - 1),
-                min_size=1,
-                max_size=len(fps),
-                unique=True,
-            )
-        )
-        targets = np.array(subset, dtype=np.int64)
-        batch = _pack_probes(probes)
-        got = mva(
-            batch.data, batch.lengths, batch.counts,
-            packed.data, packed.lengths, packed.counts,
-            targets, *_config_args(config),
-        )
-        assert got.shape == (len(probes), targets.size)
-        for p, probe in enumerate(probes):
-            reference = one_vs_all(
-                probe.data, probe.count, packed, config, indices=targets
-            )
-            np.testing.assert_array_equal(got[p], reference)
+    from repro.core.config import ComputeConfig
+    from repro.core.engine import NumpyBackend
 
-    @given(probes=collections(min_n=1, max_n=5), fps=collections(), data=st.data())
-    @settings(max_examples=50, deadline=None)
-    def test_many_vs_some_bitwise_ragged(self, tier, mva, mvs, probes, fps, data):
-        packed = PaddedFingerprints(fps)
-        config = StretchConfig()
-        # Per-probe target lists, empties allowed: the merge frontier
-        # batches probes whose candidate lists may have emptied.
-        t_lists = [
-            np.array(
-                data.draw(
-                    st.lists(
-                        st.integers(min_value=0, max_value=len(fps) - 1),
-                        min_size=0,
-                        max_size=len(fps),
-                        unique=True,
-                    )
-                ),
-                dtype=np.int64,
-            )
-            for _ in probes
-        ]
-        offsets = np.zeros(len(probes) + 1, dtype=np.int64)
-        np.cumsum([t.size for t in t_lists], out=offsets[1:])
-        flat = (
-            np.concatenate(t_lists)
-            if offsets[-1]
-            else np.empty(0, dtype=np.int64)
-        )
-        batch = _pack_probes(probes)
-        got = mvs(
-            batch.data, batch.lengths, batch.counts,
-            packed.data, packed.lengths, packed.counts,
-            flat, offsets, *_config_args(config),
-        )
-        assert got.shape == (int(offsets[-1]),)
-        for p, probe in enumerate(probes):
-            sl = got[offsets[p] : offsets[p + 1]]
-            if t_lists[p].size == 0:
-                assert sl.size == 0
-                continue
-            reference = one_vs_all(
-                probe.data, probe.count, packed, config, indices=t_lists[p]
-            )
-            np.testing.assert_array_equal(sl, reference)
+    backend = NumpyBackend(ComputeConfig(backend="numpy"), StretchConfig())
 
-    def test_empty_batch(self, tier, mva, mvs):
-        fp = Fingerprint("a", [Sample(x=0.0, y=0.0, t=0.0)], count=1)
-        packed = PaddedFingerprints([fp])
-        config = StretchConfig()
-        empty_probes = np.zeros((0, 1, 6), dtype=np.float64)
-        empty_i64 = np.zeros(0, dtype=np.int64)
-        out = mva(
-            empty_probes, empty_i64, empty_i64,
-            packed.data, packed.lengths, packed.counts,
-            np.array([0], dtype=np.int64), *_config_args(config),
-        )
-        assert out.shape == (0, 1)
-        flat_out = mvs(
-            empty_probes, empty_i64, empty_i64,
-            packed.data, packed.lengths, packed.counts,
-            empty_i64, np.zeros(1, dtype=np.int64), *_config_args(config),
-        )
-        assert flat_out.shape == (0,)
+    def store(data, lengths, counts):
+        mask = np.arange(data.shape[1])[None, :] < lengths[:, None]
+        return SimpleNamespace(data=data, lengths=lengths, counts=counts, mask=mask)
 
-    def test_single_probe_matches_one_vs_all(self, tier, mva, mvs):
-        probe = Fingerprint(
-            "p", [Sample(x=10.0, y=20.0, t=5.0), Sample(x=1500.0, y=0.0, t=90.0)],
-            count=3, members=["p0", "p1", "p2"],
+    def bmva(probe_slots, data, lengths, counts, hull, bhull, bocc, targets,
+             thresholds, *cfg_args):
+        return backend.bounded_many_vs_all(
+            probe_slots, store(data, lengths, counts), (hull, bhull, bocc),
+            targets, thresholds,
         )
-        fps = [
-            Fingerprint("a", [Sample(x=0.0, y=0.0, t=0.0)], count=1),
-            Fingerprint("b", [Sample(x=50_000.0, y=0.0, t=900.0)], count=2,
-                        members=["b0", "b1"]),
-        ]
-        packed = PaddedFingerprints(fps)
-        config = StretchConfig()
-        targets = np.array([0, 1], dtype=np.int64)
-        batch = _pack_probes([probe])
-        got = mva(
-            batch.data, batch.lengths, batch.counts,
-            packed.data, packed.lengths, packed.counts,
-            targets, *_config_args(config),
+
+    def bmvs(probe_slots, data, lengths, counts, hull, bhull, bocc, flat, offsets,
+             thresholds, reverse, best_vals, *cfg_args):
+        def split(a):
+            return [a[offsets[p] : offsets[p + 1]] for p in range(len(probe_slots))]
+
+        rows, pruned = backend.bounded_many_vs_some(
+            probe_slots, store(data, lengths, counts), (hull, bhull, bocc),
+            split(flat), thresholds, split(reverse), best_vals,
         )
-        reference = one_vs_all(probe.data, probe.count, packed, config, indices=targets)
-        np.testing.assert_array_equal(got[0], reference)
+        return (np.concatenate(rows) if rows else np.empty(0)), pruned
+
+    return bmva, bmvs
 
 
 BOUNDED_BINDINGS = [
-    ("pure", kernels.bounded_many_vs_all_pure, kernels.bounded_many_vs_some_pure)
+    ("pure", kernels.bounded_many_vs_all_pure, kernels.bounded_many_vs_some_pure),
+    ("numpy", *_numpy_bounded()),
 ]
 if kernels.COMPILED_AVAILABLE:
     BOUNDED_BINDINGS.append(
@@ -305,11 +206,11 @@ threshold_values = st.one_of(
 )
 
 
-def _bounded_engine(fps):
+def _bounded_engine(fps, pruning=True):
     from repro.core.config import ComputeConfig
     from repro.core.engine import StretchEngine
 
-    return StretchEngine(fps, compute=ComputeConfig(backend="numpy"))
+    return StretchEngine(fps, compute=ComputeConfig(backend="numpy", pruning=pruning))
 
 
 def _bounded_args(engine, config):
@@ -320,20 +221,30 @@ def _bounded_args(engine, config):
     ), _config_args(config)
 
 
+def _csr(t_lists):
+    offsets = np.zeros(len(t_lists) + 1, dtype=np.int64)
+    np.cumsum([t.size for t in t_lists], out=offsets[1:])
+    flat = np.concatenate(t_lists) if offsets[-1] else np.empty(0, dtype=np.int64)
+    return flat, offsets
+
+
 @pytest.mark.parametrize(
     "tier,bmva,bmvs", BOUNDED_BINDINGS, ids=[b[0] for b in BOUNDED_BINDINGS]
 )
 class TestBoundedParity:
-    """The fused bound-and-prune entries (DESIGN.md D13).
+    """The bounded entries (DESIGN.md D13) of every tier.
 
     Three invariants: (1) the pure twins and the active accelerated
     tier agree bitwise — including the ``+inf`` sentinels and the
-    per-probe pruned counts; (2) every *evaluated* position is bitwise
-    the unbounded row's value — pruning decides which pairs run, never
-    what they return; (3) the argmin mode returns exactly the
-    exhaustive lowest-id argmin whenever the true minimum is strictly
-    below the probe's threshold, and ``(threshold, -1)`` otherwise,
-    for arbitrary admissible thresholds including both infinities.
+    per-probe pruned counts — while the NumPy pair, whose running best
+    tightens per round rather than per candidate, evaluates every
+    position the twin evaluates (a superset) with the same bits;
+    (2) every *evaluated* position is bitwise the unbounded row's value
+    — pruning decides which pairs run, never what they return; (3) the
+    argmin mode returns exactly the exhaustive lowest-id argmin whenever
+    the true minimum is strictly below the probe's threshold, and
+    ``(threshold, -1)`` otherwise, for arbitrary admissible thresholds
+    including both infinities.
     """
 
     @given(
@@ -367,11 +278,7 @@ class TestBoundedParity:
         thresholds = np.array(
             [data.draw(threshold_values) for _ in probes], dtype=np.float64
         )
-        offsets = np.zeros(len(probes) + 1, dtype=np.int64)
-        np.cumsum([t.size for t in t_lists], out=offsets[1:])
-        flat = (
-            np.concatenate(t_lists) if offsets[-1] else np.empty(0, dtype=np.int64)
-        )
+        flat, offsets = _csr(t_lists)
         reverse = np.array(
             [data.draw(st.booleans()) for _ in range(int(offsets[-1]))], dtype=bool
         )
@@ -390,13 +297,19 @@ class TestBoundedParity:
             probe_slots, *arrays, flat, offsets, thresholds, reverse, best_vals,
             *cfg_args,
         )
-        # (1) cross-tier bitwise agreement, sentinels and counts included.
-        np.testing.assert_array_equal(out, ref_out)
-        np.testing.assert_array_equal(pruned, ref_pruned)
+        if tier == "numpy":
+            # (1) a superset of the twin's evaluations, bitwise.
+            ref_ev = ref_out < np.inf
+            np.testing.assert_array_equal(out[ref_ev], ref_out[ref_ev])
+            assert (pruned <= ref_pruned).all()
+        else:
+            # (1) cross-tier bitwise agreement, sentinels and counts included.
+            np.testing.assert_array_equal(out, ref_out)
+            np.testing.assert_array_equal(pruned, ref_pruned)
         for p, probe_slot in enumerate(probes):
             row = out[offsets[p] : offsets[p + 1]]
             tgts = t_lists[p]
-            assert int(pruned[p]) + int((row < np.inf).sum()) == tgts.size
+            assert int(pruned[p]) == int((row == np.inf).sum())
             if tgts.size == 0:
                 continue
             exact = engine.row(probe_slot, tgts)
@@ -443,7 +356,10 @@ class TestBoundedParity:
         )
         np.testing.assert_array_equal(best, ref[0])
         np.testing.assert_array_equal(best_idx, ref[1])
-        np.testing.assert_array_equal(pruned, ref[2])
+        if tier == "numpy":
+            assert (pruned <= ref[2]).all()
+        else:
+            np.testing.assert_array_equal(pruned, ref[2])
         for p, probe_slot in enumerate(probes):
             others = targets[targets != probe_slot]
             tau = thresholds[p]
@@ -487,6 +403,127 @@ class TestBoundedParity:
         best, idx, pruned = run(-np.inf)
         assert best[0] == -np.inf and idx[0] == -1
         assert pruned[0] == targets.size
+
+
+@pytest.mark.parametrize(
+    "tier,bmva,bmvs", BOUNDED_BINDINGS, ids=[b[0] for b in BOUNDED_BINDINGS]
+)
+class TestBatchedParity:
+    """The bounded entries as plain batched rows under neutral summaries.
+
+    With ``pruning=False`` the engine's summaries are neutral: every
+    bound is 0, so no entry of any tier prunes a pair, and row ``p`` of
+    a multi-probe call is bitwise :meth:`StretchEngine.row` of probe
+    ``p`` — the property that makes the thread splitter byte-identical
+    by construction (DESIGN.md D11) and ``--no-prune`` value-transparent.
+    """
+
+    @given(probes=collections(min_n=1, max_n=4), fps=collections(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_many_vs_all_bitwise(self, tier, bmva, bmvs, probes, fps, data):
+        engine = _bounded_engine(probes + fps, pruning=False)
+        arrays, cfg_args = _bounded_args(engine, engine.stretch)
+        probe_slots = np.arange(len(probes), dtype=np.int64)
+        targets = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=len(probes) + len(fps) - 1),
+                    min_size=1, max_size=len(fps), unique=True,
+                )
+            ),
+            dtype=np.int64,
+        )
+        best, best_idx, pruned = bmva(
+            probe_slots, *arrays, targets, np.full(len(probes), np.inf), *cfg_args
+        )
+        assert not pruned.any()
+        for p in range(len(probes)):
+            others = targets[targets != p]
+            if others.size == 0:
+                assert best[p] == np.inf and best_idx[p] == -1
+                continue
+            exact = engine.row(p, others)
+            assert best[p] == exact.min()
+            assert best_idx[p] == others[exact == exact.min()].min()
+
+    @given(probes=collections(min_n=1, max_n=4), fps=collections(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_many_vs_some_bitwise_ragged(self, tier, bmva, bmvs, probes, fps, data):
+        engine = _bounded_engine(probes + fps, pruning=False)
+        arrays, cfg_args = _bounded_args(engine, engine.stretch)
+        probe_slots = np.arange(len(probes), dtype=np.int64)
+        # Per-probe target lists, empties allowed: the merge frontier
+        # batches probes whose candidate lists may have emptied.
+        t_lists = [
+            np.array(
+                data.draw(
+                    st.lists(
+                        st.integers(
+                            min_value=len(probes), max_value=len(probes) + len(fps) - 1
+                        ),
+                        min_size=0, max_size=len(fps), unique=True,
+                    )
+                ),
+                dtype=np.int64,
+            )
+            for _ in probes
+        ]
+        flat, offsets = _csr(t_lists)
+        reverse = np.array(
+            [data.draw(st.booleans()) for _ in range(flat.size)], dtype=bool
+        )
+        best_vals = np.zeros(engine.store.capacity)
+        out, pruned = bmvs(
+            probe_slots, *arrays, flat, offsets, np.full(len(probes), np.inf),
+            reverse, best_vals, *cfg_args,
+        )
+        assert out.shape == (flat.size,)
+        assert not pruned.any()
+        for p, tgts in enumerate(t_lists):
+            if tgts.size:
+                np.testing.assert_array_equal(
+                    out[offsets[p] : offsets[p + 1]], engine.row(p, tgts)
+                )
+
+    def test_empty_batch(self, tier, bmva, bmvs):
+        fp = Fingerprint("a", [Sample(x=0.0, y=0.0, t=0.0)], count=1)
+        engine = _bounded_engine([fp, fp], pruning=False)
+        arrays, cfg_args = _bounded_args(engine, engine.stretch)
+        empty_i64 = np.zeros(0, dtype=np.int64)
+        best, best_idx, pruned = bmva(
+            empty_i64, *arrays, np.array([0], dtype=np.int64), np.zeros(0), *cfg_args
+        )
+        assert best.shape == best_idx.shape == pruned.shape == (0,)
+        out, pruned = bmvs(
+            empty_i64, *arrays, empty_i64, np.zeros(1, dtype=np.int64), np.zeros(0),
+            np.zeros(0, dtype=bool), np.zeros(engine.store.capacity), *cfg_args,
+        )
+        assert out.shape == pruned.shape == (0,)
+
+    def test_single_probe_matches_one_vs_all(self, tier, bmva, bmvs):
+        probe = Fingerprint(
+            "p", [Sample(x=10.0, y=20.0, t=5.0), Sample(x=1500.0, y=0.0, t=90.0)],
+            count=3, members=["p0", "p1", "p2"],
+        )
+        fps = [
+            Fingerprint("a", [Sample(x=0.0, y=0.0, t=0.0)], count=1),
+            Fingerprint("b", [Sample(x=50_000.0, y=0.0, t=900.0)], count=2,
+                        members=["b0", "b1"]),
+        ]
+        engine = _bounded_engine([probe] + fps, pruning=False)
+        arrays, cfg_args = _bounded_args(engine, engine.stretch)
+        targets = np.array([1, 2], dtype=np.int64)
+        out, pruned = bmvs(
+            np.array([0], dtype=np.int64), *arrays, targets,
+            np.array([0, 2], dtype=np.int64), np.array([np.inf]),
+            np.zeros(2, dtype=bool), np.zeros(engine.store.capacity), *cfg_args,
+        )
+        assert pruned[0] == 0
+        packed = PaddedFingerprints([probe] + fps)
+        reference = one_vs_all(
+            probe.data, probe.count, packed, engine.stretch, indices=targets
+        )
+        np.testing.assert_array_equal(out, reference)
 
 
 _FALLBACK_PROLOGUE = """
@@ -548,7 +585,6 @@ class TestFallback:
 
             backend = AutoBackend(ComputeConfig(backend="auto"), StretchConfig())
             assert isinstance(backend._inline, NumpyBackend)
-            assert not backend.fast_exact
             print("auto-ok")
             """,
             {"REPRO_CC_KERNEL": "0"},
@@ -621,9 +657,6 @@ class TestFallback:
                 Fingerprint("c", [Sample(x=1e8, y=1e8, t=1e7)], count=1),
             ]
             engine = StretchEngine(fps, compute=ComputeConfig(backend="numpy"))
-            # NumpyBackend has no bounded dispatch: fused pruning stays off
-            # and glove takes the seed path untouched.
-            assert not engine.fused_pruning
             store = engine.store
             arrays = (
                 store.data, store.lengths, store.counts,

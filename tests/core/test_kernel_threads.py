@@ -6,7 +6,7 @@ the batched kernels (per-pair scratch re-zeroing, DESIGN.md D11), so any
 split reproduces the unsplit call bit for bit — these tests pin that
 guarantee end-to-end (whole ``glove()`` runs) and at the backend level,
 plus the config/CLI validation surface and the no-binding degradation
-path (batched pure twins, no crash).
+path (pure twins, no crash).
 """
 
 import hashlib
@@ -15,14 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
-from repro.core.config import ComputeConfig, GloveConfig, StretchConfig
-from repro.core.engine import (
-    CompiledBackend,
-    NumpyBackend,
-    _effective_kernel_threads,
-)
+from repro.core.config import ComputeConfig, GloveConfig
+from repro.core.engine import StretchEngine, _effective_kernel_threads
 from repro.core.glove import glove
-from repro.core.pairwise import PaddedFingerprints
 
 from tests.core.test_kernel_parity import _run_fallback_probe
 
@@ -74,45 +69,45 @@ class TestThreadDeterminism:
 
     def test_backend_rows_identical_across_splits(self, small_civ):
         fps = list(small_civ)[:12]
-        packed = PaddedFingerprints(fps)
-        probes = [fp.data for fp in fps[:5]]
-        counts = [fp.count for fp in fps[:5]]
+        probes = np.arange(5, dtype=np.int64)
         targets = np.arange(len(fps), dtype=np.int64)
-        t_lists = [targets[: 2 * p + 1] for p in range(5)]
+        t_lists = [targets[5 : 5 + 2 * p + 1] for p in range(5)]
+        rev_lists = [np.ones(t.size, dtype=bool) for t in t_lists]
+        best_vals = np.full(2 * len(fps), 0.5)
         baseline = None
-        baseline_some = None
         for nt in (1, 2, 3, 8):
-            backend = CompiledBackend(
-                ComputeConfig(backend="compiled", kernel_threads=nt), StretchConfig()
-            )
-            with backend:
-                rows = backend.many_vs_all(probes, counts, packed, targets)
-                rows_some = backend.many_vs_some(probes, counts, packed, t_lists)
+            with StretchEngine(
+                fps, compute=ComputeConfig(backend="compiled", kernel_threads=nt)
+            ) as engine:
+                argmin = engine.bounded_argmin(probes, targets)
+                rows, pruned = engine.bounded_rows_some(
+                    probes, t_lists, rev_lists, best_vals
+                )
+            flat = np.concatenate(rows)
             if baseline is None:
-                baseline, baseline_some = rows, rows_some
-            else:
-                np.testing.assert_array_equal(rows, baseline)
-                for got, ref in zip(rows_some, baseline_some):
-                    np.testing.assert_array_equal(got, ref)
-        numpy_backend = NumpyBackend(ComputeConfig(backend="numpy"), StretchConfig())
-        np.testing.assert_array_equal(
-            numpy_backend.many_vs_all(probes, counts, packed, targets), baseline
-        )
+                baseline = (argmin, flat, pruned)
+                continue
+            for got, ref in zip(argmin, baseline[0]):
+                np.testing.assert_array_equal(got, ref)
+            assert flat.tobytes() == baseline[1].tobytes()
+            np.testing.assert_array_equal(pruned, baseline[2])
+        # Evaluated positions are the NumPy reference's rows, bitwise.
+        with StretchEngine(fps, compute=ComputeConfig(backend="numpy")) as engine:
+            for p, (row, tgts) in enumerate(zip(rows, t_lists)):
+                ev = row < np.inf
+                np.testing.assert_array_equal(row[ev], engine.row(p, tgts)[ev])
 
     def test_thread_splitter_counts_crossings_per_slice(self, small_civ):
         fps = list(small_civ)[:8]
-        packed = PaddedFingerprints(fps)
-        probes = [fp.data for fp in fps[:6]]
-        counts = [fp.count for fp in fps[:6]]
-        targets = np.arange(len(fps), dtype=np.int64)
-        backend = CompiledBackend(
-            ComputeConfig(backend="compiled", kernel_threads=3), StretchConfig()
-        )
-        with backend:
-            backend.many_vs_all(probes, counts, packed, targets)
+        with StretchEngine(
+            fps, compute=ComputeConfig(backend="compiled", kernel_threads=3)
+        ) as engine:
+            _, _, pruned = engine.bounded_argmin(np.arange(6), np.arange(len(fps)))
+            backend = engine.backend
         assert backend.n_boundary_crossings == 3
         assert backend.n_probe_dispatches == 6
         assert backend.n_batched_probes == 6
+        assert backend.n_bound_pruned == int(pruned.sum())
 
 
 class TestKernelThreadsConfig:
@@ -196,16 +191,16 @@ class TestKernelThreadsAuto:
 
 class TestThreadedFallback:
     def test_batched_pure_twins_without_binding(self):
-        # No accelerated tier: the batched entries must alias the pure
+        # No accelerated tier: the bounded entries must alias the pure
         # twins and a threaded glove run must still work (the splitter
         # lives in CompiledBackend, which cannot be constructed — the
-        # auto backend degrades to the NumPy per-probe path).
+        # auto backend degrades to the NumPy walk).
         proc = _run_fallback_probe(
             """
             from repro.core import kernels
             assert kernels.COMPILED_TIER is None
-            assert kernels.many_vs_all_arrays is kernels.many_vs_all_pure
-            assert kernels.many_vs_some_arrays is kernels.many_vs_some_pure
+            assert kernels.bounded_many_vs_all_arrays is kernels.bounded_many_vs_all_pure
+            assert kernels.bounded_many_vs_some_arrays is kernels.bounded_many_vs_some_pure
 
             from repro.core.config import ComputeConfig, GloveConfig
             from repro.core.glove import glove
