@@ -212,14 +212,8 @@ def _run_glove_bench() -> dict:
         "seed_path_exact_evaluations": baseline.stats.n_exact_evaluations,
         "backends": {},
     }
-    # Note: the pruned glove loop batches exact evaluations in small
-    # chunks, so the process backend's pool only engages on bulk matrix
-    # builds, not inside this run — its row measures the configuration
-    # overhead of the multi-core tier on the same workload, and is
-    # expected to track the numpy row until a pool-friendly stage lands.
     compute_by_backend = {
         "numpy": ComputeConfig(backend="numpy"),
-        "process": ComputeConfig(backend="process"),
     }
     # The compiled tier rides the same identity harness: acceptance is
     # bitwise equality with the seed path, same as the numpy reference.
@@ -247,7 +241,6 @@ def _run_glove_bench() -> dict:
         stats = result.stats
         record["backends"][backend] = {
             "wall_s": round(elapsed, 3),
-            "parallel_targets_threshold": compute.parallel_targets_threshold,
             "speedup_vs_seed_path": round(seed_s / elapsed, 2) if elapsed > 0 else None,
             "exact_evaluations": stats.n_exact_evaluations,
             "pruned_evaluations": stats.n_pruned_evaluations,
@@ -423,42 +416,6 @@ def _run_kernel_bench() -> dict:
                 }
             record["bounded_dispatch"] = bounded
 
-        # Routing crossover (Issue 10 satellite): with a compiled
-        # inline tier the auto backend must keep even threshold-sized
-        # one-vs-all calls inline — the pool's per-pair cost (~26 µs)
-        # never crosses back below the inline compiled kernel's
-        # (~0.97 µs), so size alone must not send work to the pool.
-        from repro.core.engine import AutoBackend, ProcessBackend
-
-        big = np.arange(1, n, dtype=np.int64)
-        auto = AutoBackend(
-            ComputeConfig(backend="auto", workers=2, parallel_targets_threshold=8),
-            stretch,
-        )
-        with auto:
-            auto.one_vs_all(probe.data, probe.count, packed, big)
-            stays_inline = auto._process is None
-        pool = ProcessBackend(
-            ComputeConfig(backend="process", workers=2, parallel_targets_threshold=8),
-            stretch,
-        )
-        with pool:
-            pool.one_vs_all(probe.data, probe.count, packed, big)  # warm-up
-            calls = 5
-            t0 = time.perf_counter()
-            for _ in range(calls):
-                pool.one_vs_all(probe.data, probe.count, packed, big)
-            pool_per_pair_us = (time.perf_counter() - t0) / calls / big.size * 1e6
-        inline_per_pair_us = record["backends"]["compiled"]["large"]["per_pair_us"]
-        record["auto_routing"] = {
-            "large_one_vs_all_stays_inline": stays_inline,
-            "inline_compiled_per_pair_us": inline_per_pair_us,
-            "process_pool_per_pair_us": round(pool_per_pair_us, 2),
-            "inline_beats_pool": bool(inline_per_pair_us <= pool_per_pair_us),
-        }
-        assert stays_inline, (
-            "auto backend pooled a one_vs_all despite the compiled inline tier"
-        )
     return record
 
 

@@ -2,7 +2,6 @@
 
 * partial-fingerprint anonymization (paper Section 7): cheaper and more
   accurate than full-length GLOVE under an assumed adversary;
-* the multi-process pairwise substrate (paper Section 6.3 parallelism);
 * the cross-database check-in attack (paper Section 1, ref. [7]):
   breaks pseudonymized data, blocked by GLOVE;
 * the downstream-utility harness (paper Section 2.4 claim).
@@ -15,8 +14,6 @@ from repro.analysis.accuracy import extent_accuracy
 from repro.attacks.cross_database import cross_database_attack, simulate_checkin_database
 from repro.core.config import GloveConfig
 from repro.core.glove import glove
-from repro.core.pairwise import pairwise_matrix
-from repro.core.parallel import parallel_pairwise_matrix
 from repro.core.partial import partial_glove, time_window_model
 from repro.experiments import utility_eval
 
@@ -44,22 +41,6 @@ def test_partial_vs_full_glove(benchmark, civ_dataset):
         "Section 7: partial anonymization 'is less expensive to achieve' "
         "under attacker-knowledge assumptions"
     )
-
-
-def test_parallel_pairwise_speedup(benchmark, civ_dataset):
-    """Multi-process matrix build matches the sequential kernel."""
-    fps = list(civ_dataset)[:80]
-
-    par = benchmark.pedantic(
-        lambda: parallel_pairwise_matrix(fps, n_workers=4, block=8),
-        rounds=1,
-        iterations=1,
-    )
-    seq = pairwise_matrix(fps)
-    off = ~np.eye(len(fps), dtype=bool)
-    np.testing.assert_allclose(par[off], seq[off], atol=1e-12)
-    benchmark.extra_info["n_fingerprints"] = len(fps)
-    benchmark.extra_info["paper"] = "Section 6.3: all key calculations parallelizable"
 
 
 def test_cross_database_attack_blocked(benchmark, civ_dataset):

@@ -9,7 +9,9 @@ Two formats are supported:
   output including group counts.
 
 Both formats are plain text so anonymized datasets can be published and
-inspected without this library.
+inspected without this library.  The readers report malformed input as
+a ``ValueError`` naming the file, and the line of a bad row:
+``<path>:<line>: <reason>``.
 """
 
 from __future__ import annotations
@@ -54,22 +56,43 @@ def write_events_csv(dataset: FingerprintDataset, path: PathLike) -> int:
     return n
 
 
+def _check_header(reader, expected: List[str], kind: str, path: PathLike) -> None:
+    """Consume the header row; an empty or undecodable file fails here."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    except UnicodeDecodeError as exc:  # decoding runs ahead of the rows
+        raise ValueError(f"{path}: {exc}") from None
+    if header != expected:
+        raise ValueError(f"{path}: unexpected {kind} CSV header: {header}")
+
+
+def _fingerprint(path: PathLike, uid: str, rows, **kwargs) -> Fingerprint:
+    """One user's fingerprint; a rejected value names the file and user."""
+    try:
+        return Fingerprint(uid, np.asarray(rows, dtype=np.float64), **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: user {uid}: {exc}") from None
+
+
 def read_events_csv(path: PathLike, name: str = None) -> FingerprintDataset:
     """Read an event CSV back into a fingerprint dataset."""
     by_user: Dict[str, List[List[float]]] = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if header != EVENT_HEADER:
-            raise ValueError(f"unexpected event CSV header: {header}")
-        for rec in reader:
-            uid, t, x, y = rec
-            by_user.setdefault(uid, []).append(
-                [float(x), DEFAULT_DX_M, float(y), DEFAULT_DY_M, float(t), DEFAULT_DT_MIN]
-            )
+        _check_header(reader, EVENT_HEADER, "event", path)
+        try:
+            for rec in reader:
+                uid, t, x, y = rec
+                by_user.setdefault(uid, []).append(
+                    [float(x), DEFAULT_DX_M, float(y), DEFAULT_DY_M, float(t), DEFAULT_DT_MIN]
+                )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     dataset = FingerprintDataset(name=name or Path(path).stem)
     for uid in sorted(by_user):
-        dataset.add(Fingerprint(uid, np.asarray(by_user[uid], dtype=np.float64)))
+        dataset.add(_fingerprint(path, uid, by_user[uid]))
     return dataset
 
 
@@ -101,25 +124,23 @@ def read_fingerprints_csv(path: PathLike, name: str = None) -> FingerprintDatase
     order: List[str] = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if header != FINGERPRINT_HEADER:
-            raise ValueError(f"unexpected fingerprint CSV header: {header}")
-        for rec in reader:
-            uid, count = rec[0], int(rec[1])
-            if uid not in rows_by_user:
-                order.append(uid)
-            rows_by_user.setdefault(uid, []).append([float(v) for v in rec[2:]])
-            counts[uid] = count
+        _check_header(reader, FINGERPRINT_HEADER, "fingerprint", path)
+        try:
+            for rec in reader:
+                uid, count, x, dx, y, dy, t, dt = rec
+                if uid not in rows_by_user:
+                    order.append(uid)
+                rows_by_user.setdefault(uid, []).append(
+                    [float(x), float(dx), float(y), float(dy), float(t), float(dt)]
+                )
+                counts[uid] = int(count)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     dataset = FingerprintDataset(name=name or Path(path).stem)
     for uid in order:
         count = counts[uid]
         members = tuple(f"{uid}#{i}" for i in range(count)) if count > 1 else (uid,)
         dataset.add(
-            Fingerprint(
-                uid,
-                np.asarray(rows_by_user[uid], dtype=np.float64),
-                count=count,
-                members=members,
-            )
+            _fingerprint(path, uid, rows_by_user[uid], count=count, members=members)
         )
     return dataset

@@ -31,16 +31,19 @@ stages (synthesis, k-gap matrices, GLOVE runs) through the
 content-addressed artifact pipeline (:mod:`repro.core.pipeline`);
 repeating a command on unchanged inputs is served from the persistent
 store (``--no-cache`` recomputes, byte-identically).  The store's
-backend is pluggable (``--artifact-backend disk|sqlite|redis``,
+backend is pluggable (``--artifact-backend disk|sqlite``,
 DESIGN.md D10): concurrent ``glove`` invocations requesting the same
 cold artifact compute it exactly once under single-flight locking,
 whatever the backend.  ``generate`` also accepts registered scenario
-names (``glove generate smoke``).
+names (``glove generate smoke``).  A malformed input CSV exits with
+status 2 and an ``error:`` line naming the file (and the line of a bad
+row), never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -55,6 +58,7 @@ from repro.attacks.record_linkage import (
 )
 from repro.cdr.datasets import PRESETS
 from repro.cdr.io import (
+    FINGERPRINT_HEADER,
     read_events_csv,
     read_fingerprints_csv,
     write_events_csv,
@@ -81,11 +85,24 @@ from repro.stream.windows import add_stream_arguments, stream_config_from_args
 
 
 def _read_any(path: str):
-    """Read an event CSV or a fingerprint CSV, whichever matches."""
+    """Read an event or a fingerprint CSV, chosen by its header line.
+
+    Malformed input (an unknown header, a bad row, a non-finite value,
+    an empty file or one without rows) prints ``error:`` with the
+    reader's ``<path>[:<line>]: <reason>`` and exits with status 2.
+    """
     try:
-        return read_events_csv(path)
-    except ValueError:
-        return read_fingerprints_csv(path)
+        # Undecodable bytes are left for the reader, which names the file.
+        with open(path, newline="", errors="replace") as f:
+            header = next(csv.reader(f), None)
+        read = read_fingerprints_csv if header == FINGERPRINT_HEADER else read_events_csv
+        dataset = read(path)
+        if len(dataset) == 0:
+            raise ValueError(f"{path}: no rows")
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    return dataset
 
 
 def _record_store_metrics(pipeline) -> None:

@@ -46,7 +46,6 @@ from repro.core.kgap import (
 )
 from repro.core.merge import merge_fingerprints
 from repro.core.pairwise import PaddedFingerprints, one_vs_all, pairwise_matrix
-from repro.core.parallel import parallel_pairwise_matrix
 from repro.core.partial import (
     PartialResult,
     partial_glove,
@@ -81,7 +80,7 @@ from repro.core.scenarios import (
     get_scenario,
     register_scenario,
 )
-from repro.core.shard import ShardedBackend, partition_indices, resolve_shards, sharded_glove
+from repro.core.shard import partition_indices, resolve_shards, sharded_glove
 from repro.core.stretch import fingerprint_stretch, sample_stretch, stretch_matrix
 from repro.core.suppression import SuppressionStats, suppress_dataset
 
@@ -106,7 +105,6 @@ __all__ = [
     "GloveStats",
     "glove",
     "sharded_glove",
-    "ShardedBackend",
     "partition_indices",
     "resolve_shards",
     "kgap",
@@ -147,7 +145,6 @@ __all__ = [
     "available_scenarios",
     "get_scenario",
     "register_scenario",
-    "parallel_pairwise_matrix",
     "partial_glove",
     "PartialResult",
     "top_locations_model",

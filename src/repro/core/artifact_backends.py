@@ -3,7 +3,7 @@
 :class:`~repro.core.artifacts.ArtifactStore` keeps the in-process memo
 and the pickling; everything durable behind it — payload bytes, LRU
 eviction, cross-process single-flight claims — is an
-:class:`ArtifactBackend`.  Three implementations ship:
+:class:`ArtifactBackend`.  Two implementations ship:
 
 * ``disk`` (default) — one ``<key>.pkl`` file per artifact under the
   store root, the same layout as before the backend split; advisory
@@ -13,10 +13,6 @@ eviction, cross-process single-flight claims — is an
   concurrent multi-process access on one host without per-artifact
   files; single flight is a claim row.  Uses only the standard
   library.
-* ``redis`` — a thin client for a shared server (the multi-node form
-  of the same idea), behind the ``[redis]`` packaging extra; single
-  flight is a ``SET NX EX`` lock and eviction is delegated to the
-  server's own ``maxmemory`` policy.
 
 Single-flight contract (all backends): :meth:`ArtifactBackend.
 single_flight` is a context manager admitting callers one at a time
@@ -114,13 +110,13 @@ class ArtifactBackend:
     memo layer and the oversize gate stay in ``ArtifactStore``.
     Eviction policy is deliberately per-backend: what "least recently
     used" and "total size" mean depends on the medium (file mtimes vs
-    an ``atime`` column vs a server-side ``maxmemory`` policy).
+    an ``atime`` column).
 
     The public ``get``/``put``/``evict``/``stats`` methods are template
     methods: they maintain the uniform :class:`BackendStats` operation
     counters (and mirror them into the metrics registry) around the
-    per-medium ``_get``/``_put``/``_evict``/``_measure`` hooks, so all
-    three backends report the same hit/miss/eviction key set by
+    per-medium ``_get``/``_put``/``_evict``/``_measure`` hooks, so
+    every backend reports the same hit/miss/eviction key set by
     construction.  Subclass ``__init__`` must call ``super().__init__()``.
     """
 
@@ -635,105 +631,12 @@ class SQLiteArtifactBackend(ArtifactBackend):
                     pass
 
 
-class RedisArtifactBackend(ArtifactBackend):
-    """Thin shared-server backend behind the ``[redis]`` extra.
-
-    Maps artifacts to ``repro:<version>:<runtime>:<stage>:<key>``
-    string values and single flight to a ``SET NX EX`` lock whose TTL
-    *is* the stale timeout — a crashed owner's lock expires on its own.
-    Eviction is delegated to the server (configure ``maxmemory`` +
-    ``allkeys-lru``), so :meth:`evict` is a no-op and ``max_bytes`` is
-    advisory.  Every command failure degrades to a miss/no-op, so an
-    unreachable server behaves like ``REPRO_CACHE=0``.
-    """
-
-    name = "redis"
-
-    def __init__(
-        self,
-        root: Optional[os.PathLike] = None,
-        max_bytes: int = 0,
-        stale_lock_timeout: float = DEFAULT_STALE_LOCK_S,
-        url: Optional[str] = None,
-    ):
-        super().__init__()
-        try:
-            import redis
-        except ImportError as exc:
-            raise RuntimeError(
-                "the 'redis' artifact backend needs the redis client: "
-                "pip install 'glove-repro[redis]' (and point "
-                "REPRO_REDIS_URL at a reachable server)"
-            ) from exc
-        self.url = url or os.environ.get("REPRO_REDIS_URL", "redis://localhost:6379/0")
-        self.stale_lock_timeout = float(stale_lock_timeout)
-        self._redis = redis.Redis.from_url(self.url)
-        self._prefix = f"repro:{STORE_VERSION}:{runtime_tag()}"
-
-    def _key(self, stage: str, key: str) -> str:
-        return f"{self._prefix}:{stage}:{key}"
-
-    def _get(self, stage: str, key: str) -> Optional[bytes]:
-        try:
-            return self._redis.get(self._key(stage, key))
-        except Exception:
-            return None
-
-    def _put(self, stage: str, key: str, payload: bytes) -> None:
-        try:
-            self._redis.set(self._key(stage, key), payload)
-        except Exception:
-            return
-
-    def _evict(self) -> int:
-        return 0  # the server's maxmemory policy owns eviction
-
-    def _measure(self) -> Tuple[int, int]:
-        try:
-            count = total = 0
-            for k in self._redis.scan_iter(match=f"{self._prefix}:*"):
-                count += 1
-                total += int(self._redis.strlen(k))
-            return count, total
-        except Exception:
-            return 0, 0
-
-    @contextmanager
-    def single_flight(self, stage: str, key: str) -> Iterator[None]:
-        lock_key = f"{self._prefix}:flight:{stage}:{key}"
-        token = f"{os.getpid()}-{threading.get_ident()}".encode("ascii")
-        ttl = max(1, int(self.stale_lock_timeout))
-        acquired = False
-        waited = False
-        deadline = time.monotonic() + self.stale_lock_timeout
-        try:
-            while True:
-                try:
-                    acquired = bool(self._redis.set(lock_key, token, nx=True, ex=ttl))
-                except Exception:
-                    break  # unreachable server: compute without the lock
-                if acquired or time.monotonic() >= deadline:
-                    break
-                waited = True
-                time.sleep(_POLL_S)
-            self._count_flight(waited)
-            yield
-        finally:
-            if acquired:
-                try:
-                    if self._redis.get(lock_key) == token:
-                        self._redis.delete(lock_key)
-                except Exception:
-                    pass
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 _BACKENDS: Dict[str, Callable[..., ArtifactBackend]] = {
     "disk": DiskArtifactBackend,
     "sqlite": SQLiteArtifactBackend,
-    "redis": RedisArtifactBackend,
 }
 
 

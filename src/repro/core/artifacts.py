@@ -20,7 +20,7 @@ module provides the storage half of that discipline:
   backend (hits across runs and processes, DESIGN.md D10).
 
 The persistent layer is an :class:`~repro.core.artifact_backends.
-ArtifactBackend` — local-disk LRU by default, SQLite or Redis by
+ArtifactBackend` — local-disk LRU by default, SQLite by
 selection — and every cold ``fetch()`` runs under the backend's
 **single-flight** lock: N concurrent requests for the same missing
 key, across threads or processes, compute the value exactly once while
@@ -34,7 +34,7 @@ degrade to the documented defaults with a warning, never an error):
 * ``REPRO_ARTIFACT_DIR`` -- persistent root (default
   ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``);
 * ``REPRO_ARTIFACT_BACKEND`` -- persistence backend, ``disk``
-  (default), ``sqlite`` or ``redis``;
+  (default) or ``sqlite``;
 * ``REPRO_CACHE=0`` -- disable the persistent layer entirely;
 * ``REPRO_CACHE_MAX_MB`` -- LRU bound on the total stored size
   (default 512);
@@ -44,7 +44,7 @@ degrade to the documented defaults with a warning, never an error):
   (default 300).
 
 Artifacts are pickles segregated by interpreter and numpy version;
-any read failure (corruption, version skew, an unreachable backend)
+any read failure (corruption, version skew, a backend error)
 degrades to a cache miss and the value is recomputed.
 """
 
@@ -223,8 +223,8 @@ class ArtifactStore:
     memo_entries:
         Bound on the in-process memo (plain LRU on entry count).
     backend:
-        Name of the persistence backend (``disk``, ``sqlite`` or
-        ``redis``; see :mod:`repro.core.artifact_backends`).
+        Name of the persistence backend (``disk`` or ``sqlite``; see
+        :mod:`repro.core.artifact_backends`).
     stale_lock_timeout:
         Upper bound, in seconds, that a cold ``fetch()`` waits on
         another worker's single-flight lock before computing anyway.

@@ -79,18 +79,18 @@ class ComputeConfig:
         Name of a registered compute backend: ``"numpy"`` (single
         process, chunked broadcasting), ``"compiled"`` (JIT/C scalar
         kernels over the same padded layout; requires the ``[compiled]``
-        extra or a system C compiler), ``"process"`` (multi-core pool),
-        ``"auto"`` (pick by workload size, preferring the compiled tier
-        when available), or ``"sharded"`` (partition the population,
-        anonymize shards concurrently, repair the boundaries).  All
-        tiers are byte-identical (DESIGN.md D9).  Extensible through
+        extra or a system C compiler), ``"auto"`` (``compiled`` when a
+        binding is bound, ``numpy`` otherwise), or ``"sharded"``
+        (partition the population, anonymize shards concurrently,
+        repair the boundaries).  All tiers are byte-identical (DESIGN.md
+        D9).  Extensible through
         :func:`repro.core.engine.register_backend`.
     chunk:
         Fingerprints per broadcast chunk in the bulk kernels.
     workers:
-        Process-pool size for the ``process`` backend and shard-level
-        pool size for the ``sharded`` backend; ``None`` means
-        ``min(cpu_count, 8)``.
+        Shard-level process-pool size of the ``sharded`` backend;
+        ``None`` means ``min(cpu_count, 8)``.  Ignored by the other
+        backends.
     shards:
         Shard count of the ``sharded`` backend; ``None`` picks one from
         the population size (roughly one shard per
@@ -114,13 +114,6 @@ class ComputeConfig:
     lb_max_buckets:
         Cap on the number of time buckets per slot (bucket width is
         stretched when the recording period is long).
-    parallel_matrix_threshold:
-        ``auto`` backend: minimum fingerprint count at which full
-        pairwise-matrix builds are dispatched to the process pool.
-    parallel_targets_threshold:
-        ``process``/``auto`` backends: minimum number of targets in a
-        one-vs-all call before it is sharded across the pool (below it,
-        pool overhead exceeds kernel time and the call runs inline).
     kernel_threads:
         Worker threads splitting a batched multi-probe kernel call in
         the ``compiled`` backend.  Probes are independent, so the split
@@ -144,8 +137,6 @@ class ComputeConfig:
     pruning: bool = True
     lb_bucket_minutes: float = 360.0
     lb_max_buckets: int = 48
-    parallel_matrix_threshold: int = 192
-    parallel_targets_threshold: int = 4096
     kernel_threads: Optional[Union[int, str]] = None
 
     def __post_init__(self) -> None:
@@ -169,8 +160,6 @@ class ComputeConfig:
             raise ValueError("lb_bucket_minutes must be positive")
         if self.lb_max_buckets < 1:
             raise ValueError("lb_max_buckets must be at least 1")
-        if self.parallel_matrix_threshold < 0 or self.parallel_targets_threshold < 0:
-            raise ValueError("parallelism thresholds must be non-negative")
 
 
 def kernel_threads_arg(value: str) -> Union[int, str]:
@@ -204,14 +193,15 @@ def add_compute_arguments(parser, pruning: bool = False) -> None:
         "--backend",
         choices=available_backends(),
         default="auto",
-        help="stretch-compute backend (default: auto = pick by workload size)",
+        help="stretch-compute backend (default: auto = compiled when a "
+        "kernel binding is bound, else numpy)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="pool size: process backend (bulk matrix builds, large target "
-        "sets) and shard-level concurrency of the sharded backend",
+        help="shard-level process-pool size of the sharded backend "
+        "(default: min(CPU count, 8))",
     )
     parser.add_argument(
         "--chunk", type=int, default=None, help="fingerprints per broadcast chunk"

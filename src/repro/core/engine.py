@@ -8,19 +8,17 @@ algorithm:
 * :class:`SlotStore` owns the padded fingerprint tensors and the slot
   lifecycle (append/retire) shared by every backend;
 * :class:`StretchBackend` implementations execute the bulk Eq. 10
-  kernels — ``numpy`` (chunked broadcasting), ``process`` (multi-core
-  pool, absorbed from the former ``repro.core.parallel`` API),
-  ``compiled`` (numba-JIT scalar kernels, optional ``[compiled]``
-  extra) and ``auto`` (workload-size dispatch, preferring the compiled
-  tier inline when importable); new tiers (sharded, GPU) register
-  through :func:`register_backend`;
+  kernels — ``numpy`` (chunked broadcasting) and ``compiled``
+  (numba-JIT or system-cc scalar kernels); ``auto`` picks the
+  compiled tier when a binding is bound and ``numpy`` otherwise; new
+  tiers (sharded, GPU) register through :func:`register_backend`;
 * :class:`StretchEngine` ties a store to a backend and keeps the cheap
   bounding-box summaries behind the lower bounds that let every
   backend's bounded pair prune exact evaluations which provably cannot
   beat a current best.
 
 All backends run the identical kernel per (probe, target) pair, so
-results are byte-identical regardless of backend, chunking or worker
+results are byte-identical regardless of backend, chunking or thread
 count; see DESIGN.md for the invariants.
 """
 
@@ -28,7 +26,7 @@ from __future__ import annotations
 
 import abc
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,12 +67,6 @@ def set_default_compute(compute: ComputeConfig) -> ComputeConfig:
     old = _default_compute
     _default_compute = compute
     return old
-
-
-def _effective_workers(compute: ComputeConfig) -> int:
-    if compute.workers is not None:
-        return compute.workers
-    return min(os.cpu_count() or 1, 8)
 
 
 def _effective_kernel_threads(compute: ComputeConfig) -> int:
@@ -240,12 +232,7 @@ class StretchBackend(abc.ABC):
         self.n_bound_pruned = 0
 
     def dispatch_counters(self) -> Tuple[int, int, int, int]:
-        """``(crossings, probe_dispatches, batched_probes, bound_pruned)``.
-
-        Composite backends override this to aggregate their children so
-        a silent per-probe fallback is visible in run stats instead of
-        only in wall time.
-        """
+        """``(crossings, probe_dispatches, batched_probes, bound_pruned)``."""
         return (
             self.n_boundary_crossings,
             self.n_probe_dispatches,
@@ -439,157 +426,6 @@ class NumpyBackend(StretchBackend):
         return mat
 
 
-# Worker-side state for matrix builds, installed once per process by the
-# pool initializer (the packed tensors are shipped a single time).
-_WORKER_PACKED: Optional[PaddedFingerprints] = None
-_WORKER_STRETCH: Optional[StretchConfig] = None
-_WORKER_CHUNK: int = 0
-
-
-def _matrix_init(data, mask, lengths, counts, stretch, chunk) -> None:
-    global _WORKER_PACKED, _WORKER_STRETCH, _WORKER_CHUNK
-    packed = PaddedFingerprints.__new__(PaddedFingerprints)
-    packed.data = data
-    packed.mask = mask
-    packed.lengths = lengths
-    packed.counts = counts
-    packed.uids = [""] * data.shape[0]
-    _WORKER_PACKED = packed
-    _WORKER_STRETCH = stretch
-    _WORKER_CHUNK = chunk
-
-
-def _matrix_row_block(rows: np.ndarray) -> List[np.ndarray]:
-    packed = _WORKER_PACKED
-    n = len(packed)
-    out = []
-    for i in rows:
-        i = int(i)
-        targets = np.arange(i + 1, n)
-        if targets.size == 0:
-            out.append(np.empty(0))
-            continue
-        probe = packed.data[i, : packed.lengths[i]]
-        out.append(
-            one_vs_all(
-                probe,
-                int(packed.counts[i]),
-                packed,
-                _WORKER_STRETCH,
-                indices=targets,
-                chunk=_WORKER_CHUNK,
-            )
-        )
-    return out
-
-
-def _ova_shard(args) -> np.ndarray:
-    """Stateless one-vs-all shard: all tensors travel with the task."""
-    probe_data, probe_count, data, mask, lengths, counts, stretch, chunk = args
-    packed = PaddedFingerprints.__new__(PaddedFingerprints)
-    packed.data = data
-    packed.mask = mask
-    packed.lengths = lengths
-    packed.counts = counts
-    packed.uids = [""] * data.shape[0]
-    return one_vs_all(
-        probe_data, probe_count, packed, stretch,
-        indices=np.arange(data.shape[0]), chunk=chunk,
-    )
-
-
-class ProcessBackend(NumpyBackend):
-    """Multi-core tier: Eq. 10 evaluations sharded over a process pool.
-
-    Full matrix builds ship the packed tensors to each worker once (pool
-    initializer) and shard probe rows in blocks; large one-vs-all calls
-    shard their target set with stateless tasks.  Small calls run inline
-    on the NumPy kernel — below
-    :attr:`~repro.core.config.ComputeConfig.parallel_targets_threshold`
-    the per-call pool overhead exceeds the kernel time.  The bounded
-    pair is the NumPy tier's, inherited.
-    """
-
-    name = "process"
-
-    #: Probe rows per matrix-build task.
-    MATRIX_BLOCK = 16
-
-    def __init__(self, compute: ComputeConfig, stretch: StretchConfig):
-        super().__init__(compute, stretch)
-        self.workers = _effective_workers(compute)
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def _shard_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def one_vs_all(self, probe_data, probe_count, packed, targets):
-        targets = np.asarray(targets, dtype=np.int64)
-        self.n_probe_dispatches += 1
-        if self.workers <= 1 or targets.size < self.compute.parallel_targets_threshold:
-            self.n_boundary_crossings += 1
-            return one_vs_all(
-                probe_data, probe_count, packed, self.stretch,
-                indices=targets, chunk=self.compute.chunk,
-            )
-        shards = np.array_split(targets, self.workers)
-        shards = [s for s in shards if s.size]
-        self.n_boundary_crossings += len(shards)
-        tasks = [
-            (
-                probe_data,
-                probe_count,
-                packed.data[s],
-                packed.mask[s],
-                packed.lengths[s],
-                packed.counts[s],
-                self.stretch,
-                self.compute.chunk,
-            )
-            for s in shards
-        ]
-        results = list(self._shard_pool().map(_ova_shard, tasks))
-        return np.concatenate(results)
-
-    def pairwise_matrix(self, packed):
-        n = len(packed)
-        if n < 4 or self.workers <= 1:
-            return super().pairwise_matrix(packed)
-        mat = np.full((n, n), np.inf, dtype=np.float64)
-        blocks = [
-            np.arange(s, min(s + self.MATRIX_BLOCK, n - 1))
-            for s in range(0, n - 1, self.MATRIX_BLOCK)
-        ]
-        # A dedicated pool per build: the initializer broadcast ties the
-        # workers to this packed snapshot.
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_matrix_init,
-            initargs=(
-                packed.data,
-                packed.mask,
-                packed.lengths,
-                packed.counts,
-                self.stretch,
-                self.compute.chunk,
-            ),
-        ) as pool:
-            for rows, results in zip(blocks, pool.map(_matrix_row_block, blocks)):
-                for i, vals in zip(rows, results):
-                    i = int(i)
-                    if vals.size:
-                        mat[i, i + 1 :] = vals
-                        mat[i + 1 :, i] = vals
-        return mat
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
 class CompiledBackend(StretchBackend):
     """Compiled kernel tier over the same padded tensor layout.
 
@@ -762,111 +598,16 @@ class CompiledBackend(StretchBackend):
             self._threads = None
 
 
-class AutoBackend(StretchBackend):
-    """Workload-size dispatch between the registered compute tiers.
+def auto_backend(compute: ComputeConfig, stretch: StretchConfig) -> StretchBackend:
+    """The ``auto`` tier pick.
 
-    Small workloads stay on the inline kernels — the compiled tier when
-    the ``[compiled]`` extra is importable, the NumPy reference
-    otherwise (both byte-identical, so the preference is invisible in
-    results).  Full matrix builds over at least
-    ``parallel_matrix_threshold`` fingerprints and one-vs-all calls
-    over at least ``parallel_targets_threshold`` targets go to the
-    process pool (when more than one worker is available).
+    The compiled tier when an accelerated binding is bound (numba extra
+    or system-cc build), the NumPy reference otherwise.  Both are
+    byte-identical (DESIGN.md D9), so the pick changes wall time only.
     """
-
-    name = "auto"
-
-    def __init__(self, compute: ComputeConfig, stretch: StretchConfig):
-        super().__init__(compute, stretch)
-        self.workers = _effective_workers(compute)
-        self._numpy = NumpyBackend(compute, stretch)
-        # Inline tier: the compiled kernels when an accelerated binding
-        # exists (numba extra or system-cc build), the NumPy reference
-        # otherwise.  Byte-identity across tiers (enforced by the
-        # parity suite) keeps the switch value-transparent.
-        if kernels.COMPILED_AVAILABLE:
-            self._inline: StretchBackend = CompiledBackend(compute, stretch)
-        else:
-            self._inline = self._numpy
-        self._process: Optional[ProcessBackend] = None
-
-    def _pooled(self) -> ProcessBackend:
-        if self._process is None:
-            self._process = ProcessBackend(self.compute, self.stretch)
-        return self._process
-
-    def _prefer_pool(self, n_pairs_threshold: bool) -> bool:
-        """Route to the process pool only when the inline tier is the
-        NumPy reference.  At the measured per-pair costs (~0.97 µs
-        inline compiled vs ~26 µs pooled, kernel bench row) the
-        fork-and-pickle pool never beats the compiled inline tier, so
-        workload size alone must not send work there.
-        """
-        return (
-            self._inline is self._numpy
-            and self.workers > 1
-            and n_pairs_threshold
-        )
-
-    def one_vs_all(self, probe_data, probe_count, packed, targets):
-        targets = np.asarray(targets, dtype=np.int64)
-        if self._prefer_pool(
-            targets.size >= self.compute.parallel_targets_threshold
-        ):
-            return self._pooled().one_vs_all(probe_data, probe_count, packed, targets)
-        return self._inline.one_vs_all(probe_data, probe_count, packed, targets)
-
-    def bounded_many_vs_all(self, probe_slots, store, bounds, targets, thresholds):
-        return self._inline.bounded_many_vs_all(
-            probe_slots, store, bounds, targets, thresholds
-        )
-
-    def bounded_many_vs_some(
-        self, probe_slots, store, bounds, targets_list, thresholds,
-        reverse_list, best_vals,
-    ):
-        return self._inline.bounded_many_vs_some(
-            probe_slots, store, bounds, targets_list, thresholds,
-            reverse_list, best_vals,
-        )
-
-    def pairwise_matrix(self, packed):
-        if self._prefer_pool(len(packed) >= self.compute.parallel_matrix_threshold):
-            return self._pooled().pairwise_matrix(packed)
-        return self._inline.pairwise_matrix(packed)
-
-    def dispatch_counters(self) -> Tuple[int, int, int, int]:
-        """Aggregate over the delegate tiers.
-
-        Multi-probe calls route to the inline tier unconditionally;
-        before these counters that was a *silent* per-probe fallback
-        whenever no compiled binding existed — now a batched frontier
-        that degraded to P crossings per pass is visible in
-        :class:`repro.core.glove.GloveStats` and the kernel benchmark
-        row rather than only in wall time.
-        """
-        children = [self._numpy]
-        if self._inline is not self._numpy:
-            children.append(self._inline)
-        if self._process is not None:
-            children.append(self._process)
-        crossings = self.n_boundary_crossings
-        probes = self.n_probe_dispatches
-        batched = self.n_batched_probes
-        bound_pruned = self.n_bound_pruned
-        for child in children:
-            crossings += child.n_boundary_crossings
-            probes += child.n_probe_dispatches
-            batched += child.n_batched_probes
-            bound_pruned += child.n_bound_pruned
-        return (crossings, probes, batched, bound_pruned)
-
-    def close(self) -> None:
-        if self._inline is not self._numpy:
-            self._inline.close()
-        if self._process is not None:
-            self._process.close()
-            self._process = None
+    if kernels.COMPILED_AVAILABLE:
+        return CompiledBackend(compute, stretch)
+    return NumpyBackend(compute, stretch)
 
 
 # ----------------------------------------------------------------------
@@ -876,9 +617,8 @@ BackendFactory = Callable[[ComputeConfig, StretchConfig], StretchBackend]
 
 _BACKENDS: Dict[str, BackendFactory] = {
     "numpy": NumpyBackend,
-    "process": ProcessBackend,
     "compiled": CompiledBackend,
-    "auto": AutoBackend,
+    "auto": auto_backend,
 }
 
 

@@ -89,9 +89,8 @@ def kgap(
     compute:
         Compute-substrate selection for the matrix build (ignored when
         ``matrix`` is given); defaults to the process-wide
-        :func:`repro.core.engine.get_default_compute`.  The ``auto``
-        backend dispatches large builds to the process pool; the
-        ``sharded`` backend's kernels delegate to the same dispatch
+        :func:`repro.core.engine.get_default_compute`.  The
+        ``sharded`` backend's kernels run the ``auto`` tier pick
         (matrix builds have no population to partition), so ``--backend
         sharded`` is safe end-to-end through ``glove measure``.
     """

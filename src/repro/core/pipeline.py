@@ -78,11 +78,11 @@ def compute_result_signature(
     """The result-affecting projection of a compute config.
 
     Kernel-level backends are value-transparent (DESIGN.md D4): numpy,
-    process and auto produce byte-identical results, so they map to the
-    empty signature and share artifacts.  A backend with a registered
-    *glove driver* may change results (the sharded tier's grouping is
-    shard-local, DESIGN.md D5) — except at one shard, which is
-    byte-identical to the unsharded path and normalizes back to the
+    compiled and auto produce byte-identical results, so they map to
+    the empty signature and share artifacts.  A backend with a
+    registered *glove driver* may change results (the sharded tier's
+    grouping is shard-local, DESIGN.md D5) — except at one shard, which
+    is byte-identical to the unsharded path and normalizes back to the
     empty signature.
 
     With ``n_fingerprints`` given, the sharded tier's shard count is

@@ -21,8 +21,8 @@ D4's ``register_backend()`` extension point:
    bounded by one extra merge per shard.
 
 Selected as the ``sharded`` entry of the engine's backend registry:
-kernel-level calls (k-gap matrix builds) delegate to the ``auto``
-dispatch, while whole ``glove()`` runs are taken over through
+kernel-level calls (k-gap matrix builds) run the ``auto`` tier pick,
+while whole ``glove()`` runs are taken over through
 :func:`repro.core.engine.register_glove_driver`.  With one shard the
 driver is byte-identical to the unsharded path; invariants live in
 DESIGN.md D5 and are enforced by ``tests/core/test_shard.py`` and
@@ -31,6 +31,7 @@ DESIGN.md D5 and are enforced by ``tests/core/test_shard.py`` and
 
 from __future__ import annotations
 
+import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -42,9 +43,8 @@ import numpy as np
 from repro.core.config import ComputeConfig, GloveConfig
 from repro.core.dataset import FingerprintDataset
 from repro.core.engine import (
-    AutoBackend,
     StretchEngine,
-    _effective_workers,
+    auto_backend,
     get_default_compute,
     register_backend,
     register_glove_driver,
@@ -72,16 +72,10 @@ AUTO_SHARD_TARGET = 768
 AUTO_SHARD_CAP = 32
 
 
-class ShardedBackend(AutoBackend):
-    """Kernel tier of the ``sharded`` backend.
-
-    Bulk kernel calls (k-gap matrix builds, one-vs-all rows) have no
-    population to partition, so they delegate to the ``auto`` dispatch;
-    the shard-level orchestration lives in :func:`sharded_glove`, which
-    the engine routes whole ``glove()`` runs to.
-    """
-
-    name = "sharded"
+def _effective_workers(compute: ComputeConfig) -> int:
+    if compute.workers is not None:
+        return compute.workers
+    return min(os.cpu_count() or 1, 8)
 
 
 def resolve_shards(compute: ComputeConfig, n: int) -> int:
@@ -250,18 +244,16 @@ def sharded_glove(
     fps = list(dataset)
     k = config.k
     validate_population(fps, k)
-    # Inside shards the kernels run the in-process inline tier — the
+    # Inside shards the kernels run the ``auto`` tier pick — the
     # compiled kernels when an accelerated binding exists, the NumPy
-    # reference otherwise (byte-identical either way) — with a single
-    # worker: the concurrency budget is spent at the shard level, not
-    # nested pools.
-    inner = replace(compute, backend="auto", shards=None, workers=1)
+    # reference otherwise (byte-identical either way); ``workers``
+    # only sizes the shard pool below.
+    inner = replace(compute, backend="auto", shards=None)
 
     n_shards = resolve_shards(compute, len(fps))
     if n_shards == 1:
-        # Single shard: delegate to the unsharded path itself (inner
-        # forces workers=1, so no pool re-dispatch) — the golden
-        # byte-identity guarantee holds by construction.
+        # Single shard: delegate to the unsharded path itself — the
+        # golden byte-identity guarantee holds by construction.
         return glove(dataset, config, inner)
 
     stats = GloveStats(n_input_fingerprints=len(fps))
@@ -299,5 +291,7 @@ def sharded_glove(
     return finalize_result(out, stats, config)
 
 
-register_backend("sharded", ShardedBackend)
+# Kernel-level calls (k-gap matrix builds) have no population to
+# partition: they run the ``auto`` tier pick.
+register_backend("sharded", auto_backend)
 register_glove_driver("sharded", sharded_glove)

@@ -10,8 +10,8 @@ dependency installed:
 * :func:`export_otlp` — POSTs that payload to a collector endpoint via
   the ``opentelemetry`` SDK's exporter.  Importing the SDK happens here
   and only here; without it the call degrades to a ``RuntimeError``
-  naming the ``pip install "glove-repro[otel]"`` fix, mirroring how the
-  redis artifact backend gates its optional client.
+  naming the ``pip install "glove-repro[otel]"`` fix, the way the
+  ``compiled`` backend names its ``[compiled]`` extra.
 """
 
 from __future__ import annotations

@@ -25,26 +25,17 @@ from repro.core.artifacts import MISS, ArtifactStore
 
 class TestRegistry:
     def test_all_backends_registered(self):
-        assert available_artifact_backends() == ["disk", "redis", "sqlite"]
+        assert available_artifact_backends() == ["disk", "sqlite"]
 
     def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown artifact backend"):
-            create_artifact_backend("etcd", root=tmp_path, max_bytes=1024)
+        for name in ("etcd", "redis"):
+            with pytest.raises(ValueError, match="unknown artifact backend"):
+                create_artifact_backend(name, root=tmp_path, max_bytes=1024)
 
     def test_disk_and_sqlite_constructible(self, tmp_path):
         for name in ("disk", "sqlite"):
             backend = create_artifact_backend(name, root=tmp_path, max_bytes=1024)
             assert backend.name == name
-
-    def test_redis_requires_the_extra(self, tmp_path):
-        try:
-            import redis  # noqa: F401
-
-            pytest.skip("redis client installed; the stub gate cannot fire")
-        except ImportError:
-            pass
-        with pytest.raises(RuntimeError, match="redis"):
-            create_artifact_backend("redis", root=tmp_path, max_bytes=1024)
 
 
 class TestSQLiteBackend:
@@ -199,11 +190,6 @@ class TestUniformBackendStats:
     @pytest.mark.parametrize("backend", ["disk", "sqlite"])
     def test_key_set_is_uniform(self, tmp_path, backend):
         b = create_artifact_backend(backend, root=tmp_path, max_bytes=1 << 20)
-        assert set(b.stats().as_dict()) == self.KEYS
-
-    def test_redis_key_set_is_uniform(self, tmp_path):
-        pytest.importorskip("redis")
-        b = create_artifact_backend("redis", root=tmp_path, max_bytes=1 << 20)
         assert set(b.stats().as_dict()) == self.KEYS
 
     @pytest.mark.parametrize("backend", ["disk", "sqlite"])

@@ -246,10 +246,11 @@ class TestFromEnvDegradation:
         self, monkeypatch, tmp_path, capsys
     ):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_ARTIFACT_BACKEND", "etcd")
-        store = ArtifactStore.from_env(root=tmp_path)
-        assert store.backend.name == "disk"
-        assert "REPRO_ARTIFACT_BACKEND" in capsys.readouterr().err
+        for name in ("etcd", "redis"):
+            monkeypatch.setenv("REPRO_ARTIFACT_BACKEND", name)
+            store = ArtifactStore.from_env(root=tmp_path)
+            assert store.backend.name == "disk"
+            assert "REPRO_ARTIFACT_BACKEND" in capsys.readouterr().err
 
     def test_env_backend_honoured(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_CACHE", raising=False)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from repro.core.config import DEFAULT_CHUNK, ComputeConfig, GloveConfig, StretchConfig
 from repro.core.dataset import FingerprintDataset
 from repro.core.engine import (
+    CompiledBackend,
     NumpyBackend,
     SlotStore,
     StretchEngine,
@@ -27,7 +28,6 @@ from repro.core.pairwise import (
     one_vs_all,
     pairwise_matrix,
 )
-from repro.core.parallel import parallel_pairwise_matrix
 from tests.conftest import make_fp
 from tests.properties.test_k_anonymity import populations
 
@@ -75,43 +75,20 @@ class TestSlotStore:
 class TestBackendEquivalence:
     """Backends must be value-transparent: byte-identical results."""
 
-    def test_matrix_process_equals_numpy(self, small_civ):
-        fps = list(small_civ)[:20]
-        stretch = StretchConfig()
-        seq = compute_pairwise_matrix(fps, stretch, ComputeConfig(backend="numpy"))
-        par = compute_pairwise_matrix(
-            fps, stretch, ComputeConfig(backend="process", workers=2)
-        )
-        np.testing.assert_array_equal(seq, par)
-
     def test_matrix_matches_legacy_kernels(self, small_civ):
         fps = list(small_civ)[:15]
         engine_mat = compute_pairwise_matrix(fps, compute=ComputeConfig(backend="numpy"))
         np.testing.assert_array_equal(engine_mat, pairwise_matrix(fps))
-        np.testing.assert_array_equal(
-            engine_mat, parallel_pairwise_matrix(fps, n_workers=2, block=4)
-        )
-
-    def test_sharded_one_vs_all_equals_inline(self, small_civ):
-        fps = list(small_civ)[:16]
-        stretch = StretchConfig()
-        packed = PaddedFingerprints(fps)
-        targets = np.arange(1, len(fps))
-        inline = create_backend(ComputeConfig(backend="numpy"), stretch)
-        sharded = create_backend(
-            ComputeConfig(backend="process", workers=2, parallel_targets_threshold=1),
-            stretch,
-        )
-        with inline, sharded:
-            a = inline.one_vs_all(fps[0].data, fps[0].count, packed, targets)
-            b = sharded.one_vs_all(fps[0].data, fps[0].count, packed, targets)
-        np.testing.assert_array_equal(a, b)
 
     def test_glove_identical_across_backends(self, small_civ):
+        from repro.core import kernels
+
+        if not kernels.COMPILED_AVAILABLE:
+            pytest.skip("no accelerated kernel binding")
         config = GloveConfig(k=3)
         results = {
             name: glove(small_civ, config, ComputeConfig(backend=name))
-            for name in ("numpy", "process", "auto")
+            for name in ("numpy", "compiled", "auto")
         }
         reference = results["numpy"]
         for name, result in results.items():
@@ -225,8 +202,7 @@ class TestKernelProperties:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert {"numpy", "process", "auto"} <= set(names)
+        assert set(available_backends()) == {"auto", "compiled", "numpy", "sharded"}
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown compute backend"):
@@ -265,33 +241,12 @@ class TestRegistry:
 
 
 class TestAutoSelection:
-    def test_small_workload_stays_in_process(self, small_civ):
-        fps = list(small_civ)[:10]
-        backend = create_backend(ComputeConfig(backend="auto"), StretchConfig())
-        with backend:
-            backend.pairwise_matrix(PaddedFingerprints(fps))
-            assert backend._process is None  # the pool was never spun up
-
-    def test_large_matrix_routing_prefers_inline_compiled(self, small_civ):
-        """Pool engages on big matrices only without a compiled inline tier.
-
-        At the measured per-pair costs (~0.97 µs inline compiled vs
-        ~26 µs through the fork-and-pickle pool) the pool can never win
-        against the compiled kernels, so workload size alone must not
-        send work there (Issue 10 satellite).
-        """
+    def test_auto_is_the_bound_tier(self):
         from repro.core import kernels
 
-        fps = list(small_civ)[:10]
-        compute = ComputeConfig(backend="auto", workers=2, parallel_matrix_threshold=4)
-        backend = create_backend(compute, StretchConfig())
-        with backend:
-            mat = backend.pairwise_matrix(PaddedFingerprints(fps))
-            if kernels.COMPILED_AVAILABLE:
-                assert backend._process is None  # inline compiled wins
-            else:
-                assert backend._process is not None
-        np.testing.assert_array_equal(mat, pairwise_matrix(fps))
+        expected = CompiledBackend if kernels.COMPILED_AVAILABLE else NumpyBackend
+        with create_backend(ComputeConfig(backend="auto"), StretchConfig()) as backend:
+            assert type(backend) is expected
 
 
 class TestDefaultCompute:
@@ -331,7 +286,6 @@ class TestComputeConfig:
             {"shard_strategy": "geo"},
             {"lb_bucket_minutes": -1.0},
             {"lb_max_buckets": 0},
-            {"parallel_matrix_threshold": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -412,12 +366,12 @@ class TestDispatchCounters:
             assert engine.backend.dispatch_counters() == (2, 8, 8, int(a.sum() + b.sum()))
 
     def test_auto_backend_aggregates_children(self, small_civ):
-        with self._engine(small_civ, backend="auto", workers=1) as engine:
+        with self._engine(small_civ, backend="auto") as engine:
             engine.bounded_argmin(np.arange(4), np.arange(8))
             crossings, dispatches, batched, _ = engine.backend.dispatch_counters()
         assert dispatches == 4
-        # Aggregation covers whichever inline tier the environment has:
-        # batched native (1 crossing) or the per-probe NumPy walk.
+        # ``auto`` is whichever tier the environment binds: batched
+        # native (1 crossing) or the per-probe NumPy walk.
         assert crossings in (1, 4)
 
     def test_glove_stats_harvest_counters(self, small_civ):
@@ -453,11 +407,10 @@ class TestPruneAccounting:
             dict(backend="numpy"),
             dict(backend="compiled"),
             dict(backend="auto"),
-            dict(backend="process", workers=1),
             dict(backend="sharded", shards=1, workers=1),
             dict(backend="sharded", shards=2, workers=1),
         ],
-        ids=["numpy", "compiled", "auto", "process", "sharded1", "sharded2"],
+        ids=["numpy", "compiled", "auto", "sharded1", "sharded2"],
     )
     def test_pruned_equals_bound_pruned(self, small_civ, compute):
         from repro.core import kernels

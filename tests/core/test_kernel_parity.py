@@ -581,10 +581,10 @@ class TestFallback:
         proc = _run_fallback_probe(
             """
             from repro.core.config import ComputeConfig, StretchConfig
-            from repro.core.engine import AutoBackend, NumpyBackend
+            from repro.core.engine import NumpyBackend, create_backend
 
-            backend = AutoBackend(ComputeConfig(backend="auto"), StretchConfig())
-            assert isinstance(backend._inline, NumpyBackend)
+            backend = create_backend(ComputeConfig(backend="auto"), StretchConfig())
+            assert type(backend) is NumpyBackend
             print("auto-ok")
             """,
             {"REPRO_CC_KERNEL": "0"},

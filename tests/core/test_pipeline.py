@@ -105,9 +105,9 @@ class TestGloveStage:
 
 class TestComputeResultSignature:
     def test_kernel_backends_share_artifacts(self):
-        # numpy/process/auto are byte-identical (DESIGN.md D4): one key.
+        # numpy/compiled/auto are byte-identical (DESIGN.md D4): one key.
         assert compute_result_signature(ComputeConfig(backend="numpy")) == {}
-        assert compute_result_signature(ComputeConfig(backend="process", workers=4)) == {}
+        assert compute_result_signature(ComputeConfig(backend="compiled", workers=4)) == {}
         assert compute_result_signature(ComputeConfig(backend="auto", chunk=32)) == {}
         assert compute_result_signature(None) == {}
 

@@ -50,9 +50,10 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_rejects_unknown_scenario(self):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["--scenario", "warp-speed"])
-        assert exc.value.code == 2
+        for argv in (["--scenario", "warp-speed"], ["--backend", "process"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
 
     def test_output_flag(self):
         args = build_parser().parse_args(["-o", "somewhere"])

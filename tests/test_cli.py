@@ -85,12 +85,57 @@ class TestInfo:
         assert "minimum anonymity-set size: 2" in out
 
 
+#: Malformed event CSVs and where each error must point:
+#: ``error: <path><where>``.
+_MALFORMED = {
+    "bad-header": ("a,b,c\n1,2,3\n", ": unexpected event CSV header"),
+    "short-row": ("uid,t_min,x_m,y_m\nu1,0,1.0\n", ":2: "),
+    "non-numeric": ("uid,t_min,x_m,y_m\nu1,0,1.0,2.0\nu1,abc,1.0,2.0\n", ":3: "),
+    "nan": ("uid,t_min,x_m,y_m\nu1,0,nan,2.0\n", ": user u1: "),
+    "empty": ("", ": empty file"),
+    "header-only": ("uid,t_min,x_m,y_m\n", ": no rows"),
+    "not-utf8": ("uid,t_min,x_m,y_m\nu\xe91,0,1.0,2.0\n", ": 'utf-8' codec"),
+}
+
+#: Every subcommand that reads a dataset file, with its other arguments.
+_READING_COMMANDS = {
+    "measure": ["-k", "2"],
+    "anonymize": ["-k", "2", "-o", "{out}"],
+    "stream": ["-k", "2", "--window", "180", "-o", "{out}"],
+    "attack": ["{path}", "-k", "2"],
+    "info": [],
+}
+
+
+class TestMalformedInput:
+    """A malformed CSV exits 2 naming the file (and line), never a traceback."""
+
+    @pytest.mark.parametrize("command", list(_READING_COMMANDS))
+    @pytest.mark.parametrize("case", list(_MALFORMED))
+    def test_exits_two_naming_the_file(self, tmp_path, capsys, case, command):
+        text, where = _MALFORMED[case]
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(text.encode("latin-1"))
+        extra = [
+            arg.format(path=path, out=tmp_path / "out.csv")
+            for arg in _READING_COMMANDS[command]
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path)] + extra)
+        assert exc.value.code == 2
+        assert f"error: {path}{where}" in capsys.readouterr().err
+
+
 class TestComputeFlags:
     """The --backend / --workers / --chunk / --no-prune substrate flags."""
 
     def test_anonymize_backend_selection(self, raw_csv, tmp_path, capsys):
+        from repro.core import kernels
+
+        if not kernels.COMPILED_AVAILABLE:
+            pytest.skip("no accelerated kernel binding")
         outputs = {}
-        for backend in ("numpy", "process", "auto"):
+        for backend in ("numpy", "compiled", "auto"):
             published = tmp_path / f"pub-{backend}.csv"
             code = main(
                 ["anonymize", str(raw_csv), "-k", "2",
@@ -99,7 +144,7 @@ class TestComputeFlags:
             assert code == 0
             outputs[backend] = published.read_text()
         # Backend choice must never change the published bytes.
-        assert outputs["numpy"] == outputs["process"] == outputs["auto"]
+        assert outputs["numpy"] == outputs["compiled"] == outputs["auto"]
 
     def test_anonymize_no_prune_identical(self, raw_csv, tmp_path, capsys):
         pruned = tmp_path / "pruned.csv"
@@ -253,13 +298,15 @@ class TestPipelineFlags:
         assert list(store.glob("artifacts-*.sqlite"))  # one database file
         assert not list(store.rglob("*.pkl"))  # no per-artifact files
 
-    def test_unknown_artifact_backend_rejected(self, raw_csv, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["anonymize", str(raw_csv), "-k", "2",
-                 "--artifact-backend", "etcd", "-o", str(tmp_path / "out.csv")]
-            )
-        assert excinfo.value.code == 2  # argparse choices
+    def test_unknown_artifact_backend_rejected(self, raw_csv, tmp_path, capsys):
+        for name in ("etcd", "redis"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    ["anonymize", str(raw_csv), "-k", "2",
+                     "--artifact-backend", name, "-o", str(tmp_path / "out.csv")]
+                )
+            assert excinfo.value.code == 2  # argparse choices
+            assert "sqlite" in capsys.readouterr().err
 
 
 class TestStream:
@@ -517,9 +564,12 @@ class TestComputeFlagValidation:
                   "--shard-strategy", "geo", "-o", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
-    def test_rejects_unknown_backend(self, raw_csv, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                ["anonymize", str(raw_csv), "-k", "2", "--backend", "gpu",
-                 "-o", str(tmp_path / "x.csv")]
-            )
+    def test_rejects_unknown_backend(self, raw_csv, tmp_path, capsys):
+        for name in ("gpu", "process"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    ["anonymize", str(raw_csv), "-k", "2", "--backend", name,
+                     "-o", str(tmp_path / "x.csv")]
+                )
+            assert exc.value.code == 2
+            assert "compiled" in capsys.readouterr().err
