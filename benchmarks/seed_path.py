@@ -21,10 +21,11 @@ import numpy as np
 from repro.core.config import GloveConfig
 from repro.core.dataset import FingerprintDataset
 from repro.core.engine import SlotStore
+from repro.core.fingerprint import Fingerprint
 from repro.core.glove import GloveResult, GloveStats
-from repro.core.merge import merge_fingerprints
+from repro.core.merge import merge_sample_arrays
 from repro.core.pairwise import one_vs_all
-from repro.core.reshape import reshape_fingerprint
+from repro.core.reshape import has_temporal_overlap, reshape_sample_array
 from repro.core.suppression import SuppressionStats, suppress_dataset
 
 
@@ -80,9 +81,21 @@ def seed_glove(
         _refresh_best(int(i))
 
     def _merge_pair(i: int, j: int):
-        merged = merge_fingerprints(work.fps[i], work.fps[j], cfg)
-        if config.reshape:
-            merged = reshape_fingerprint(merged)
+        # The NumPy bodies, never the native merge-product entries that
+        # merge_fingerprints/reshape_fingerprint pick on a bound tier:
+        # the seed path stays an independent oracle for them.
+        a, b = work.fps[i], work.fps[j]
+        long_fp, short_fp = (a, b) if a.m >= b.m else (b, a)
+        merged = Fingerprint(
+            f"{a.uid}+{b.uid}",
+            merge_sample_arrays(
+                long_fp.data, short_fp.data, long_fp.count, short_fp.count, cfg
+            ),
+            count=a.count + b.count,
+            members=a.members + b.members,
+        )
+        if config.reshape and has_temporal_overlap(merged.data):
+            merged = merged.with_samples(reshape_sample_array(merged.data))
         return merged
 
     while pending.sum() >= 2:

@@ -13,7 +13,8 @@ Subcommands (all operating on the CSV formats of :mod:`repro.cdr.io`):
   --max-lag``, see DESIGN.md D7);
 * ``attack``   — mount record-linkage attacks against a publication,
   or anonymize-then-attack any registered method (``--method``);
-* ``info``     — summarize any dataset file.
+* ``info``     — summarize any dataset file and name the bound kernel
+  tier (or why none is bound).
 
 Example session::
 
@@ -64,6 +65,7 @@ from repro.cdr.io import (
     write_events_csv,
     write_fingerprints_csv,
 )
+from repro.core import kernels
 from repro.core.anonymizer import available_anonymizers, get_anonymizer
 from repro.core.config import (
     GloveConfig,
@@ -411,6 +413,12 @@ def cmd_info(args) -> int:
     print(f"fingerprint length: median {np.median(lengths):.0f}, "
           f"mean {lengths.mean():.1f}, max {lengths.max()}")
     print(f"minimum anonymity-set size: {dataset.min_anonymity()}")
+    if kernels.COMPILED_TIER is not None:
+        print(f"kernel tier: {kernels.COMPILED_TIER}")
+    else:
+        print(f"kernel tier: none ({kernels.FALLBACK_REASON})")
+        print("note: Eq. 10, merge, reshape and the bound summaries "
+              "run on the NumPy reference")
     return 0
 
 
@@ -568,7 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_metrics_arguments(t)
     t.set_defaults(func=cmd_attack)
 
-    i = sub.add_parser("info", help="summarize a dataset file")
+    i = sub.add_parser(
+        "info", help="summarize a dataset file and the bound kernel tier"
+    )
     i.add_argument("dataset")
     _add_metrics_arguments(i)
     i.set_defaults(func=cmd_info)

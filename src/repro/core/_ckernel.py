@@ -13,8 +13,8 @@ The build is content-addressed: the shared object is cached under the
 artifact root (``default_artifact_dir()/ckernel``) keyed by a digest of
 the C source and flags, so each source revision compiles exactly once
 per machine.  Every failure mode — no compiler, compile error, load
-error, ``REPRO_CC_KERNEL=0`` — degrades to ``LIB = None`` and the
-callers fall back to the pure tier.
+error, ``REPRO_CC_KERNEL=0`` — degrades to ``LIB = None``, records its
+reason in ``LOAD_ERROR``, and the callers fall back to the pure tier.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.artifacts import default_artifact_dir
 
@@ -540,6 +540,254 @@ int glove_pairwise_matrix(
     free(tb);
     return 0;
 }
+
+/* ---- the merge product ---------------------------------------------
+ * Transliteration of the merge_arrays / reshape_arrays /
+ * summarize_arrays pure twins, and through them of the NumPy bodies
+ * merge_sample_arrays, reshape_sample_array and
+ * StretchEngine._summarize.  Min/max folds give a tie to the later
+ * operand, as NumPy's reductions do; stretch cells follow
+ * stretch_matrix's operation order. */
+
+static double fold_min(double acc, double v) { return acc < v ? acc : v; }
+static double fold_max(double acc, double v) { return acc > v ? acc : v; }
+
+/* First argmin over b[0:mb] of one stretch_matrix row (the cell of
+ * pair_effort). */
+static int64_t nearest_row(
+    const double *ar, const double *b, int64_t mb, double w_a, double w_b,
+    double w_sigma, double w_tau, double phi_sigma, double phi_tau)
+{
+    double axi = ar[XCOL], ayi = ar[YCOL], ati = ar[TCOL];
+    double ahx = axi + ar[DXCOL];
+    double ahy = ayi + ar[DYCOL];
+    double aht = ati + ar[DTCOL];
+    double wa_ext = w_a * (ar[DXCOL] + ar[DYCOL]);
+    double wa_t = w_a * ar[DTCOL];
+    double best = INFINITY;
+    int64_t best_j = 0;
+    for (int64_t j = 0; j < mb; j++) {
+        const double *br = b + j * NCOLS;
+        double bxj = br[XCOL], byj = br[YCOL], btj = br[TCOL];
+        double bhx = bxj + br[DXCOL];
+        double bhy = byj + br[DYCOL];
+        double bht = btj + br[DTCOL];
+        double ux = (ahx > bhx ? ahx : bhx) - (axi < bxj ? axi : bxj);
+        double uy = (ahy > bhy ? ahy : bhy) - (ayi < byj ? ayi : byj);
+        double ut = (aht > bht ? aht : bht) - (ati < btj ? ati : btj);
+        double raw_s = (ux + uy) - (wa_ext + w_b * (br[DXCOL] + br[DYCOL]));
+        raw_s = raw_s > 0.0 ? raw_s : 0.0;
+        double raw_t = ut - (wa_t + w_b * br[DTCOL]);
+        raw_t = raw_t > 0.0 ? raw_t : 0.0;
+        double s_term = raw_s / phi_sigma;
+        s_term = s_term < 1.0 ? s_term : 1.0;
+        double t_term = raw_t / phi_tau;
+        t_term = t_term < 1.0 ? t_term : 1.0;
+        double d = w_sigma * s_term + w_tau * t_term;
+        if (d < best) {
+            best = d;
+            best_j = j;
+        }
+    }
+    return best_j;
+}
+
+/* Fold one sample row into acc's (lo, hi) pairs of the x, y, t axes
+ * (lo at the low column, hi at the extent's). */
+static void fold_bounds(double *acc, const double *row, int first)
+{
+    for (int c = 0; c < NCOLS; c += 2) {
+        double lo = row[c];
+        double hi = lo + row[c + 1];
+        acc[c] = first ? lo : fold_min(acc[c], lo);
+        acc[c + 1] = first ? hi : fold_max(acc[c + 1], hi);
+    }
+}
+
+/* Eq. 12-13: the covering sample (lo, hi - lo) per axis. */
+static void emit_bounds(const double *acc, double *out)
+{
+    for (int c = 0; c < NCOLS; c += 2) {
+        out[c] = acc[c];
+        out[c + 1] = acc[c + 1] - acc[c];
+    }
+}
+
+/* rows[0:n] stably sorted on T into out; keys/idx/tmp hold n each. */
+static void sorted_on_t(const double *rows, int64_t n, double *out,
+                        double *keys, int64_t *idx, int64_t *tmp)
+{
+    for (int64_t i = 0; i < n; i++)
+        keys[i] = rows[i * NCOLS + TCOL];
+    stable_argsort(keys, idx, tmp, n);
+    for (int64_t i = 0; i < n; i++)
+        for (int c = 0; c < NCOLS; c++)
+            out[i * NCOLS + c] = rows[idx[i] * NCOLS + c];
+}
+
+/* merge_sample_arrays of lng (ml rows) and sht (ms rows, ml >= ms >= 1):
+ * writes the merged rows, stably sorted on T, to out (ms rows) and
+ * returns their count, or -1 when scratch allocation fails. */
+int64_t glove_merge(
+    const double *lng, int64_t ml, const double *sht, int64_t ms,
+    double n_long, double n_short,
+    double w_sigma, double w_tau, double phi_sigma, double phi_tau,
+    double *out)
+{
+    double *acc = malloc((size_t)(2 * ms * NCOLS + ms) * sizeof(double));
+    int64_t *ibuf = malloc((size_t)(3 * ms) * sizeof(int64_t));
+    uint8_t *matched = calloc((size_t)ms, 1);
+    if (acc == NULL || ibuf == NULL || matched == NULL) {
+        free(acc); free(ibuf); free(matched);
+        return -1;
+    }
+    double *rows = acc + ms * NCOLS;
+    double *keys = rows + ms * NCOLS;
+    int64_t *target = ibuf, *idx = ibuf + ms, *tmp = ibuf + 2 * ms;
+    /* Stage 1: every long row joins its first-minimum short row; a
+     * group folds its long rows in order and the short row last. */
+    double w_a = n_long / (n_long + n_short);
+    double w_b = n_short / (n_long + n_short);
+    for (int64_t i = 0; i < ml; i++) {
+        int64_t j = nearest_row(lng + i * NCOLS, sht, ms, w_a, w_b,
+                                w_sigma, w_tau, phi_sigma, phi_tau);
+        fold_bounds(acc + j * NCOLS, lng + i * NCOLS, !matched[j]);
+        matched[j] = 1;
+    }
+    int64_t k = 0;
+    for (int64_t j = 0; j < ms; j++) {
+        if (matched[j]) {
+            fold_bounds(acc + j * NCOLS, sht + j * NCOLS, 0);
+            emit_bounds(acc + j * NCOLS, rows + k * NCOLS);
+            k++;
+        }
+    }
+    /* Stage 2: every unmatched short row picks its target among the
+     * stage-1 rows first; the folds then run one by one, re-deriving
+     * lo + ext from the stored extent. */
+    double n_b = n_long + n_short;
+    w_a = n_short / (n_short + n_b);
+    w_b = n_b / (n_short + n_b);
+    for (int64_t j = 0; j < ms; j++)
+        if (!matched[j])
+            target[j] = nearest_row(sht + j * NCOLS, rows, k, w_a, w_b,
+                                    w_sigma, w_tau, phi_sigma, phi_tau);
+    for (int64_t j = 0; j < ms; j++) {
+        if (!matched[j]) {
+            double *row = rows + target[j] * NCOLS;
+            fold_bounds(acc, row, 1);
+            fold_bounds(acc, sht + j * NCOLS, 0);
+            emit_bounds(acc, row);
+        }
+    }
+    sorted_on_t(rows, k, out, keys, idx, tmp);
+    free(acc); free(ibuf); free(matched);
+    return k;
+}
+
+/* reshape_sample_array's sweep over m rows: every run (in stable T
+ * order) that starts before the running end minus atol folds into one
+ * sample, and a run of one keeps its row verbatim.  Writes the groups
+ * to out (m rows) and returns their count, or -1 when scratch
+ * allocation fails. */
+int64_t glove_reshape(const double *data, int64_t m, double atol, double *out)
+{
+    if (m < 2) {
+        for (int64_t i = 0; i < m * NCOLS; i++)
+            out[i] = data[i];
+        return m;
+    }
+    double *rows = malloc((size_t)(m * NCOLS + m) * sizeof(double));
+    int64_t *ibuf = malloc((size_t)(2 * m) * sizeof(int64_t));
+    if (rows == NULL || ibuf == NULL) {
+        free(rows); free(ibuf);
+        return -1;
+    }
+    sorted_on_t(data, m, rows, rows + m * NCOLS, ibuf, ibuf + m);
+    double acc[NCOLS];
+    int64_t n_groups = 0, start = 0;
+    double end = rows[TCOL] + rows[DTCOL];
+    fold_bounds(acc, rows, 1);
+    for (int64_t r = 1; r <= m; r++) {
+        const double *row = rows + r * NCOLS;
+        if (r < m && row[TCOL] < end - atol) {
+            fold_bounds(acc, row, 0);
+            double e = row[TCOL] + row[DTCOL];
+            if (e > end)
+                end = e;
+            continue;
+        }
+        if (r - start == 1) {
+            for (int c = 0; c < NCOLS; c++)
+                out[n_groups * NCOLS + c] = rows[start * NCOLS + c];
+        } else {
+            emit_bounds(acc, out + n_groups * NCOLS);
+        }
+        n_groups++;
+        if (r < m) {
+            start = r;
+            end = row[TCOL] + row[DTCOL];
+            fold_bounds(acc, row, 1);
+        }
+    }
+    free(rows); free(ibuf);
+    return n_groups;
+}
+
+/* StretchEngine._summarize of each slot, in place: the (6, cap) hull
+ * column and, per time bucket, the hull of the samples whose closed
+ * interval touches it (minima of lo and of -hi, the time range clamped
+ * to the bucket) and its occupancy. */
+void glove_summarize(
+    const int64_t *slots, int64_t n_slots,
+    const double *data, int64_t cap, int64_t m_max, const int64_t *lengths,
+    const double *edges, int64_t n_buckets,
+    double *hull, double *bhull, uint8_t *bocc)
+{
+    for (int64_t p = 0; p < n_slots; p++) {
+        int64_t s = slots[p];
+        int64_t m = lengths[s];
+        const double *d = data + s * m_max * NCOLS;
+        for (int c = 0; c < NCOLS; c += 2) {
+            double lo = INFINITY, hi = -INFINITY;
+            for (int64_t i = 0; i < m; i++) {
+                lo = fold_min(lo, d[i * NCOLS + c]);
+                hi = fold_max(hi, d[i * NCOLS + c] + d[i * NCOLS + c + 1]);
+            }
+            hull[c * cap + s] = lo;
+            hull[(c + 1) * cap + s] = hi;
+        }
+        for (int64_t b = 0; b < n_buckets; b++) {
+            double e_lo = edges[b], e_hi = edges[b + 1];
+            uint8_t occ = 0;
+            double x_lo = INFINITY, nx_hi = INFINITY;
+            double y_lo = INFINITY, ny_hi = INFINITY;
+            double t_lo = INFINITY, nt_hi = INFINITY;
+            for (int64_t i = 0; i < m; i++) {
+                const double *r = d + i * NCOLS;
+                double t = r[TCOL];
+                double t_end = t + r[DTCOL];
+                if (t <= e_hi && t_end >= e_lo) {
+                    occ = 1;
+                    x_lo = fold_min(x_lo, r[XCOL]);
+                    nx_hi = fold_min(nx_hi, -(r[XCOL] + r[DXCOL]));
+                    y_lo = fold_min(y_lo, r[YCOL]);
+                    ny_hi = fold_min(ny_hi, -(r[YCOL] + r[DYCOL]));
+                    t_lo = fold_min(t_lo, t);
+                    nt_hi = fold_min(nt_hi, -t_end);
+                }
+            }
+            double *h = bhull + (s * n_buckets + b) * 6;
+            h[0] = x_lo;
+            h[1] = -nx_hi;
+            h[2] = y_lo;
+            h[3] = -ny_hi;
+            h[4] = t_lo > e_lo ? t_lo : e_lo;
+            h[5] = -nt_hi < e_hi ? -nt_hi : e_hi;
+            bocc[s * n_buckets + b] = occ;
+        }
+    }
+}
 """
 
 #: ``-ffp-contract=off`` forbids FMA contraction — with it off, SIMD
@@ -559,30 +807,41 @@ def _cache_path() -> Path:
     return default_artifact_dir() / "ckernel" / f"stretch_{digest}.so"
 
 
-def _compile(cache: Path) -> bool:
-    compiler = shutil.which(os.environ.get("CC", "cc"))
+def _compile(cache: Path) -> Optional[str]:
+    """Build the library into ``cache``; returns why it failed, or ``None``."""
+    cc = os.environ.get("CC", "cc")
+    compiler = shutil.which(cc)
     if compiler is None:
-        return False
-    cache.parent.mkdir(parents=True, exist_ok=True)
-    # Build in a scratch dir, then rename into place: concurrent
-    # processes race benignly (last rename wins, same content).
-    with tempfile.TemporaryDirectory(dir=cache.parent) as td:
-        src = Path(td) / "stretch.c"
-        obj = Path(td) / "stretch.so"
-        src.write_text(C_SOURCE)
-        for flags in ((*CFLAGS, NATIVE_FLAG), CFLAGS):
-            try:
-                subprocess.run(
-                    [compiler, *flags, str(src), "-o", str(obj)],
-                    check=True,
-                    capture_output=True,
-                    timeout=120,
-                )
-            except (OSError, subprocess.SubprocessError):
-                continue
-            os.replace(obj, cache)
-            return True
-    return False
+        return f"no C compiler on PATH: {cc}"
+    reason = "compile failed"
+    try:
+        cache.parent.mkdir(parents=True, exist_ok=True)
+        # Build in a scratch dir, then rename into place: concurrent
+        # processes race benignly (last rename wins, same content).
+        with tempfile.TemporaryDirectory(dir=cache.parent) as td:
+            src = Path(td) / "stretch.c"
+            obj = Path(td) / "stretch.so"
+            src.write_text(C_SOURCE)
+            for flags in ((*CFLAGS, NATIVE_FLAG), CFLAGS):
+                try:
+                    subprocess.run(
+                        [compiler, *flags, str(src), "-o", str(obj)],
+                        check=True,
+                        capture_output=True,
+                        timeout=120,
+                    )
+                except subprocess.CalledProcessError as exc:
+                    lines = exc.stderr.decode(errors="replace").strip().splitlines()
+                    reason = f"compile failed: {lines[-1] if lines else exc}"
+                    continue
+                except (OSError, subprocess.SubprocessError) as exc:
+                    reason = f"compile failed: {exc}"
+                    continue
+                os.replace(obj, cache)
+                return None
+    except OSError as exc:
+        reason = f"compile failed: {exc}"
+    return reason
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
@@ -633,25 +892,44 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
         f64, i64, i64,                     # best, best_idx, pruned
     ]
+    lib.glove_merge.restype = c_i64
+    lib.glove_merge.argtypes = [
+        f64, c_i64, f64, c_i64,            # long, m_long, short, m_short
+        c_f64, c_f64,                      # n_long, n_short
+        c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
+        f64,                               # out
+    ]
+    lib.glove_reshape.restype = c_i64
+    lib.glove_reshape.argtypes = [f64, c_i64, c_f64, f64]  # data, m, atol, out
+    lib.glove_summarize.restype = None
+    lib.glove_summarize.argtypes = [
+        i64, c_i64,                        # slots, n_slots
+        f64, c_i64, c_i64, i64,            # data, capacity, m_max, lengths
+        f64, c_i64,                        # edges, n_buckets
+        f64, f64, u8,                      # hull, bucket_hull, bucket_occ
+    ]
     return lib
 
 
-def load() -> Optional[ctypes.CDLL]:
+def load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     """Compile (once per source revision) and load the shared library.
 
-    Returns ``None`` — and the callers fall back to the pure tier —
-    when the tier is disabled via ``REPRO_CC_KERNEL=0`` or any build
-    step fails.
+    Returns ``(lib, None)``, or ``(None, reason)`` — and the callers
+    fall back to the pure tier — when the tier is disabled via
+    ``REPRO_CC_KERNEL=0`` or any build step fails.
     """
     if os.environ.get("REPRO_CC_KERNEL", "1") == "0":
-        return None
+        return None, "disabled by REPRO_CC_KERNEL=0"
     try:
         cache = _cache_path()
-        if not cache.exists() and not _compile(cache):
-            return None
-        return _bind(ctypes.CDLL(str(cache)))
-    except (OSError, ValueError):
-        return None
+        if not cache.exists():
+            reason = _compile(cache)
+            if reason is not None:
+                return None, reason
+        return _bind(ctypes.CDLL(str(cache))), None
+    except (OSError, ValueError) as exc:
+        return None, f"load failed: {exc}"
 
 
-LIB = load()
+#: The bound library, or ``None`` with the reason in ``LOAD_ERROR``.
+LIB, LOAD_ERROR = load()

@@ -746,7 +746,7 @@ class StretchEngine:
         slot = self.store.append(fp)
         self._ensure_bound_capacity()
         if self.pruning:
-            self._summarize(slot)
+            self._summarize_slots([slot])
         return slot
 
     def retire(self, slot: int) -> None:
@@ -824,13 +824,10 @@ class StretchEngine:
             self._bucket_hull = np.tile(_NEUTRAL_HULL, (cap, 1, 1))
             self._bucket_occ = np.ones((cap, 1), dtype=bool)
             return
-        t_lo = min(float(store.data[s, : store.lengths[s], T].min()) for s in range(n))
-        t_hi = max(
-            float(
-                (store.data[s, : store.lengths[s], T] + store.data[s, : store.lengths[s], DT]).max()
-            )
-            for s in range(n)
-        )
+        live = store.mask[:n]
+        t = store.data[:n, :, T]
+        t_lo = float(t[live].min())
+        t_hi = float((t + store.data[:n, :, DT])[live].max())
         span = max(t_hi - t_lo, 1e-9)
         n_buckets = int(np.ceil(span / self.compute.lb_bucket_minutes))
         n_buckets = int(np.clip(n_buckets, 1, self.compute.lb_max_buckets))
@@ -841,8 +838,7 @@ class StretchEngine:
         self._hull = np.zeros((6, cap), dtype=np.float64)
         self._bucket_hull = np.zeros((cap, n_buckets, 6), dtype=np.float64)
         self._bucket_occ = np.zeros((cap, n_buckets), dtype=bool)
-        for slot in range(n):
-            self._summarize(slot)
+        self._summarize_slots(np.arange(n))
 
     def _ensure_bound_capacity(self) -> None:
         cap = self.store.capacity
@@ -856,8 +852,22 @@ class StretchEngine:
         self._bucket_hull = grow_array(self._bucket_hull, cap, _NEUTRAL_HULL)
         self._bucket_occ = grow_array(self._bucket_occ, cap, True)
 
+    def _summarize_slots(self, slots) -> None:
+        """Summarize slots: one native call on a bound kernel tier
+        (``kernels.summarize_arrays``, bitwise :meth:`_summarize`),
+        the NumPy body per slot otherwise."""
+        if kernels.COMPILED_AVAILABLE:
+            store = self.store
+            kernels.summarize_arrays(
+                np.asarray(slots, dtype=np.int64), store.data, store.lengths,
+                self._bucket_edges, self._hull, self._bucket_hull, self._bucket_occ,
+            )
+        else:
+            for slot in slots:
+                self._summarize(slot)
+
     def _summarize(self, slot: int) -> None:
-        """Compute the hull and per-bucket hulls of a slot."""
+        """Compute the hull and per-bucket hulls of a slot (NumPy body)."""
         d = self.store.probe(slot)
         x_lo, x_hi = d[:, X], d[:, X] + d[:, DX]
         y_lo, y_hi = d[:, Y], d[:, Y] + d[:, DY]

@@ -29,7 +29,8 @@ class Fingerprint:
     samples:
         Either an ``(m, 6)`` float64 array (columns ``x, dx, y, dy, t,
         dt``) or an iterable of :class:`~repro.core.sample.Sample`.
-        Samples are stored sorted by interval start time.
+        Samples are stored sorted by interval start time, with every
+        ``-0.0`` stored as ``+0.0``.
     count:
         Number of subscribers hidden in this fingerprint (>= 1).
     members:
@@ -55,6 +56,11 @@ class Fingerprint:
         order = np.argsort(data[:, T], kind="stable")
         self.uid = str(uid)
         self.data = data[order]
+        # -0.0 + 0.0 is +0.0: no stored zero carries a sign bit, so the
+        # kernel tiers' sequential min/max folds agree with NumPy's,
+        # which break a +-0.0 tie by SIMD lane (DESIGN.md D9).  The
+        # sorted copy is ours; the caller's array keeps its bits.
+        self.data += 0.0
         self.count = int(count)
         self.members: Tuple[str, ...] = tuple(members) if members is not None else (str(uid),)
         if len(self.members) != self.count:

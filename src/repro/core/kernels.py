@@ -32,9 +32,16 @@ The module binds three tiers to one kernel definition, best first:
    the parity property tests and as the stand-in when neither
    accelerated tier is available.
 
+The family also holds the merge product — ``merge_arrays``,
+``reshape_arrays`` and ``summarize_arrays``, twins of the NumPy bodies
+in :mod:`repro.core.merge`, :mod:`repro.core.reshape` and
+``StretchEngine._summarize`` (DESIGN.md D9).
+
 ``COMPILED_TIER`` names the bound tier (``"numba"``/``"cc"``/``None``)
 and ``COMPILED_AVAILABLE`` is true when an accelerated tier is bound —
-that is what :class:`repro.core.engine.CompiledBackend` keys on.
+that is what :class:`repro.core.engine.CompiledBackend`, the merge and
+the engine's bound summaries key on.  ``FALLBACK_REASON`` says why no
+tier is bound (``None`` when one is).
 """
 
 from __future__ import annotations
@@ -538,12 +545,242 @@ def _build_kernels(decorate):
             best_idx_out[p] = best_idx
         return best_out, best_idx_out, pruned
 
+    # -- the merge product (DESIGN.md D9, "The merge-product entries") --
+    # Twins of the NumPy bodies merge_sample_arrays, reshape_sample_array
+    # and StretchEngine._summarize.  Min/max folds give a tie to the
+    # later operand, as NumPy's reductions do; with the signed zeros
+    # canonicalized at the Fingerprint boundary no tie can differ in a bit.
+
+    @decorate
+    def fold_min(acc, v):
+        return acc if acc < v else v
+
+    @decorate
+    def fold_max(acc, v):
+        return acc if acc > v else v
+
+    @decorate
+    def nearest_row(a, i, b, mb, w_a, w_b, w_sigma, w_tau, phi_sigma, phi_tau):
+        # First argmin over b[:mb] of row i of stretch_matrix(a, b), in
+        # its operation order (the cell of pair_effort).
+        axi = a[i, X]
+        ayi = a[i, Y]
+        ati = a[i, T]
+        ahx = axi + a[i, DX]
+        ahy = ayi + a[i, DY]
+        aht = ati + a[i, DT]
+        wa_ext = w_a * (a[i, DX] + a[i, DY])
+        wa_t = w_a * a[i, DT]
+        best = np.inf
+        best_j = 0
+        for j in range(mb):
+            bxj = b[j, X]
+            byj = b[j, Y]
+            btj = b[j, T]
+            bhx = bxj + b[j, DX]
+            bhy = byj + b[j, DY]
+            bht = btj + b[j, DT]
+            ux = (ahx if ahx > bhx else bhx) - (axi if axi < bxj else bxj)
+            uy = (ahy if ahy > bhy else bhy) - (ayi if ayi < byj else byj)
+            ut = (aht if aht > bht else bht) - (ati if ati < btj else btj)
+            raw_s = (ux + uy) - (wa_ext + w_b * (b[j, DX] + b[j, DY]))
+            if not raw_s > 0.0:
+                raw_s = 0.0
+            raw_t = ut - (wa_t + w_b * b[j, DT])
+            if not raw_t > 0.0:
+                raw_t = 0.0
+            s_term = raw_s / phi_sigma
+            if not s_term < 1.0:
+                s_term = 1.0
+            t_term = raw_t / phi_tau
+            if not t_term < 1.0:
+                t_term = 1.0
+            d = w_sigma * s_term + w_tau * t_term
+            if d < best:
+                best = d
+                best_j = j
+        return best_j
+
+    @decorate
+    def fold_bounds(acc, k, rows, r, first):
+        # Fold sample rows[r] into the (lo, hi) pairs acc[k, 0:6] of the
+        # x, y and t axes (lo at the low column, hi at the extent's).
+        for c in range(0, 6, 2):
+            lo = rows[r, c]
+            hi = lo + rows[r, c + 1]
+            if first:
+                acc[k, c] = lo
+                acc[k, c + 1] = hi
+            else:
+                acc[k, c] = fold_min(acc[k, c], lo)
+                acc[k, c + 1] = fold_max(acc[k, c + 1], hi)
+
+    @decorate
+    def emit_bounds(acc, k, out, o):
+        # Eq. 12-13: the covering sample (lo, hi - lo) per axis.
+        for c in range(0, 6, 2):
+            out[o, c] = acc[k, c]
+            out[o, c + 1] = acc[k, c + 1] - acc[k, c]
+
+    @decorate
+    def sorted_on_t(rows, n):
+        # rows[:n] stably sorted on T (np.argsort(kind="stable")).
+        keys = np.empty(n)
+        for i in range(n):
+            keys[i] = rows[i, T]
+        idx = np.empty(n, dtype=np.int64)
+        tmp = np.empty(n, dtype=np.int64)
+        stable_argsort(keys, idx, tmp)
+        out = np.empty((n, 6))
+        for i in range(n):
+            for c in range(6):
+                out[i, c] = rows[idx[i], c]
+        return out
+
+    @decorate
+    def merge_arrays(
+        long, short, n_long, n_short, w_sigma, w_tau, phi_sigma, phi_tau,
+    ):
+        # merge_sample_arrays.  Stage 1: every long row joins its
+        # first-minimum short row; a group folds its long rows in order,
+        # the short row last.  Stage 2: every unmatched short row picks
+        # its target among the stage-1 rows first, then the folds run
+        # one by one, re-deriving lo + ext from the stored extent.
+        ml = long.shape[0]
+        ms = short.shape[0]
+        acc = np.empty((ms, 6))
+        matched = np.zeros(ms, dtype=np.bool_)
+        w_a = n_long / (n_long + n_short)
+        w_b = n_short / (n_long + n_short)
+        for i in range(ml):
+            j = nearest_row(
+                long, i, short, ms, w_a, w_b, w_sigma, w_tau, phi_sigma, phi_tau
+            )
+            fold_bounds(acc, j, long, i, not matched[j])
+            matched[j] = True
+        rows = np.empty((ms, 6))
+        k = 0
+        for j in range(ms):
+            if matched[j]:
+                fold_bounds(acc, j, short, j, False)
+                emit_bounds(acc, j, rows, k)
+                k += 1
+        n_b = n_long + n_short
+        w_a = n_short / (n_short + n_b)
+        w_b = n_b / (n_short + n_b)
+        target = np.empty(ms, dtype=np.int64)
+        for j in range(ms):
+            if not matched[j]:
+                target[j] = nearest_row(
+                    short, j, rows, k, w_a, w_b, w_sigma, w_tau, phi_sigma, phi_tau
+                )
+        for j in range(ms):
+            if not matched[j]:
+                t = target[j]
+                fold_bounds(acc, 0, rows, t, True)
+                fold_bounds(acc, 0, short, j, False)
+                emit_bounds(acc, 0, rows, t)
+        return sorted_on_t(rows, k)
+
+    @decorate
+    def reshape_arrays(data, atol):
+        # reshape_sample_array's sweep: every run of rows (in stable T
+        # order) that starts before the running end minus atol folds
+        # into one sample; a run of one keeps its row verbatim.
+        # Returns (rows, n_groups); rows past n_groups are scratch.
+        m = data.shape[0]
+        out = np.empty((m, 6))
+        if m < 2:
+            for i in range(m):
+                for c in range(6):
+                    out[i, c] = data[i, c]
+            return out, m
+        rows = sorted_on_t(data, m)
+        acc = np.empty((1, 6))
+        n_groups = 0
+        start = 0
+        end = rows[0, T] + rows[0, DT]
+        fold_bounds(acc, 0, rows, 0, True)
+        for r in range(1, m + 1):
+            if r < m and rows[r, T] < end - atol:
+                fold_bounds(acc, 0, rows, r, False)
+                e = rows[r, T] + rows[r, DT]
+                if e > end:
+                    end = e
+                continue
+            if r - start == 1:
+                for c in range(6):
+                    out[n_groups, c] = rows[start, c]
+            else:
+                emit_bounds(acc, 0, out, n_groups)
+            n_groups += 1
+            if r < m:
+                start = r
+                end = rows[r, T] + rows[r, DT]
+                fold_bounds(acc, 0, rows, r, True)
+        return out, n_groups
+
+    @decorate
+    def summarize_arrays(
+        slots, data, lengths, edges, hull, bucket_hull, bucket_occ,
+    ):
+        # StretchEngine._summarize of each slot, written in place: the
+        # (6, cap) hull column, and per time bucket the hull of the
+        # samples whose closed interval touches it (bounds folded as the
+        # reference folds them: minima of lo and of -hi, the time range
+        # clamped to the bucket) and its occupancy.
+        n_buckets = edges.shape[0] - 1
+        for p in range(slots.shape[0]):
+            s = slots[p]
+            m = lengths[s]
+            for c in range(0, 6, 2):
+                lo = np.inf
+                hi = -np.inf
+                for i in range(m):
+                    lo = fold_min(lo, data[s, i, c])
+                    hi = fold_max(hi, data[s, i, c] + data[s, i, c + 1])
+                hull[c, s] = lo
+                hull[c + 1, s] = hi
+            for b in range(n_buckets):
+                e_lo = edges[b]
+                e_hi = edges[b + 1]
+                occ = False
+                x_lo = np.inf
+                nx_hi = np.inf
+                y_lo = np.inf
+                ny_hi = np.inf
+                t_lo = np.inf
+                nt_hi = np.inf
+                for i in range(m):
+                    t = data[s, i, T]
+                    t_end = t + data[s, i, DT]
+                    if t <= e_hi and t_end >= e_lo:
+                        occ = True
+                        x = data[s, i, X]
+                        y = data[s, i, Y]
+                        x_lo = fold_min(x_lo, x)
+                        nx_hi = fold_min(nx_hi, -(x + data[s, i, DX]))
+                        y_lo = fold_min(y_lo, y)
+                        ny_hi = fold_min(ny_hi, -(y + data[s, i, DY]))
+                        t_lo = fold_min(t_lo, t)
+                        nt_hi = fold_min(nt_hi, -t_end)
+                bucket_hull[s, b, 0] = x_lo
+                bucket_hull[s, b, 1] = -nx_hi
+                bucket_hull[s, b, 2] = y_lo
+                bucket_hull[s, b, 3] = -ny_hi
+                bucket_hull[s, b, 4] = t_lo if t_lo > e_lo else e_lo
+                bucket_hull[s, b, 5] = -nt_hi if -nt_hi < e_hi else e_hi
+                bucket_occ[s, b] = occ
+
     return (
         pairwise_sum,
         one_vs_all_arrays,
         pairwise_matrix_arrays,
         bounded_many_vs_all_arrays,
         bounded_many_vs_some_arrays,
+        merge_arrays,
+        reshape_arrays,
+        summarize_arrays,
     )
 
 
@@ -556,16 +793,31 @@ def _build_kernels(decorate):
     pairwise_matrix_pure,
     bounded_many_vs_all_pure,
     bounded_many_vs_some_pure,
+    merge_arrays_pure,
+    reshape_arrays_pure,
+    summarize_arrays_pure,
 ) = _build_kernels(lambda f: f)
 
 
+def _sample_rows(name, rows):
+    """``rows`` as a C-contiguous ``(m, 6)`` float64 array, or ``ValueError``."""
+    rows = np.ascontiguousarray(rows)
+    if rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != 6:
+        raise ValueError(
+            f"{name} must be an (m, 6) float64 sample array, "
+            f"got {rows.dtype} {rows.shape}"
+        )
+    return rows
+
+
 def _bind_cc():
-    """ctypes wrappers over the system-compiled library, or ``None``."""
+    """``(wrappers, None)`` over the system-compiled library, or
+    ``(None, reason)`` when it did not load."""
     from repro.core import _ckernel
 
     lib = _ckernel.LIB
     if lib is None:
-        return None
+        return None, _ckernel.LOAD_ERROR
 
     def one_vs_all_cc(
         a_data, n_a, data, lengths, counts, targets,
@@ -654,12 +906,72 @@ def _bind_cc():
             raise MemoryError("stretch kernel scratch allocation failed")
         return out, pruned
 
+    # The merge-product entries take pointers straight from their
+    # callers, so shapes, dtypes and slot ids are checked here first.
+    def merge_arrays_cc(
+        long, short, n_long, n_short, w_sigma, w_tau, phi_sigma, phi_tau,
+    ):
+        long = _sample_rows("long", long)
+        short = _sample_rows("short", short)
+        if not long.shape[0] >= short.shape[0] >= 1:
+            raise ValueError(
+                f"merge needs m_long >= m_short >= 1, "
+                f"got {long.shape[0]} and {short.shape[0]}"
+            )
+        out = np.empty_like(short)
+        n = lib.glove_merge(
+            long, long.shape[0], short, short.shape[0], float(n_long), float(n_short),
+            w_sigma, w_tau, phi_sigma, phi_tau, out,
+        )
+        if n < 0:
+            raise MemoryError("merge kernel scratch allocation failed")
+        return out[:n]
+
+    def reshape_arrays_cc(data, atol):
+        data = _sample_rows("data", data)
+        out = np.empty_like(data)
+        n = lib.glove_reshape(data, data.shape[0], atol, out)
+        if n < 0:
+            raise MemoryError("reshape kernel scratch allocation failed")
+        return out, n
+
+    def summarize_arrays_cc(
+        slots, data, lengths, edges, hull, bucket_hull, bucket_occ,
+    ):
+        # The outputs are written in place, so nothing is copied: the
+        # ndpointer argtypes reject a wrong dtype or a non-C layout.
+        slots = np.ascontiguousarray(slots, dtype=np.int64)
+        cap, m_max = data.shape[:2]
+        n_buckets = edges.shape[0] - 1
+        if not (
+            n_buckets >= 1
+            and data.shape[2:] == (6,)
+            and lengths.shape == (cap,)
+            and hull.shape == (6, cap)
+            and bucket_hull.shape == (cap, n_buckets, 6)
+            and bucket_occ.shape == (cap, n_buckets)
+            and bucket_occ.dtype == np.bool_
+        ):
+            raise ValueError("summary arrays do not match the slot store's capacity")
+        if slots.size and not (
+            0 <= slots.min() and slots.max() < cap
+            and (lengths[slots] >= 1).all() and (lengths[slots] <= m_max).all()
+        ):
+            raise ValueError("slot ids must name filled slots of the store")
+        lib.glove_summarize(
+            slots, slots.shape[0], data, cap, m_max, lengths, edges, n_buckets,
+            hull, bucket_hull, bucket_occ.view(np.uint8),
+        )
+
     return (
         one_vs_all_cc,
         pairwise_matrix_cc,
         bounded_many_vs_all_cc,
         bounded_many_vs_some_cc,
-    )
+        merge_arrays_cc,
+        reshape_arrays_cc,
+        summarize_arrays_cc,
+    ), None
 
 
 if NUMBA_AVAILABLE:  # pragma: no cover - exercised via compiled-parity CI
@@ -673,9 +985,13 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised via compiled-parity CI
         pairwise_matrix_arrays,
         bounded_many_vs_all_arrays,
         bounded_many_vs_some_arrays,
+        merge_arrays,
+        reshape_arrays,
+        summarize_arrays,
     ) = _build_kernels(njit(cache=True, nogil=True))
+    FALLBACK_REASON = None
 else:
-    _cc = _bind_cc()
+    _cc, FALLBACK_REASON = _bind_cc()
     if _cc is not None:
         COMPILED_TIER = "cc"
         (
@@ -683,6 +999,9 @@ else:
             pairwise_matrix_arrays,
             bounded_many_vs_all_arrays,
             bounded_many_vs_some_arrays,
+            merge_arrays,
+            reshape_arrays,
+            summarize_arrays,
         ) = _cc
     else:
         COMPILED_TIER = None
@@ -690,6 +1009,9 @@ else:
         pairwise_matrix_arrays = pairwise_matrix_pure
         bounded_many_vs_all_arrays = bounded_many_vs_all_pure
         bounded_many_vs_some_arrays = bounded_many_vs_some_pure
+        merge_arrays = merge_arrays_pure
+        reshape_arrays = reshape_arrays_pure
+        summarize_arrays = summarize_arrays_pure
 
 #: True when an accelerated binding (numba or cc) backs the ``compiled``
 #: backend; the pure twins alone do not qualify.

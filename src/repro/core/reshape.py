@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.fingerprint import Fingerprint
 from repro.core.merge import generalize_rows
 from repro.core.sample import DT, NCOLS, T
 
+#: Start-before-end tolerance of an overlap, minutes.
+ATOL = 1e-9
 
-def has_temporal_overlap(data: np.ndarray, atol: float = 1e-9) -> bool:
+
+def has_temporal_overlap(data: np.ndarray, atol: float = ATOL) -> bool:
     """Whether any two sample intervals of a time-sorted array overlap.
 
     Samples that merely touch (one ends exactly when the next starts)
@@ -34,7 +38,7 @@ def has_temporal_overlap(data: np.ndarray, atol: float = 1e-9) -> bool:
     return bool((starts[1:] < np.maximum.accumulate(ends[:-1]) - atol).any())
 
 
-def reshape_sample_array(data: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+def reshape_sample_array(data: np.ndarray, atol: float = ATOL) -> np.ndarray:
     """Merge every run of temporally-overlapping samples into one sample.
 
     Returns a new time-sorted ``(m', 6)`` array, ``m' <= m``, whose
@@ -68,7 +72,16 @@ def reshape_sample_array(data: np.ndarray, atol: float = 1e-9) -> np.ndarray:
 
 
 def reshape_fingerprint(fp: Fingerprint) -> Fingerprint:
-    """Reshaped copy of a fingerprint (no-op if no overlaps exist)."""
+    """Reshaped copy of a fingerprint (``fp`` itself if no overlaps exist).
+
+    On a bound kernel tier the sweep is one native call
+    (``kernels.reshape_arrays``), bitwise :func:`reshape_sample_array`.
+    On T-sorted data it finds as many groups as samples exactly when
+    :func:`has_temporal_overlap` is false.
+    """
+    if kernels.COMPILED_AVAILABLE:
+        rows, n_groups = kernels.reshape_arrays(fp.data, ATOL)
+        return fp if n_groups == fp.m else fp.with_samples(rows[:n_groups])
     if not has_temporal_overlap(fp.data):
         return fp
     return fp.with_samples(reshape_sample_array(fp.data))

@@ -27,6 +27,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Fingerprint("g", [Sample(x=0.0, y=0.0, t=0.0)], count=0, members=())
 
+    def test_signed_zeros_stored_as_positive_zero(self):
+        rows = np.array(
+            [[-0.0, 0.0, -0.0, 0.0, -0.0, 0.0], [1.0, -0.0, 2.0, -0.0, 3.0, -0.0]]
+        )
+        fp = Fingerprint("z", rows)
+        assert not np.signbit(fp.data).any()
+        np.testing.assert_array_equal(fp.data, rows)
+        # The canonical copy is the fingerprint's own: the caller's
+        # array keeps its sign bits.
+        assert int(np.signbit(rows).sum()) == 6
+
     def test_empty_fingerprint_allowed(self):
         fp = Fingerprint("e", np.empty((0, 6)))
         assert fp.m == 0

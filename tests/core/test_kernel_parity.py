@@ -26,9 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
-from repro.core.config import StretchConfig
+from repro.core.config import ComputeConfig, StretchConfig
+from repro.core.engine import StretchEngine
 from repro.core.fingerprint import Fingerprint
+from repro.core.merge import merge_fingerprints, merge_sample_arrays
 from repro.core.pairwise import PaddedFingerprints, one_vs_all, pairwise_matrix
+from repro.core.reshape import ATOL, has_temporal_overlap, reshape_sample_array
 from repro.core.sample import Sample
 
 # Wide value ranges on purpose: spatial spreads far beyond phi_sigma
@@ -155,7 +158,6 @@ def _numpy_bounded():
     """
     from types import SimpleNamespace
 
-    from repro.core.config import ComputeConfig
     from repro.core.engine import NumpyBackend
 
     backend = NumpyBackend(ComputeConfig(backend="numpy"), StretchConfig())
@@ -207,9 +209,6 @@ threshold_values = st.one_of(
 
 
 def _bounded_engine(fps, pruning=True):
-    from repro.core.config import ComputeConfig
-    from repro.core.engine import StretchEngine
-
     return StretchEngine(fps, compute=ComputeConfig(backend="numpy", pruning=pruning))
 
 
@@ -405,6 +404,238 @@ class TestBoundedParity:
         assert pruned[0] == targets.size
 
 
+MERGE_BINDINGS = [
+    (
+        "pure",
+        kernels.merge_arrays_pure,
+        kernels.reshape_arrays_pure,
+        kernels.summarize_arrays_pure,
+    )
+]
+if kernels.COMPILED_AVAILABLE:
+    MERGE_BINDINGS.append(
+        (
+            kernels.COMPILED_TIER,
+            kernels.merge_arrays,
+            kernels.reshape_arrays,
+            kernels.summarize_arrays,
+        )
+    )
+
+#: Input regimes of the merge-product parity tests.
+MERGE_REGIMES = ("duplicates", "zero-extent", "far-subnormal", "overlap", "random")
+
+#: Exact multiples of the smallest subnormal double.
+_SUBNORMAL = st.integers(min_value=0, max_value=1 << 20).map(lambda i: i * 5e-324)
+
+
+def _regime_row(draw, regime):
+    if regime == "far-subnormal":
+        near = st.floats(min_value=1e6 - 500.0, max_value=1e6 + 500.0)
+        return (draw(near), 100.0, draw(near), 100.0, draw(_SUBNORMAL), draw(_SUBNORMAL))
+    if regime == "zero-extent":
+        grid = st.sampled_from([0.0, -0.0, 50.0, 100.0, 250.0])
+        return (draw(grid), 0.0, draw(grid), 0.0, draw(grid), 0.0)
+    if regime == "overlap":
+        # Long intervals packed into two hours: most of them overlap.
+        coord = st.floats(min_value=0.0, max_value=2e3)
+        ext = st.floats(min_value=0.0, max_value=500.0)
+        return (
+            draw(coord), draw(ext), draw(coord), draw(ext),
+            draw(st.floats(min_value=0.0, max_value=120.0)),
+            draw(st.floats(min_value=0.0, max_value=120.0)),
+        )
+    return (
+        draw(coords), draw(extents), draw(coords), draw(extents),
+        draw(times), draw(durations),
+    )
+
+
+@st.composite
+def merge_inputs(draw, n_fps=2, max_m=40):
+    """``n_fps`` fingerprints of 1..``max_m`` samples in one regime.
+
+    Up to 40 samples, so stage-1 groups and reshape runs exceed the 8
+    elements below which NumPy's reductions fold sequentially.  In the
+    duplicates regime every row comes from one small shared pool, so
+    efforts tie within and across the fingerprints.
+    """
+    regime = draw(st.sampled_from(MERGE_REGIMES))
+    pool = None
+    if regime == "duplicates":
+        pool = [
+            _regime_row(draw, "random")
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))
+        ]
+    fps = []
+    for u in range(n_fps):
+        m = draw(st.integers(min_value=1, max_value=max_m))
+        if pool is not None:
+            rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(m)]
+        else:
+            rows = [_regime_row(draw, regime) for _ in range(m)]
+        count = draw(st.integers(min_value=1, max_value=5))
+        members = [f"u{u}-{i}" for i in range(count)]
+        fps.append(Fingerprint(f"u{u}", np.array(rows), count=count, members=members))
+    return fps
+
+
+def _merge_with(merge, long, short):
+    return merge(
+        long.data, short.data, float(long.count), float(short.count),
+        *_config_args(StretchConfig()),
+    )
+
+
+def _summary_bytes(engine):
+    n = engine.store.size
+    return (
+        engine._hull[:, :n].tobytes(),
+        engine._bucket_hull[:n].tobytes(),
+        engine._bucket_occ[:n].tobytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "tier,merge,reshape,summarize", MERGE_BINDINGS, ids=[b[0] for b in MERGE_BINDINGS]
+)
+class TestMergeProductParity:
+    """The merge-product entries equal the NumPy bodies byte for byte.
+
+    ``merge_arrays``, ``reshape_arrays`` and ``summarize_arrays`` of the
+    pure twins and the active tier against ``merge_sample_arrays``,
+    ``reshape_sample_array`` and ``StretchEngine._summarize``, compared
+    by ``tobytes()`` so a sign bit on a zero counts (DESIGN.md D9).
+    """
+
+    @given(fps=merge_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_merge_bitwise(self, tier, merge, reshape, summarize, fps):
+        long, short = sorted(fps, key=lambda fp: -fp.m)
+        reference = merge_sample_arrays(
+            long.data, short.data, long.count, short.count, StretchConfig()
+        )
+        got = _merge_with(merge, long, short)
+        assert got.shape == reference.shape
+        assert got.tobytes() == reference.tobytes()
+
+    @given(fps=merge_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_reshape_bitwise(self, tier, merge, reshape, summarize, fps):
+        long, short = sorted(fps, key=lambda fp: -fp.m)
+        merged = Fingerprint(
+            "m",
+            merge_sample_arrays(long.data, short.data, long.count, short.count),
+        )
+        for fp in (long, short, merged):
+            rows, n_groups = reshape(fp.data, ATOL)
+            reference = reshape_sample_array(fp.data)
+            assert rows[:n_groups].tobytes() == reference.tobytes()
+            # The group count alone decides reshape_fingerprint's no-op.
+            assert (n_groups == fp.m) == (not has_temporal_overlap(fp.data))
+
+    @given(fps=merge_inputs(n_fps=5, max_m=12), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_summaries_bitwise(self, tier, merge, reshape, summarize, fps, data):
+        # Hour-aligned times on hour buckets put samples exactly on
+        # bucket edges; single-sample slots come from m = 1 draws.
+        if data.draw(st.booleans()):
+            hours = st.sampled_from([0.0, 60.0, 120.0, 300.0, 600.0])
+            fps = [
+                Fingerprint(
+                    fp.uid,
+                    np.column_stack([
+                        fp.data[:, :4],
+                        [data.draw(hours) for _ in range(fp.m)],
+                        [data.draw(st.sampled_from([0.0, 30.0, 60.0])) for _ in range(fp.m)],
+                    ]),
+                    count=fp.count, members=fp.members,
+                )
+                for fp in fps
+            ]
+        engine = StretchEngine(
+            fps, compute=ComputeConfig(backend="numpy", lb_bucket_minutes=60.0)
+        )
+        # Appending past the initial capacity (2n) grows every summary
+        # array before the late slots are summarized.
+        for _ in range(len(fps) + 1):
+            i, j = data.draw(st.lists(st.integers(0, len(fps) - 1), min_size=2, max_size=2))
+            engine.append(merge_fingerprints(fps[i], fps[j]))
+        assert engine.store.size > 2 * len(fps)
+        own = _summary_bytes(engine)
+
+        slots = np.arange(engine.store.size)
+        for slot in slots:
+            engine._summarize(slot)
+        reference = _summary_bytes(engine)
+        for arr in (engine._hull, engine._bucket_hull, engine._bucket_occ):
+            arr[...] = 0
+        summarize(
+            slots, engine.store.data, engine.store.lengths, engine._bucket_edges,
+            engine._hull, engine._bucket_hull, engine._bucket_occ,
+        )
+        assert _summary_bytes(engine) == reference
+        assert own == reference
+
+    def test_signed_zero_inputs(self, tier, merge, reshape, summarize):
+        # 12-row zero-extent +-0.0 fingerprints: the stage-1 groups and
+        # the reshape run exceed 8 rows, where NumPy's min/max would
+        # resolve a +-0.0 tie by SIMD lane.  The Fingerprint boundary
+        # drops the sign bits, so every path gives the same bytes.
+        zero = (0.0, -0.0)
+        long_rows = np.zeros((12, 6))
+        short_rows = np.zeros((12, 6))
+        for i in range(12):
+            # Long rows alternate between two places, so the two groups
+            # interleave in time and the merge product overlaps itself.
+            long_rows[i] = (zero[i % 2] + 1e3 * (i % 2), 0.0, zero[i // 2 % 2], 0.0,
+                            zero[i % 3 == 0] + i // 2, 0.0)
+            short_rows[i] = (zero[i % 2], 0.0, zero[(i + 1) % 2], 0.0, zero[i % 2], 0.0)
+        short_rows[1, 0] = 1e3
+        long = Fingerprint("a", long_rows)
+        short = Fingerprint("b", short_rows)
+        assert np.signbit(long_rows).any() and np.signbit(short_rows).any()
+
+        reference = merge_sample_arrays(long.data, short.data, 1, 1)
+        got = _merge_with(merge, long, short)
+        assert got.tobytes() == reference.tobytes()
+        merged = Fingerprint("m", reference)
+        rows, n_groups = reshape(merged.data, ATOL)
+        reshaped = reshape_sample_array(merged.data)
+        assert n_groups < merged.m
+        assert rows[:n_groups].tobytes() == reshaped.tobytes()
+        assert not np.signbit(reshaped).any()
+
+
+@pytest.mark.skipif(
+    kernels.COMPILED_TIER != "cc", reason="the cc wrappers guard raw pointers"
+)
+def test_cc_merge_product_entries_validate_inputs():
+    args = _config_args(StretchConfig())
+    rows = np.zeros((3, 6))
+    with pytest.raises(ValueError, match="m_long >= m_short"):
+        kernels.merge_arrays(rows[:2], rows, 1.0, 1.0, *args)
+    with pytest.raises(ValueError, match=r"\(m, 6\) float64"):
+        kernels.merge_arrays(rows[:, :5], rows[:, :5], 1.0, 1.0, *args)
+    with pytest.raises(ValueError, match=r"\(m, 6\) float64"):
+        kernels.reshape_arrays(rows.astype(np.float32), 1e-9)
+
+    engine = _bounded_engine([Fingerprint("a", rows), Fingerprint("b", rows)])
+    store = engine.store
+    summaries = (engine._bucket_edges, engine._hull, engine._bucket_hull, engine._bucket_occ)
+    # Out of range either way, and a slot that holds no fingerprint yet.
+    for slot in (-1, store.capacity, store.size):
+        with pytest.raises(ValueError, match="slot ids"):
+            kernels.summarize_arrays(
+                np.array([slot]), store.data, store.lengths, *summaries
+            )
+    with pytest.raises(ValueError, match="capacity"):
+        kernels.summarize_arrays(
+            np.array([0]), store.data, store.lengths, engine._bucket_edges,
+            engine._hull[:, :1], engine._bucket_hull, engine._bucket_occ,
+        )
+
+
 @pytest.mark.parametrize(
     "tier,bmva,bmvs", BOUNDED_BINDINGS, ids=[b[0] for b in BOUNDED_BINDINGS]
 )
@@ -570,6 +801,10 @@ class TestFallback:
             assert not kernels.COMPILED_AVAILABLE
             assert kernels.one_vs_all_arrays is kernels.one_vs_all_pure
             assert kernels.pairwise_matrix_arrays is kernels.pairwise_matrix_pure
+            assert kernels.merge_arrays is kernels.merge_arrays_pure
+            assert kernels.reshape_arrays is kernels.reshape_arrays_pure
+            assert kernels.summarize_arrays is kernels.summarize_arrays_pure
+            assert kernels.FALLBACK_REASON == "disabled by REPRO_CC_KERNEL=0"
             print("fallback-ok")
             """,
             {"REPRO_CC_KERNEL": "0"},
@@ -610,26 +845,83 @@ class TestFallback:
         assert "raise-ok" in proc.stdout
 
     def test_glove_runs_without_accelerated_tier(self):
-        # End-to-end: the default path stays fully functional (and on the
-        # NumPy reference) with every accelerated tier unavailable.
+        # End-to-end: the default path stays fully functional with every
+        # accelerated tier unavailable.  Merge, reshape and the bound
+        # summaries run on their NumPy bodies (counted through the
+        # module bindings their callers use), and the publication is
+        # byte for byte the bound tier's.
         proc = _run_fallback_probe(
             """
+            from repro.core import merge, reshape
+            from repro.core.artifacts import ArtifactStore, dataset_digest
             from repro.core.config import ComputeConfig, GloveConfig
+            from repro.core.engine import StretchEngine
             from repro.core.glove import glove
-            from repro.core.scenarios import get_scenario
             from repro.core.pipeline import Pipeline
-            from repro.core.artifacts import ArtifactStore
+            from repro.core.scenarios import get_scenario
 
+            calls = {"merge": 0, "reshape": 0, "summarize": 0}
+
+            def counted(name, fn):
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return wrapper
+
+            merge.merge_sample_arrays = counted("merge", merge.merge_sample_arrays)
+            reshape.has_temporal_overlap = counted(
+                "reshape", reshape.has_temporal_overlap
+            )
+            StretchEngine._summarize = counted("summarize", StretchEngine._summarize)
             sc = get_scenario("bench").scaled(n_users=24, days=1, seed=0)
             dataset = sc.synthesize(Pipeline(ArtifactStore(root=None)))
             result = glove(dataset, GloveConfig(k=2), ComputeConfig(backend="auto"))
             assert result.dataset.is_k_anonymous(2)
-            print("glove-ok")
+            assert all(calls.values()), calls
+            print("glove-ok", dataset_digest(result.dataset))
             """,
             {"REPRO_CC_KERNEL": "0"},
         )
         assert proc.returncode == 0, proc.stderr
         assert "glove-ok" in proc.stdout
+        if kernels.COMPILED_AVAILABLE:
+            from repro.core.artifacts import ArtifactStore, dataset_digest
+            from repro.core.config import ComputeConfig, GloveConfig
+            from repro.core.glove import glove
+            from repro.core.pipeline import Pipeline
+            from repro.core.scenarios import get_scenario
+
+            sc = get_scenario("bench").scaled(n_users=24, days=1, seed=0)
+            dataset = sc.synthesize(Pipeline(ArtifactStore(root=None)))
+            bound = glove(dataset, GloveConfig(k=2), ComputeConfig(backend="auto"))
+            assert proc.stdout.split()[-1] == dataset_digest(bound.dataset)
+
+    @pytest.mark.parametrize(
+        "env,reason",
+        [
+            ({"REPRO_CC_KERNEL": "0"}, "disabled by REPRO_CC_KERNEL=0"),
+            (
+                {"REPRO_CC_KERNEL": "1", "CC": "/nonexistent"},
+                "no C compiler on PATH: /nonexistent",
+            ),
+        ],
+        ids=["disabled", "no-compiler"],
+    )
+    def test_info_reports_why_no_tier_is_bound(self, tmp_path, env, reason):
+        # An empty artifact root holds no cached library, so the cc tier
+        # must build, and with CC pointing nowhere it cannot.
+        raw = tmp_path / "raw.csv"
+        raw.write_text("uid,t_min,x_m,y_m\nu1,0,1.0,2.0\nu2,5,3.0,4.0\n")
+        proc = _run_fallback_probe(
+            f"""
+            from repro.cli import main
+            assert main(["info", {str(raw)!r}]) == 0
+            """,
+            {**env, "REPRO_ARTIFACT_DIR": str(tmp_path / "artifacts")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"kernel tier: none ({reason})" in proc.stdout
+        assert "bound summaries run on the NumPy reference" in proc.stdout
 
     def test_bounded_entries_fall_back_to_pure_twins(self):
         # The fused bound-and-prune entries degrade exactly like the

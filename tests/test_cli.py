@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core import kernels
 
 
 @pytest.fixture
@@ -75,6 +76,8 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "fingerprint length" in out
         assert "minimum anonymity-set size: 1" in out
+        tier = kernels.COMPILED_TIER or f"none ({kernels.FALLBACK_REASON})"
+        assert f"kernel tier: {tier}\n" in out
 
     def test_published_file(self, raw_csv, tmp_path, capsys):
         published = tmp_path / "pub.csv"
@@ -130,8 +133,6 @@ class TestComputeFlags:
     """The --backend / --workers / --chunk / --no-prune substrate flags."""
 
     def test_anonymize_backend_selection(self, raw_csv, tmp_path, capsys):
-        from repro.core import kernels
-
         if not kernels.COMPILED_AVAILABLE:
             pytest.skip("no accelerated kernel binding")
         outputs = {}
