@@ -811,8 +811,8 @@ def pytest_sessionfinish(session, exitstatus):
     origins = {glove_origin}
     from repro.core import kernels as _kernels
 
-    # Keyed on the resolved kernel tier so installing/removing numba (or
-    # losing the system compiler) forces a re-measure.
+    # Keyed on the resolved kernel tier so gaining or losing the cc
+    # binding (a system compiler) forces a re-measure.
     record["kernel"], origin = _STORE.fetch(
         "bench",
         _bench_record_key(f"kernel[{_kernels.COMPILED_TIER}]", GLOVE_SCENARIO),

@@ -78,10 +78,6 @@ class EmpiricalCDF:
         w = np.diff(np.concatenate([[0.0], self._cum]))
         return float((self.values * w).sum())
 
-    def fraction_at_or_below(self, x: float) -> float:
-        """Alias of ``self(x)`` with a scalar return."""
-        return float(self(x))
-
     def series(self, grid: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
         """``(grid, cdf(grid))`` pair for report tables."""
         grid = np.asarray(grid, dtype=np.float64)

@@ -88,12 +88,6 @@ def random_sample_knowledge(
     ]
 
 
-def _rect_overlaps(
-    x1: float, dx1: float, x2: float, dx2: float, atol: float = 1e-9
-) -> bool:
-    return x1 <= x2 + dx2 + atol and x2 <= x1 + dx1 + atol
-
-
 def constraint_matches_fingerprint(constraint, fp: Fingerprint) -> bool:
     """Whether some sample of ``fp`` is consistent with the constraint.
 

@@ -151,7 +151,10 @@ def cmd_generate(args) -> int:
 def cmd_measure(args) -> int:
     dataset = _read_any(args.dataset)
     if len(dataset) < args.k:
-        print(f"error: dataset has {len(dataset)} users, k={args.k}", file=sys.stderr)
+        print(
+            f"error: {args.dataset}: dataset has {len(dataset)} users, k={args.k}",
+            file=sys.stderr,
+        )
         return 2
     pipeline = pipeline_from_args(args)
     result = pipeline.kgap(dataset, k=args.k, compute=compute_config_from_args(args))
@@ -228,9 +231,14 @@ def cmd_anonymize(args) -> int:
     method = args.method
     config = _method_config_from_args(args, method)
     pipeline = pipeline_from_args(args)
-    result = pipeline.anonymize(
-        dataset, config, compute=compute_config_from_args(args), method=method
-    )
+    try:
+        result = pipeline.anonymize(
+            dataset, config, compute=compute_config_from_args(args), method=method
+        )
+    except ValueError as exc:
+        # A population that cannot reach k.
+        print(f"error: {args.dataset}: {exc}", file=sys.stderr)
+        return 2
     anonymizer = get_anonymizer(method)
     if anonymizer.guarantees_k_anonymity and not result.dataset.is_k_anonymous(args.k):
         print("error: output failed the k-anonymity audit", file=sys.stderr)
@@ -302,7 +310,7 @@ def cmd_stream(args) -> int:
     except ValueError as exc:
         # An under-populated window with --no-carry-over, or a
         # population that cannot reach k at all.
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {args.dataset}: {exc}", file=sys.stderr)
         return 2
     for window in result.emitted:
         if not window.dataset.is_k_anonymous(args.k):
@@ -383,7 +391,12 @@ def cmd_attack(args) -> int:
         method = args.method if args.method is not None else "glove"
         config = _method_config_from_args(args, method)
         pipeline = pipeline_from_args(args)
-        result = pipeline.anonymize(original, config, method=method)
+        try:
+            result = pipeline.anonymize(original, config, method=method)
+        except ValueError as exc:
+            # A population that cannot reach k.
+            print(f"error: {args.original}: {exc}", file=sys.stderr)
+            return 2
         published = result.dataset
         _record_store_metrics(pipeline)
         print(f"attacking {get_anonymizer(method).display} output (cached anonymize stage)")
@@ -442,8 +455,7 @@ def _add_metrics_arguments(parser) -> None:
         "--metrics-otlp",
         metavar="ENDPOINT",
         default=None,
-        help="push the snapshot to an OTLP/HTTP collector "
-        "(requires the [otel] extra)",
+        help="push the snapshot to an OTLP/HTTP collector",
     )
 
 
@@ -620,8 +632,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.metrics_otlp:
         try:
             export_otlp(snapshot, args.metrics_otlp)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            # An unreachable or refusing collector, or a malformed URL.
+            reason = getattr(exc, "reason", exc)
+            print(f"error: {args.metrics_otlp}: {reason}", file=sys.stderr)
             return 2
     return code
 

@@ -1,20 +1,22 @@
 """System-compiler binding of the stretch kernels (the ``cc`` tier).
 
-:mod:`repro.core.kernels` defines the scalar Eq. 10 kernels once and
-binds them to the fastest available tier: ``numba`` when the
-``[compiled]`` extra is installed, otherwise — via this module — a
-shared library built on demand with the system C compiler and called
-through :mod:`ctypes`.  The C text below is a line-for-line
-transliteration of the pure-Python kernels (same operation order, same
-tie rules, same pairwise summation), compiled with ``-ffp-contract=off``
-so no FMA contraction or reassociation can change a result bit.
+The C text below is the one accelerated definition of the scalar Eq. 10
+kernels and the merge product; :mod:`repro.core.kernels` wraps the
+shared library this module builds on demand with the system C compiler
+and calls through :mod:`ctypes`.  Each entry replicates its NumPy
+reference body (:mod:`repro.core.pairwise`, ``merge_sample_arrays``,
+``reshape_sample_array``, ``StretchEngine._summarize``) in operation
+order, tie rules and pairwise summation, and is compiled with
+``-ffp-contract=off`` so no FMA contraction or reassociation can change
+a result bit.
 
 The build is content-addressed: the shared object is cached under the
 artifact root (``default_artifact_dir()/ckernel``) keyed by a digest of
 the C source and flags, so each source revision compiles exactly once
 per machine.  Every failure mode — no compiler, compile error, load
 error, ``REPRO_CC_KERNEL=0`` — degrades to ``LIB = None``, records its
-reason in ``LOAD_ERROR``, and the callers fall back to the pure tier.
+reason in ``LOAD_ERROR``, and the callers fall back to the NumPy
+reference bodies.
 """
 
 from __future__ import annotations
@@ -202,15 +204,17 @@ int glove_one_vs_all(
 }
 
 /* ---- fused bound-and-prune sweep ----------------------------------
- * Transliteration of the bounded_* pure twins: the level-0 hull-gap
- * bound and the level-1 per-time-bucket bound are evaluated inside the
- * native sweep, and the exact kernel runs only for candidates whose
- * bound could still beat the probe's running best (or, where the
- * reverse flag allows, the target's cached best).  Every comparison
- * replicates NumPy's maximum/minimum tie rule, every mean runs the
- * same pairwise summation over the same (padded) widths, and the walk
- * order is a stable sort by level-0 bound — so evaluated positions and
- * values are bitwise those of the pure twins. */
+ * The bound-and-prune walk of DESIGN.md D13: the level-0 hull-gap
+ * bound and the level-1 per-time-bucket bound (the scalar forms of
+ * pairwise.hull_lower_bounds and pairwise.bucket_lower_bounds) are
+ * evaluated inside the native sweep, and the exact kernel runs only
+ * for candidates whose bound could still beat the probe's running best
+ * (or, where the reverse flag allows, the target's cached best).  Every
+ * comparison replicates NumPy's maximum/minimum tie rule, every mean
+ * runs the same pairwise summation over the same (padded) widths, and
+ * the walk order is a stable sort by level-0 bound — so every evaluated
+ * value is bitwise StretchEngine.row's, and the running best tightens
+ * per candidate. */
 
 static double interval_gap(double a_lo, double a_hi, double b_lo, double b_hi)
 {
@@ -542,9 +546,8 @@ int glove_pairwise_matrix(
 }
 
 /* ---- the merge product ---------------------------------------------
- * Transliteration of the merge_arrays / reshape_arrays /
- * summarize_arrays pure twins, and through them of the NumPy bodies
- * merge_sample_arrays, reshape_sample_array and
+ * glove_merge, glove_reshape and glove_summarize replicate the NumPy
+ * bodies merge_sample_arrays, reshape_sample_array and
  * StretchEngine._summarize.  Min/max folds give a tie to the later
  * operand, as NumPy's reductions do; stretch cells follow
  * stretch_matrix's operation order. */
@@ -915,7 +918,7 @@ def load() -> Tuple[Optional[ctypes.CDLL], Optional[str]]:
     """Compile (once per source revision) and load the shared library.
 
     Returns ``(lib, None)``, or ``(None, reason)`` — and the callers
-    fall back to the pure tier — when the tier is disabled via
+    fall back to the NumPy reference — when the tier is disabled via
     ``REPRO_CC_KERNEL=0`` or any build step fails.
     """
     if os.environ.get("REPRO_CC_KERNEL", "1") == "0":

@@ -77,9 +77,9 @@ class ComputeConfig:
     ----------
     backend:
         Name of a registered compute backend: ``"numpy"`` (single
-        process, chunked broadcasting), ``"compiled"`` (JIT/C scalar
-        kernels over the same padded layout; requires the ``[compiled]``
-        extra or a system C compiler), ``"auto"`` (``compiled`` when a
+        process, chunked broadcasting), ``"compiled"`` (C scalar
+        kernels over the same padded layout; requires a system C
+        compiler), ``"auto"`` (``compiled`` when a
         binding is bound, ``numpy`` otherwise), or ``"sharded"``
         (partition the population, anonymize shards concurrently,
         repair the boundaries).  All tiers are byte-identical (DESIGN.md

@@ -9,7 +9,7 @@ algorithm:
   lifecycle (append/retire) shared by every backend;
 * :class:`StretchBackend` implementations execute the bulk Eq. 10
   kernels — ``numpy`` (chunked broadcasting) and ``compiled``
-  (numba-JIT or system-cc scalar kernels); ``auto`` picks the
+  (system-cc scalar kernels); ``auto`` picks the
   compiled tier when a binding is bound and ``numpy`` otherwise; new
   tiers (sharded, GPU) register through :func:`register_backend`;
 * :class:`StretchEngine` ties a store to a backend and keeps the cheap
@@ -429,10 +429,9 @@ class NumpyBackend(StretchBackend):
 class CompiledBackend(StretchBackend):
     """Compiled kernel tier over the same padded tensor layout.
 
-    Wraps the accelerated :mod:`repro.core.kernels` binding — numba
-    JIT with the ``[compiled]`` packaging extra, otherwise a shared
-    library built with the system C compiler (the ``cc`` tier, see
-    :mod:`repro.core._ckernel`).  Byte-identical to the NumPy
+    Wraps the accelerated :mod:`repro.core.kernels` binding — a
+    shared library built with the system C compiler (the ``cc`` tier,
+    see :mod:`repro.core._ckernel`).  Byte-identical to the NumPy
     reference by construction — the scalar kernel replicates the
     broadcast kernel's operation order including NumPy's pairwise
     summation (DESIGN.md D9) — so selecting it changes wall time only,
@@ -445,10 +444,9 @@ class CompiledBackend(StretchBackend):
         super().__init__(compute, stretch)
         if not kernels.COMPILED_AVAILABLE:
             raise RuntimeError(
-                "backend 'compiled' has no accelerated binding: numba is not "
-                "importable (install the [compiled] extra: pip install "
-                "'glove-repro[compiled]') and no system C compiler is "
-                "available; select the 'numpy' / 'auto' backend instead"
+                "backend 'compiled' has no accelerated binding "
+                f"({kernels.FALLBACK_REASON}); select the 'numpy' / 'auto' "
+                "backend instead"
             )
         self.kernel_threads = _effective_kernel_threads(compute)
         self._threads: Optional[ThreadPoolExecutor] = None
@@ -601,9 +599,9 @@ class CompiledBackend(StretchBackend):
 def auto_backend(compute: ComputeConfig, stretch: StretchConfig) -> StretchBackend:
     """The ``auto`` tier pick.
 
-    The compiled tier when an accelerated binding is bound (numba extra
-    or system-cc build), the NumPy reference otherwise.  Both are
-    byte-identical (DESIGN.md D9), so the pick changes wall time only.
+    The compiled tier when the system-cc binding is bound, the NumPy
+    reference otherwise.  Both are byte-identical (DESIGN.md D9), so the
+    pick changes wall time only.
     """
     if kernels.COMPILED_AVAILABLE:
         return CompiledBackend(compute, stretch)
@@ -712,7 +710,7 @@ class StretchEngine:
     fingerprint stretch effort (Eq. 10), which the backends' bounded
     pair evaluates (:func:`repro.core.pairwise.hull_lower_bounds`,
     :func:`~repro.core.pairwise.bucket_lower_bounds` and their scalar
-    twins in :mod:`repro.core.kernels`):
+    C counterparts in :mod:`repro.core._ckernel`):
 
     * **level 0**: the spatiotemporal gap between two slots' global
       bounding boxes, O(1) per pair;

@@ -57,7 +57,7 @@ class Fingerprint:
         self.uid = str(uid)
         self.data = data[order]
         # -0.0 + 0.0 is +0.0: no stored zero carries a sign bit, so the
-        # kernel tiers' sequential min/max folds agree with NumPy's,
+        # native kernels' sequential min/max folds agree with NumPy's,
         # which break a +-0.0 tie by SIMD lane (DESIGN.md D9).  The
         # sorted copy is ours; the caller's array keeps its bits.
         self.data += 0.0

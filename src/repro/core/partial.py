@@ -159,12 +159,3 @@ def partial_glove(
         exposed_fraction=exposed_samples / total_samples if total_samples else 0.0,
         n_users_without_exposure=len(untouched),
     )
-
-
-def exposed_anonymity(result: PartialResult) -> int:
-    """Audit: smallest anonymity set over the exposed sub-fingerprints.
-
-    An adversary restricted to the knowledge model faces at least this
-    many candidates for any target.
-    """
-    return result.exposed_result.dataset.min_anonymity()

@@ -494,13 +494,6 @@ def cached_kgap(
     return get_default_pipeline().kgap(dataset, k=k, config=config, compute=compute)
 
 
-def cached_feed(
-    dataset: FingerprintDataset, max_jitter_min: float = 0.0, seed: int = 0
-):
-    """:meth:`Pipeline.feed` on the default pipeline."""
-    return get_default_pipeline().feed(dataset, max_jitter_min=max_jitter_min, seed=seed)
-
-
 def cached_stream(
     dataset: FingerprintDataset,
     config: GloveConfig = GloveConfig(),

@@ -18,7 +18,7 @@ from .registry import (
     validate_snapshot,
 )
 from .render import dump_json, render_table
-from .otlp import OTEL_INSTALL_HINT, export_otlp, snapshot_to_otlp
+from .otlp import export_otlp, snapshot_to_otlp
 
 __all__ = [
     "Counter",
@@ -32,7 +32,6 @@ __all__ = [
     "validate_snapshot",
     "dump_json",
     "render_table",
-    "OTEL_INSTALL_HINT",
     "export_otlp",
     "snapshot_to_otlp",
 ]

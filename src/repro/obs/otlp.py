@@ -1,17 +1,11 @@
-"""OTLP bridge for metrics snapshots, gated behind the ``[otel]`` extra.
+"""OTLP bridge for metrics snapshots, stdlib only.
 
-Two layers, split so the conversion stays testable without the
-dependency installed:
-
-* :func:`snapshot_to_otlp` — pure stdlib translation of a
-  ``repro.metrics.v1`` snapshot into an OTLP/JSON
-  ``ExportMetricsServiceRequest``-shaped dict (resourceMetrics →
-  scopeMetrics → metrics with sum/gauge/histogram data points).
-* :func:`export_otlp` — POSTs that payload to a collector endpoint via
-  the ``opentelemetry`` SDK's exporter.  Importing the SDK happens here
-  and only here; without it the call degrades to a ``RuntimeError``
-  naming the ``pip install "glove-repro[otel]"`` fix, the way the
-  ``compiled`` backend names its ``[compiled]`` extra.
+* :func:`snapshot_to_otlp` — translation of a ``repro.metrics.v1``
+  snapshot into an OTLP/JSON ``ExportMetricsServiceRequest``-shaped dict
+  (resourceMetrics → scopeMetrics → metrics with sum/gauge/histogram
+  data points).
+* :func:`export_otlp` — POSTs that payload to a collector's OTLP/HTTP
+  ``/v1/metrics`` endpoint with :mod:`urllib`.
 """
 
 from __future__ import annotations
@@ -21,18 +15,13 @@ from typing import Dict, List
 
 from .registry import validate_snapshot
 
-__all__ = ["snapshot_to_otlp", "export_otlp", "OTEL_INSTALL_HINT"]
-
-OTEL_INSTALL_HINT = (
-    "OTLP export requires the opentelemetry SDK, which is not installed. "
-    "Install the optional extra with: pip install 'glove-repro[otel]'"
-)
+__all__ = ["snapshot_to_otlp", "export_otlp"]
 
 _SCOPE = {"name": "repro.obs", "version": "1"}
 
 
 def snapshot_to_otlp(snapshot: Dict[str, object], time_unix_nano: int = 0) -> Dict[str, object]:
-    """Convert a v1 snapshot to an OTLP/JSON metrics payload (pure stdlib)."""
+    """Convert a v1 snapshot to an OTLP/JSON metrics payload."""
     validate_snapshot(snapshot)
     ts = int(time_unix_nano) or time.time_ns()
     metrics: List[Dict[str, object]] = []
@@ -94,25 +83,22 @@ def snapshot_to_otlp(snapshot: Dict[str, object], time_unix_nano: int = 0) -> Di
 
 
 def export_otlp(snapshot: Dict[str, object], endpoint: str) -> None:
-    """Push ``snapshot`` to an OTLP/HTTP collector at ``endpoint``.
+    """POST ``snapshot`` as OTLP/JSON to ``<endpoint>/v1/metrics``.
 
-    Raises ``RuntimeError`` with install guidance when the
-    ``opentelemetry`` SDK is missing (the ``[otel]`` extra).
+    An unreachable or refusing collector raises :class:`OSError`
+    (``urllib.error.URLError`` and ``HTTPError`` are subclasses), an
+    endpoint that is not an http(s) URL :class:`ValueError`.
     """
-    payload = snapshot_to_otlp(snapshot)
-    try:
-        import opentelemetry  # noqa: F401
-        from opentelemetry.exporter.otlp.proto.http import Compression  # noqa: F401
-    except ImportError as exc:
-        raise RuntimeError(OTEL_INSTALL_HINT) from exc
+    # Imported here: urllib.request pulls in ssl and http.client, an
+    # import cost that every run importing repro.obs would otherwise pay.
     import json
     import urllib.request
 
     req = urllib.request.Request(
         endpoint.rstrip("/") + "/v1/metrics",
-        data=json.dumps(payload).encode(),
+        data=json.dumps(snapshot_to_otlp(snapshot)).encode(),
         headers={"Content-Type": "application/json"},
         method="POST",
     )
-    with urllib.request.urlopen(req, timeout=10) as resp:  # pragma: no cover - needs collector
+    with urllib.request.urlopen(req, timeout=10) as resp:
         resp.read()

@@ -5,8 +5,8 @@ whose health is invisible between CLI summary lines; this module is the
 observability substrate the ROADMAP's anonymization-as-a-service item
 needs: named counters, gauges and fixed-boundary histograms with
 ``span()`` timing contexts, collected into one stable, JSON-able
-snapshot.  Everything is standard library — the OTLP bridge lives in
-:mod:`repro.obs.otlp` behind the ``[otel]`` packaging extra.
+snapshot.  Everything is standard library, the OTLP bridge in
+:mod:`repro.obs.otlp` included.
 
 Design constraints (the D12 contract):
 

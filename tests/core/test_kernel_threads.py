@@ -6,7 +6,7 @@ the batched kernels (per-pair scratch re-zeroing, DESIGN.md D11), so any
 split reproduces the unsplit call bit for bit — these tests pin that
 guarantee end-to-end (whole ``glove()`` runs) and at the backend level,
 plus the config/CLI validation surface and the no-binding degradation
-path (pure twins, no crash).
+path (the NumPy walk, no crash).
 """
 
 import hashlib
@@ -190,17 +190,14 @@ class TestKernelThreadsAuto:
 
 
 class TestThreadedFallback:
-    def test_batched_pure_twins_without_binding(self):
-        # No accelerated tier: the bounded entries must alias the pure
-        # twins and a threaded glove run must still work (the splitter
-        # lives in CompiledBackend, which cannot be constructed — the
-        # auto backend degrades to the NumPy walk).
+    def test_threaded_glove_without_binding(self):
+        # No accelerated tier: a threaded glove run must still work (the
+        # splitter lives in CompiledBackend, which cannot be constructed
+        # — the auto backend degrades to the NumPy walk).
         proc = _run_fallback_probe(
             """
             from repro.core import kernels
             assert kernels.COMPILED_TIER is None
-            assert kernels.bounded_many_vs_all_arrays is kernels.bounded_many_vs_all_pure
-            assert kernels.bounded_many_vs_some_arrays is kernels.bounded_many_vs_some_pure
 
             from repro.core.config import ComputeConfig, GloveConfig
             from repro.core.glove import glove

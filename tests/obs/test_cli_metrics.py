@@ -1,6 +1,7 @@
 """End-to-end tests of the ``--metrics*`` CLI flags (DESIGN.md D12)."""
 
 import json
+import socket
 
 import pytest
 
@@ -83,16 +84,18 @@ class TestMetricsFlags:
         assert _stream(raw_csv, tmp_path) == 0
         assert get_metrics().enabled is False
 
-    def test_otlp_without_extra_degrades_to_error(self, raw_csv, tmp_path, capsys):
-        try:
-            import opentelemetry  # noqa: F401
-
-            pytest.skip("opentelemetry installed; the gate cannot fire")
-        except ImportError:
-            pass
-        code = _stream(raw_csv, tmp_path, "--metrics-otlp", "http://localhost:4318")
-        assert code == 2
-        assert "glove-repro[otel]" in capsys.readouterr().err
+    @pytest.mark.parametrize("endpoint", ["closed-port", "no-scheme"])
+    def test_otlp_unreachable_collector_exits_2(self, raw_csv, capsys, endpoint):
+        if endpoint == "closed-port":
+            with socket.socket() as s:
+                s.bind(("127.0.0.1", 0))
+                endpoint = f"http://127.0.0.1:{s.getsockname()[1]}"
+        else:
+            endpoint = "localhost:4318"
+        assert main(["info", str(raw_csv), "--metrics-otlp", endpoint]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {endpoint}: ")
+        assert "Traceback" not in err
 
 
 class TestMetricsOnEverySubcommand:

@@ -1,11 +1,12 @@
-"""Tests of the snapshot renderers and the gated OTLP bridge."""
+"""Tests of the snapshot renderers and the OTLP bridge."""
 
+import http.server
 import json
+import threading
 
 import pytest
 
 from repro.obs import (
-    OTEL_INSTALL_HINT,
     MetricsRegistry,
     dump_json,
     export_otlp,
@@ -80,16 +81,35 @@ class TestOtlpConversion:
         assert {"key": "service.name", "value": {"stringValue": "glove-repro"}} in attrs
 
 
-class TestOtlpGate:
-    def test_export_without_the_extra_names_the_fix(self, snapshot):
+class TestOtlpExport:
+    def test_posts_the_counters_to_v1_metrics(self, snapshot):
+        received = []
+
+        class Collector(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                received.append((self.path, self.headers["Content-Type"], json.loads(body)))
+                self.send_response(200)
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        server = http.server.HTTPServer(("127.0.0.1", 0), Collector)
+        server.timeout = 10
+        thread = threading.Thread(target=server.handle_request)
+        thread.start()
         try:
-            import opentelemetry  # noqa: F401
-
-            pytest.skip("opentelemetry installed; the gate cannot fire")
-        except ImportError:
-            pass
-        with pytest.raises(RuntimeError, match=r"glove-repro\[otel\]"):
-            export_otlp(snapshot, "http://localhost:4318")
-
-    def test_hint_names_the_extra(self):
-        assert "[otel]" in OTEL_INSTALL_HINT
+            export_otlp(snapshot, f"http://127.0.0.1:{server.server_port}/")
+        finally:
+            thread.join(timeout=20)
+            server.server_close()
+        assert not thread.is_alive()
+        ((path, content_type, payload),) = received
+        assert path == "/v1/metrics"
+        assert content_type == "application/json"
+        metrics = payload["resourceMetrics"][0]["scopeMetrics"][0]["metrics"]
+        counters = {
+            m["name"]: m["sum"]["dataPoints"][0]["asInt"] for m in metrics if "sum" in m
+        }
+        assert counters == snapshot["counters"]

@@ -129,6 +129,26 @@ class TestMalformedInput:
         assert f"error: {path}{where}" in capsys.readouterr().err
 
 
+#: Every subcommand that needs k users, with its other arguments.
+_NEEDS_K_USERS = {
+    "measure": ["-k", "2"],
+    "anonymize": ["-k", "2", "-o", "{out}"],
+    "anonymize-sharded": ["-k", "2", "--backend", "sharded", "-o", "{out}"],
+    "stream": ["-k", "2", "--window", "180", "-o", "{out}"],
+    "attack": ["--method", "glove", "-k", "2"],
+}
+
+
+@pytest.mark.parametrize("case", list(_NEEDS_K_USERS))
+def test_fewer_users_than_k_exits_two(tmp_path, capsys, case):
+    # A well-formed file that cannot reach k: an input error, not a crash.
+    path = tmp_path / "one-user.csv"
+    path.write_text("uid,t_min,x_m,y_m\nu1,0,1.0,2.0\nu1,5,3.0,4.0\n")
+    extra = [arg.format(out=tmp_path / "out.csv") for arg in _NEEDS_K_USERS[case]]
+    assert main([case.split("-")[0], str(path)] + extra) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
 class TestComputeFlags:
     """The --backend / --workers / --chunk / --no-prune substrate flags."""
 
