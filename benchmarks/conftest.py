@@ -387,10 +387,13 @@ def _run_kernel_bench() -> dict:
             open_tau = np.full(probe_slots.size, np.inf)
             half_tau = open_tau.copy()
             half_tau[1::2] = -np.inf
+            def bind(hull, bhull):
+                return kernels.Resident(store, hull, bhull, bocc, engine._bucket_edges)
+
             settings = {
-                "prune_0": ((wide_hull, wide_bhull, bocc), open_tau),
-                "prune_50": ((wide_hull, wide_bhull, bocc), half_tau),
-                "natural": ((hull, bhull, bocc), open_tau),
+                "prune_0": (bind(wide_hull, wide_bhull), open_tau),
+                "prune_50": (bind(wide_hull, wide_bhull), half_tau),
+                "natural": (engine._resident, open_tau),
             }
             bounded = {}
             for key, (bounds, thresholds) in settings.items():

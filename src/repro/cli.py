@@ -426,10 +426,8 @@ def cmd_info(args) -> int:
     print(f"fingerprint length: median {np.median(lengths):.0f}, "
           f"mean {lengths.mean():.1f}, max {lengths.max()}")
     print(f"minimum anonymity-set size: {dataset.min_anonymity()}")
-    if kernels.COMPILED_TIER is not None:
-        print(f"kernel tier: {kernels.COMPILED_TIER}")
-    else:
-        print(f"kernel tier: none ({kernels.FALLBACK_REASON})")
+    print(kernels.tier_line())
+    if not kernels.COMPILED_AVAILABLE:
         print("note: Eq. 10, merge, reshape and the bound summaries "
               "run on the NumPy reference")
     return 0
@@ -626,6 +624,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     snapshot = registry.snapshot()
     if args.metrics:
         print(render_table(snapshot))
+        print(kernels.tier_line())
     if args.metrics_json:
         out = dump_json(snapshot, args.metrics_json)
         print(f"wrote metrics snapshot to {out}")

@@ -45,6 +45,26 @@ C_SOURCE = r"""
 #define TCOL 4
 #define DTCOL 5
 
+/* The resident arrays of one StretchEngine, validated on the Python
+ * side (repro.core.kernels.Resident) and mirrored field for field by
+ * ResidentBlock below: the slot store's (cap, m_max, 6) data, lengths,
+ * counts and (cap, m_max) mask, the (6, cap) hull, the
+ * (cap, n_buckets, 6) bucket hulls, their occupancy and the
+ * n_buckets + 1 bucket edges. */
+typedef struct {
+    double *data;
+    int64_t cap;
+    int64_t m_max;
+    int64_t *lengths;
+    int64_t *counts;
+    uint8_t *mask;
+    double *hull;
+    double *bhull;
+    uint8_t *bocc;
+    int64_t n_buckets;
+    const double *edges;
+} resident_t;
+
 /* NumPy's pairwise summation: sequential below 8 elements, an
  * 8-accumulator unrolled tree up to the 128-element block size,
  * recursive halving above with the split rounded down to a multiple
@@ -357,16 +377,17 @@ static void stable_argsort(const double *keys, int64_t *idx, int64_t *tmp, int64
  * into the store tensors).  Pruned positions get a +inf sentinel
  * (exact efforts never exceed 1.0) and count into pruned[p]. */
 int glove_bounded_many_vs_some(
+    const resident_t *r,
     const int64_t *probe_slots, int64_t n_probes,
-    const double *data, int64_t m_max,
-    const int64_t *lengths, const int64_t *counts,
-    const double *hull, int64_t hull_cap,
-    const double *bhull, const uint8_t *bocc, int64_t n_buckets,
     const int64_t *flat_targets, const int64_t *offsets,
     const double *thresholds, const uint8_t *reverse, const double *best_vals,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau,
     double *out, int64_t *pruned)
 {
+    const double *data = r->data, *hull = r->hull, *bhull = r->bhull;
+    const int64_t *lengths = r->lengths, *counts = r->counts;
+    const uint8_t *bocc = r->bocc;
+    int64_t m_max = r->m_max, hull_cap = r->cap, n_buckets = r->n_buckets;
     int64_t n_max = 1;
     for (int64_t p = 0; p < n_probes; p++) {
         int64_t n = offsets[p + 1] - offsets[p];
@@ -441,16 +462,17 @@ int glove_bounded_many_vs_some(
  * in the shared set is skipped without counting as pruned; a probe
  * whose threshold no target strictly beats keeps (threshold, -1). */
 int glove_bounded_many_vs_all(
+    const resident_t *r,
     const int64_t *probe_slots, int64_t n_probes,
-    const double *data, int64_t m_max,
-    const int64_t *lengths, const int64_t *counts,
-    const double *hull, int64_t hull_cap,
-    const double *bhull, const uint8_t *bocc, int64_t n_buckets,
     const int64_t *targets, int64_t n_targets,
     const double *thresholds,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau,
     double *best_out, int64_t *best_idx_out, int64_t *pruned)
 {
+    const double *data = r->data, *hull = r->hull, *bhull = r->bhull;
+    const int64_t *lengths = r->lengths, *counts = r->counts;
+    const uint8_t *bocc = r->bocc;
+    int64_t m_max = r->m_max, hull_cap = r->cap, n_buckets = r->n_buckets;
     int64_t n_max = n_targets > 1 ? n_targets : 1;
     double *sa = calloc((size_t)m_max, sizeof(double));
     double *sb = calloc((size_t)m_max, sizeof(double));
@@ -737,59 +759,111 @@ int64_t glove_reshape(const double *data, int64_t m, double atol, double *out)
     return n_groups;
 }
 
-/* StretchEngine._summarize of each slot, in place: the (6, cap) hull
+/* StretchEngine._summarize of slot s, in place: the (6, cap) hull
  * column and, per time bucket, the hull of the samples whose closed
  * interval touches it (minima of lo and of -hi, the time range clamped
  * to the bucket) and its occupancy. */
-void glove_summarize(
-    const int64_t *slots, int64_t n_slots,
-    const double *data, int64_t cap, int64_t m_max, const int64_t *lengths,
-    const double *edges, int64_t n_buckets,
-    double *hull, double *bhull, uint8_t *bocc)
+static void summarize_slot(const resident_t *r, int64_t s)
 {
-    for (int64_t p = 0; p < n_slots; p++) {
-        int64_t s = slots[p];
-        int64_t m = lengths[s];
-        const double *d = data + s * m_max * NCOLS;
-        for (int c = 0; c < NCOLS; c += 2) {
-            double lo = INFINITY, hi = -INFINITY;
-            for (int64_t i = 0; i < m; i++) {
-                lo = fold_min(lo, d[i * NCOLS + c]);
-                hi = fold_max(hi, d[i * NCOLS + c] + d[i * NCOLS + c + 1]);
-            }
-            hull[c * cap + s] = lo;
-            hull[(c + 1) * cap + s] = hi;
+    int64_t m = r->lengths[s], cap = r->cap, n_buckets = r->n_buckets;
+    const double *d = r->data + s * r->m_max * NCOLS;
+    for (int c = 0; c < NCOLS; c += 2) {
+        double lo = INFINITY, hi = -INFINITY;
+        for (int64_t i = 0; i < m; i++) {
+            lo = fold_min(lo, d[i * NCOLS + c]);
+            hi = fold_max(hi, d[i * NCOLS + c] + d[i * NCOLS + c + 1]);
         }
-        for (int64_t b = 0; b < n_buckets; b++) {
-            double e_lo = edges[b], e_hi = edges[b + 1];
-            uint8_t occ = 0;
-            double x_lo = INFINITY, nx_hi = INFINITY;
-            double y_lo = INFINITY, ny_hi = INFINITY;
-            double t_lo = INFINITY, nt_hi = INFINITY;
-            for (int64_t i = 0; i < m; i++) {
-                const double *r = d + i * NCOLS;
-                double t = r[TCOL];
-                double t_end = t + r[DTCOL];
-                if (t <= e_hi && t_end >= e_lo) {
-                    occ = 1;
-                    x_lo = fold_min(x_lo, r[XCOL]);
-                    nx_hi = fold_min(nx_hi, -(r[XCOL] + r[DXCOL]));
-                    y_lo = fold_min(y_lo, r[YCOL]);
-                    ny_hi = fold_min(ny_hi, -(r[YCOL] + r[DYCOL]));
-                    t_lo = fold_min(t_lo, t);
-                    nt_hi = fold_min(nt_hi, -t_end);
-                }
+        r->hull[c * cap + s] = lo;
+        r->hull[(c + 1) * cap + s] = hi;
+    }
+    for (int64_t b = 0; b < n_buckets; b++) {
+        double e_lo = r->edges[b], e_hi = r->edges[b + 1];
+        uint8_t occ = 0;
+        double x_lo = INFINITY, nx_hi = INFINITY;
+        double y_lo = INFINITY, ny_hi = INFINITY;
+        double t_lo = INFINITY, nt_hi = INFINITY;
+        for (int64_t i = 0; i < m; i++) {
+            const double *row = d + i * NCOLS;
+            double t = row[TCOL];
+            double t_end = t + row[DTCOL];
+            if (t <= e_hi && t_end >= e_lo) {
+                occ = 1;
+                x_lo = fold_min(x_lo, row[XCOL]);
+                nx_hi = fold_min(nx_hi, -(row[XCOL] + row[DXCOL]));
+                y_lo = fold_min(y_lo, row[YCOL]);
+                ny_hi = fold_min(ny_hi, -(row[YCOL] + row[DYCOL]));
+                t_lo = fold_min(t_lo, t);
+                nt_hi = fold_min(nt_hi, -t_end);
             }
-            double *h = bhull + (s * n_buckets + b) * 6;
-            h[0] = x_lo;
-            h[1] = -nx_hi;
-            h[2] = y_lo;
-            h[3] = -ny_hi;
-            h[4] = t_lo > e_lo ? t_lo : e_lo;
-            h[5] = -nt_hi < e_hi ? -nt_hi : e_hi;
-            bocc[s * n_buckets + b] = occ;
+        }
+        double *h = r->bhull + (s * n_buckets + b) * 6;
+        h[0] = x_lo;
+        h[1] = -nx_hi;
+        h[2] = y_lo;
+        h[3] = -ny_hi;
+        h[4] = t_lo > e_lo ? t_lo : e_lo;
+        h[5] = -nt_hi < e_hi ? -nt_hi : e_hi;
+        r->bocc[s * n_buckets + b] = occ;
+    }
+}
+
+void glove_summarize(const resident_t *r, const int64_t *slots, int64_t n_slots)
+{
+    for (int64_t p = 0; p < n_slots; p++)
+        summarize_slot(r, slots[p]);
+}
+
+/* The Fingerprint constructor's data + 0.0: -0.0 becomes +0.0. */
+static void canonicalize(double *rows, int64_t n)
+{
+    for (int64_t i = 0; i < n * NCOLS; i++)
+        rows[i] += 0.0;
+}
+
+/* One GLOVE merge, slot a with slot b into the empty slot dst: the
+ * two-stage merge (the longer slot leads, a on equal lengths), the
+ * constructor's signed-zero canonicalization, the reshape when asked
+ * (on T-sorted rows without an overlap it returns them unchanged),
+ * the canonicalization again, then the product's row, length, count
+ * and mask, and its summaries when asked.  Returns the product's
+ * length, or -1 when scratch allocation fails. */
+int64_t glove_merge_step(
+    const resident_t *r, int64_t a, int64_t b, int64_t dst,
+    int reshape, double atol, int summarize,
+    double w_sigma, double w_tau, double phi_sigma, double phi_tau)
+{
+    int64_t row_len = r->m_max * NCOLS;
+    int64_t lng = r->lengths[a] >= r->lengths[b] ? a : b;
+    int64_t sht = lng == a ? b : a;
+    int64_t ms = r->lengths[sht];
+    double *merged = malloc((size_t)(ms * NCOLS) * sizeof(double));
+    if (merged == NULL)
+        return -1;
+    double *out = r->data + dst * row_len;
+    int64_t n = glove_merge(
+        r->data + lng * row_len, r->lengths[lng], r->data + sht * row_len, ms,
+        (double)r->counts[lng], (double)r->counts[sht],
+        w_sigma, w_tau, phi_sigma, phi_tau, merged);
+    if (n >= 0) {
+        canonicalize(merged, n);
+        if (reshape) {
+            n = glove_reshape(merged, n, atol, out);
+        } else {
+            for (int64_t i = 0; i < n * NCOLS; i++)
+                out[i] = merged[i];
         }
     }
+    free(merged);
+    if (n < 0)
+        return -1;
+    canonicalize(out, n);
+    r->lengths[dst] = n;
+    r->counts[dst] = r->counts[a] + r->counts[b];
+    for (int64_t i = 0; i < n; i++)
+        r->mask[dst * r->m_max + i] = 1;
+    if (summarize)
+        summarize_slot(r, dst);
+    return n;
 }
 """
 
@@ -847,69 +921,78 @@ def _compile(cache: Path) -> Optional[str]:
     return reason
 
 
-def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    import numpy.ctypeslib as npc
+class ResidentBlock(ctypes.Structure):
+    """The C text's ``resident_t``, field for field: the addresses and
+    dimensions of one engine's resident arrays, passed by address."""
 
-    f64 = npc.ndpointer(dtype="float64", flags="C_CONTIGUOUS")
-    i64 = npc.ndpointer(dtype="int64", flags="C_CONTIGUOUS")
+    _fields_ = [
+        ("data", ctypes.c_void_p),
+        ("cap", ctypes.c_int64),
+        ("m_max", ctypes.c_int64),
+        ("lengths", ctypes.c_void_p),
+        ("counts", ctypes.c_void_p),
+        ("mask", ctypes.c_void_p),
+        ("hull", ctypes.c_void_p),
+        ("bucket_hull", ctypes.c_void_p),
+        ("bucket_occ", ctypes.c_void_p),
+        ("n_buckets", ctypes.c_int64),
+        ("edges", ctypes.c_void_p),
+    ]
+
+
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    # Every pointer is a raw address: the callers validate shape, dtype
+    # and C-contiguity before taking one (DESIGN.md D9), so no call pays
+    # numpy.ctypeslib.ndpointer's per-argument conversion.
+    ptr = ctypes.c_void_p
     c_i64 = ctypes.c_int64
     c_f64 = ctypes.c_double
+    cfg = [c_f64, c_f64, c_f64, c_f64]     # w_sigma, w_tau, phis
     lib.glove_one_vs_all.restype = ctypes.c_int
     lib.glove_one_vs_all.argtypes = [
-        f64, c_i64, c_f64,                 # a_data, ma, n_a
-        f64, c_i64,                        # data, m_max
-        i64, i64,                          # lengths, counts
-        i64, c_i64,                        # targets, n_targets
-        c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64,                               # out
+        ptr, c_i64, c_f64,                 # a_data, ma, n_a
+        ptr, c_i64,                        # data, m_max
+        ptr, ptr,                          # lengths, counts
+        ptr, c_i64,                        # targets, n_targets
+        *cfg, ptr,                         # out
     ]
     lib.glove_pairwise_matrix.restype = ctypes.c_int
     lib.glove_pairwise_matrix.argtypes = [
-        f64, c_i64, c_i64,                 # data, n, m_max
-        i64, i64,                          # lengths, counts
-        c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64,                               # mat
+        ptr, c_i64, c_i64,                 # data, n, m_max
+        ptr, ptr,                          # lengths, counts
+        *cfg, ptr,                         # mat
     ]
-    u8 = npc.ndpointer(dtype="uint8", flags="C_CONTIGUOUS")
     lib.glove_bounded_many_vs_some.restype = ctypes.c_int
     lib.glove_bounded_many_vs_some.argtypes = [
-        i64, c_i64,                        # probe_slots, n_probes
-        f64, c_i64,                        # data, m_max
-        i64, i64,                          # lengths, counts
-        f64, c_i64,                        # hull, hull_cap
-        f64, u8, c_i64,                    # bucket_hull, bucket_occ, n_buckets
-        i64, i64,                          # flat_targets, offsets
-        f64, u8, f64,                      # thresholds, reverse, best_vals
-        c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64, i64,                          # out, pruned
+        ptr,                               # resident block
+        ptr, c_i64,                        # probe_slots, n_probes
+        ptr, ptr,                          # flat_targets, offsets
+        ptr, ptr, ptr,                     # thresholds, reverse, best_vals
+        *cfg, ptr, ptr,                    # out, pruned
     ]
     lib.glove_bounded_many_vs_all.restype = ctypes.c_int
     lib.glove_bounded_many_vs_all.argtypes = [
-        i64, c_i64,                        # probe_slots, n_probes
-        f64, c_i64,                        # data, m_max
-        i64, i64,                          # lengths, counts
-        f64, c_i64,                        # hull, hull_cap
-        f64, u8, c_i64,                    # bucket_hull, bucket_occ, n_buckets
-        i64, c_i64,                        # targets, n_targets
-        f64,                               # thresholds
-        c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64, i64, i64,                     # best, best_idx, pruned
+        ptr,                               # resident block
+        ptr, c_i64,                        # probe_slots, n_probes
+        ptr, c_i64,                        # targets, n_targets
+        ptr,                               # thresholds
+        *cfg, ptr, ptr, ptr,               # best, best_idx, pruned
     ]
     lib.glove_merge.restype = c_i64
     lib.glove_merge.argtypes = [
-        f64, c_i64, f64, c_i64,            # long, m_long, short, m_short
+        ptr, c_i64, ptr, c_i64,            # long, m_long, short, m_short
         c_f64, c_f64,                      # n_long, n_short
-        c_f64, c_f64, c_f64, c_f64,        # w_sigma, w_tau, phis
-        f64,                               # out
+        *cfg, ptr,                         # out
     ]
     lib.glove_reshape.restype = c_i64
-    lib.glove_reshape.argtypes = [f64, c_i64, c_f64, f64]  # data, m, atol, out
+    lib.glove_reshape.argtypes = [ptr, c_i64, c_f64, ptr]  # data, m, atol, out
     lib.glove_summarize.restype = None
-    lib.glove_summarize.argtypes = [
-        i64, c_i64,                        # slots, n_slots
-        f64, c_i64, c_i64, i64,            # data, capacity, m_max, lengths
-        f64, c_i64,                        # edges, n_buckets
-        f64, f64, u8,                      # hull, bucket_hull, bucket_occ
+    lib.glove_summarize.argtypes = [ptr, ptr, c_i64]  # resident block, slots, n_slots
+    lib.glove_merge_step.restype = c_i64
+    lib.glove_merge_step.argtypes = [
+        ptr, c_i64, c_i64, c_i64,          # resident block, a, b, dst
+        ctypes.c_int, c_f64, ctypes.c_int,  # reshape, atol, summarize
+        *cfg,
     ]
     return lib
 

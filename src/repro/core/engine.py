@@ -34,6 +34,7 @@ import numpy as np
 from repro.core import kernels
 from repro.core.config import ComputeConfig, StretchConfig, env_int
 from repro.core.fingerprint import Fingerprint
+from repro.core.merge import merge_sample_arrays
 from repro.core.pairwise import (
     PaddedFingerprints,
     bucket_lower_bounds,
@@ -41,6 +42,7 @@ from repro.core.pairwise import (
     many_vs_some,
     one_vs_all,
 )
+from repro.core.reshape import ATOL, has_temporal_overlap, reshape_sample_array
 from repro.core.sample import DT, DX, DY, NCOLS, T, X, Y
 
 # ----------------------------------------------------------------------
@@ -110,8 +112,9 @@ class SlotStore:
 
     Duck-types the :class:`repro.core.pairwise.PaddedFingerprints`
     interface (``data``, ``mask``, ``lengths``, ``counts``) so the bulk
-    kernels can address live slots directly while slots are appended
-    (merge products) and retired (merged-away parents).
+    kernels can address live slots directly while slots are filled
+    (merge products, :meth:`StretchEngine.merge_step`) and retired
+    (merged-away parents).
 
     Merged fingerprints never have more samples than their shorter
     parent, so the per-slot sample capacity ``m_max`` is fixed by the
@@ -148,7 +151,8 @@ class SlotStore:
         """Per-slot sample capacity."""
         return self.data.shape[1]
 
-    def _grow(self) -> None:
+    def grow(self) -> None:
+        """Grow the slot capacity geometrically; the new slots are empty."""
         new_cap = max(self.capacity + 1, self.capacity * 3 // 2)
         for name in ("data", "mask", "lengths", "counts", "alive"):
             setattr(self, name, grow_array(getattr(self, name), new_cap))
@@ -162,12 +166,20 @@ class SlotStore:
                 f"per-slot capacity {self.m_max}"
             )
         if self.size == self.capacity:
-            self._grow()
+            self.grow()
         slot = self.size
         self.data[slot, : fp.m] = fp.data
         self.mask[slot, : fp.m] = True
         self.lengths[slot] = fp.m
         self.counts[slot] = fp.count
+        return self.commit(fp)
+
+    def commit(self, fp: Fingerprint) -> int:
+        """Make the next slot live as ``fp``; returns the slot id.
+
+        Its row, length, count and mask must already hold ``fp``.
+        """
+        slot = self.size
         self.alive[slot] = True
         self.fps[slot] = fp
         self.size += 1
@@ -260,8 +272,10 @@ class StretchBackend(abc.ABC):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Bounded argmin per probe slot over one shared target set.
 
-        ``store`` holds the slots, ``bounds`` is the engine's
-        ``(hull, bucket_hull, bucket_occ)`` summary triple.  Returns
+        ``store`` holds the slots; ``bounds`` is the engine's
+        :class:`~repro.core.kernels.Resident`, whose ``hull``,
+        ``bucket_hull`` and ``bucket_occ`` are the bound summaries and
+        whose ``address`` the native entries read them by.  Returns
         ``(best, best_idx, pruned)``: the lowest-id minimum of the
         probe's exact efforts when it is strictly below
         ``thresholds[p]``, ``(thresholds[p], -1)`` otherwise, and the
@@ -361,7 +375,7 @@ class NumpyBackend(StretchBackend):
         same values.
         """
         probe_slots = np.asarray(probe_slots, dtype=np.int64)
-        hull, bucket_hull, bucket_occ = bounds
+        hull, bucket_hull, bucket_occ = bounds.hull, bounds.bucket_hull, bounds.bucket_occ
         cfg = self.stretch
         t_lists = [np.asarray(t, dtype=np.int64) for t in targets_list]
         rows = [np.full(t.size, np.inf) for t in t_lists]
@@ -507,7 +521,6 @@ class CompiledBackend(StretchBackend):
                 np.empty(0, dtype=np.int64),
                 np.zeros(0, dtype=np.int64),
             )
-        hull, bucket_hull, bucket_occ = bounds
         thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
         slices = self._probe_slices(P)
         self.n_boundary_crossings += len(slices)
@@ -517,8 +530,7 @@ class CompiledBackend(StretchBackend):
 
         def run(s: int, e: int):
             return kernels.bounded_many_vs_all_arrays(
-                probe_slots[s:e], store.data, store.lengths, store.counts,
-                hull, bucket_hull, bucket_occ, targets, thresholds[s:e], *args,
+                bounds, probe_slots[s:e], targets, thresholds[s:e], *args
             )
 
         if len(slices) == 1:
@@ -552,7 +564,6 @@ class CompiledBackend(StretchBackend):
         total = int(offsets[-1])
         flat_out = np.empty(total, dtype=np.float64)
         if total:
-            hull, bucket_hull, bucket_occ = bounds
             flat_targets = np.concatenate(t_arrays)
             flat_reverse = np.concatenate(
                 [np.asarray(r, dtype=bool) for r in reverse_list]
@@ -567,8 +578,7 @@ class CompiledBackend(StretchBackend):
 
             def run(s: int, e: int):
                 return kernels.bounded_many_vs_some_arrays(
-                    probe_slots[s:e], store.data, store.lengths, store.counts,
-                    hull, bucket_hull, bucket_occ,
+                    bounds, probe_slots[s:e],
                     flat_targets[offsets[s] : offsets[e]],
                     np.ascontiguousarray(offsets[s : e + 1] - offsets[s]),
                     thresholds[s:e],
@@ -723,6 +733,11 @@ class StretchEngine:
     any candidate whose bound is already worse than its current best.
     With ``pruning`` off every summary is neutral: both bounds are 0
     and the same entries evaluate every pair.
+
+    The store's arrays and the summaries are the engine's *resident*
+    arrays: a :class:`~repro.core.kernels.Resident` validates them at
+    construction and after every growth, and the native entries read
+    them by its address (DESIGN.md D9, "Binding by address").
     """
 
     def __init__(
@@ -739,13 +754,69 @@ class StretchEngine:
         self._init_bounds()
 
     # -- slot lifecycle -------------------------------------------------
-    def append(self, fp: Fingerprint) -> int:
-        """Add a fingerprint (e.g. a merge product); returns its slot."""
-        slot = self.store.append(fp)
-        self._ensure_bound_capacity()
+    def merge_step(self, i: int, j: int, reshape: bool = True) -> int:
+        """Merge slots ``i`` and ``j`` into the next slot; returns its id.
+
+        One merge of Alg. 1: the two-stage merge of Eq. 12-13 (the
+        longer slot leads, ``i`` on equal lengths), the reshape when
+        ``reshape``, the product's row, length, count and mask, and its
+        bound summaries.  On a bound kernel tier that is one native call
+        (``kernels.merge_step``), otherwise the NumPy bodies; either way
+        the bytes are :func:`~repro.core.merge.merge_fingerprints`
+        followed by :func:`~repro.core.reshape.reshape_fingerprint`
+        (DESIGN.md D9, "The merge step").  The product's
+        :class:`Fingerprint` is built once, from its row; the parents
+        stay alive until :meth:`retire`.
+        """
+        store = self.store
+        dst = self._next_slot()
+        if kernels.COMPILED_AVAILABLE:
+            cfg = self.stretch
+            n = kernels.merge_step(
+                self._resident, i, j, dst, reshape, ATOL, self.pruning,
+                cfg.w_sigma, cfg.w_tau, cfg.phi_max_sigma_m, cfg.phi_max_tau_min,
+            )
+        else:
+            n = self._merge_rows(i, j, dst, reshape)
+        a, b = store.fps[i], store.fps[j]
+        return store.commit(
+            Fingerprint(
+                f"{a.uid}+{b.uid}", store.data[dst, :n],
+                count=a.count + b.count, members=a.members + b.members,
+            )
+        )
+
+    def _merge_rows(self, i: int, j: int, dst: int, reshape: bool) -> int:
+        """NumPy body of :meth:`merge_step`: writes the product of slots
+        ``i`` and ``j`` to slot ``dst`` and returns its length."""
+        store = self.store
+        self._resident.check_filled([i, j])
+        lng, sht = (i, j) if store.lengths[i] >= store.lengths[j] else (j, i)
+        # ``+ 0.0`` is the Fingerprint constructor's signed-zero
+        # canonicalization, applied where the chain builds one.
+        rows = merge_sample_arrays(
+            store.probe(lng), store.probe(sht),
+            int(store.counts[lng]), int(store.counts[sht]), self.stretch,
+        ) + 0.0
+        if reshape and has_temporal_overlap(rows):
+            rows = reshape_sample_array(rows) + 0.0
+        n = rows.shape[0]
+        store.data[dst, :n] = rows
+        store.mask[dst, :n] = True
+        store.lengths[dst] = n
+        store.counts[dst] = store.counts[i] + store.counts[j]
         if self.pruning:
-            self._summarize_slots([slot])
-        return slot
+            self._summarize(dst)
+        return n
+
+    def _next_slot(self) -> int:
+        """The slot the next product fills, growing the store and the
+        summaries (and rebinding them) first when the store is full."""
+        store = self.store
+        if store.size == store.capacity:
+            store.grow()
+            self._grow_bounds()
+        return store.size
 
     def retire(self, slot: int) -> None:
         """Retire a slot whose fingerprint was merged away."""
@@ -764,9 +835,6 @@ class StretchEngine:
         return self.backend.pairwise_matrix(self.store.view())
 
     # -- bounded dispatch (DESIGN.md D13) --------------------------------
-    def _bounds_pack(self):
-        return (self._hull, self._bucket_hull, self._bucket_occ)
-
     def _thresholds(self, n: int, thresholds) -> np.ndarray:
         if thresholds is None:
             return np.full(n, np.inf, dtype=np.float64)
@@ -785,7 +853,7 @@ class StretchEngine:
         """
         slots_arr = np.ascontiguousarray(slots, dtype=np.int64)
         return self.backend.bounded_many_vs_all(
-            slots_arr, self.store, self._bounds_pack(),
+            slots_arr, self.store, self._resident,
             targets, self._thresholds(slots_arr.size, thresholds),
         )
 
@@ -808,7 +876,7 @@ class StretchEngine:
         """
         slots_arr = np.ascontiguousarray(slots, dtype=np.int64)
         return self.backend.bounded_many_vs_some(
-            slots_arr, self.store, self._bounds_pack(), targets_list,
+            slots_arr, self.store, self._resident, targets_list,
             self._thresholds(slots_arr.size, thresholds), reverse_list, best_vals,
         )
 
@@ -821,6 +889,8 @@ class StretchEngine:
             self._hull = np.repeat(_NEUTRAL_HULL[:, None], cap, axis=1)
             self._bucket_hull = np.tile(_NEUTRAL_HULL, (cap, 1, 1))
             self._bucket_occ = np.ones((cap, 1), dtype=bool)
+            self._bucket_edges = _NEUTRAL_HULL[:2].copy()
+            self._bind()
             return
         live = store.mask[:n]
         t = store.data[:n, :, T]
@@ -836,30 +906,34 @@ class StretchEngine:
         self._hull = np.zeros((6, cap), dtype=np.float64)
         self._bucket_hull = np.zeros((cap, n_buckets, 6), dtype=np.float64)
         self._bucket_occ = np.zeros((cap, n_buckets), dtype=bool)
+        self._bind()
         self._summarize_slots(np.arange(n))
 
-    def _ensure_bound_capacity(self) -> None:
+    def _bind(self) -> None:
+        """Validate the resident arrays and take their addresses (D9)."""
+        self._resident = kernels.Resident(
+            self.store, self._hull, self._bucket_hull, self._bucket_occ,
+            self._bucket_edges,
+        )
+
+    def _grow_bounds(self) -> None:
         cap = self.store.capacity
         # The SoA hull grows along columns (slots are axis 1); the
         # shared grow_array helper only grows rows.  New slots start
         # neutral until summarized.
-        if self._hull.shape[1] < cap:
-            hull = np.repeat(_NEUTRAL_HULL[:, None], cap, axis=1)
-            hull[:, : self._hull.shape[1]] = self._hull
-            self._hull = hull
+        hull = np.repeat(_NEUTRAL_HULL[:, None], cap, axis=1)
+        hull[:, : self._hull.shape[1]] = self._hull
+        self._hull = hull
         self._bucket_hull = grow_array(self._bucket_hull, cap, _NEUTRAL_HULL)
         self._bucket_occ = grow_array(self._bucket_occ, cap, True)
+        self._bind()
 
     def _summarize_slots(self, slots) -> None:
         """Summarize slots: one native call on a bound kernel tier
         (``kernels.summarize_arrays``, bitwise :meth:`_summarize`),
         the NumPy body per slot otherwise."""
         if kernels.COMPILED_AVAILABLE:
-            store = self.store
-            kernels.summarize_arrays(
-                np.asarray(slots, dtype=np.int64), store.data, store.lengths,
-                self._bucket_edges, self._hull, self._bucket_hull, self._bucket_occ,
-            )
+            kernels.summarize_arrays(self._resident, slots)
         else:
             for slot in slots:
                 self._summarize(slot)

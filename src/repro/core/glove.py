@@ -46,8 +46,6 @@ from repro.core.engine import (
     grow_array,
 )
 from repro.core.fingerprint import Fingerprint
-from repro.core.merge import merge_fingerprints
-from repro.core.reshape import reshape_fingerprint
 from repro.core.suppression import SuppressionStats, suppress_dataset
 from repro.obs import get_metrics
 
@@ -392,19 +390,6 @@ def _anonymize(
     return out
 
 
-def _merge_pair(a: Fingerprint, b: Fingerprint, config: GloveConfig) -> Fingerprint:
-    """Merge (and optionally reshape) two fingerprints per the config.
-
-    The single definition of GLOVE's merge post-processing, shared by
-    the greedy loop, the leftover fold and the sharded tier's boundary
-    repair so the steps can never diverge.
-    """
-    merged = merge_fingerprints(a, b, config.stretch)
-    if config.reshape:
-        merged = reshape_fingerprint(merged)
-    return merged
-
-
 def _greedy_merge(
     engine: StretchEngine,
     fps: List[Fingerprint],
@@ -436,14 +421,11 @@ def _greedy_merge(
     # sequential insert()-per-slot build — see _NearestNeighbours.build).
     nn.build(np.flatnonzero(pending))
 
-    def merge_pair(i: int, j: int) -> Fingerprint:
-        return _merge_pair(store.fps[i], store.fps[j], config)
-
     while pending.sum() >= 2:
         live = np.flatnonzero(pending)
         i = int(live[nn.best_val[live].argmin()])
         j = int(nn.best_idx[i])
-        merged = merge_pair(i, j)
+        slot = engine.merge_step(i, j, config.reshape)
         stats.n_merges += 1
 
         pending[i] = pending[j] = False
@@ -456,10 +438,9 @@ def _greedy_merge(
         bi = nn.best_idx[live]
         invalidated = live[((bi == i) | (bi == j)) & (live != i) & (live != j)]
 
-        slot = engine.append(merged)
         pending = grow_array(pending, store.capacity, False)
         nn.ensure_capacity()
-        if merged.count >= k:
+        if store.counts[slot] >= k:
             finished.append(slot)
         else:
             pending[slot] = True
@@ -497,10 +478,9 @@ def _fold_leftover(
     if not finished:
         raise RuntimeError("no finished group to absorb the leftover fingerprint")
     _, tgt = nn.scan(leftover, np.array(sorted(finished), dtype=np.int64))
-    merged = _merge_pair(engine.store.fps[leftover], engine.store.fps[tgt], config)
+    slot = engine.merge_step(leftover, tgt, config.reshape)
     stats.n_merges += 1
     stats.leftover_merged = True
-    slot = engine.append(merged)
     engine.retire(leftover)
     engine.retire(tgt)
     finished[finished.index(tgt)] = slot

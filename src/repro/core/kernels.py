@@ -19,18 +19,40 @@ operation order — NumPy's maximum/minimum tie rule, explicit clamps so
 NumPy's pairwise summation over the same zero-padded widths — so every
 entry returns the reference's bits.
 
-The ``*_arrays`` entries below are bound only when the library loads.
+The entries below are bound only when the library loads.
 ``COMPILED_TIER`` names the bound tier (``"cc"`` or ``None``) and
 ``COMPILED_AVAILABLE`` is true when it is bound — that is what
-:class:`repro.core.engine.CompiledBackend`, the merge, the reshape and
-the engine's bound summaries key on; without it they run the NumPy
-bodies.  ``FALLBACK_REASON`` says why no tier is bound (``None`` when
-one is).
+:class:`repro.core.engine.CompiledBackend`, the engine's merge step and
+bound summaries, the merge and the reshape key on; without it they run
+the NumPy bodies.  ``FALLBACK_REASON`` says why no tier is bound
+(``None`` when one is).  The entries that read an engine's store and
+summaries take its :class:`Resident`, validated once per binding, so a
+call converts only its own small per-call arrays (DESIGN.md D9).
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
+
+from repro.core import _ckernel
+from repro.obs import on_install
+
+
+def _ptr(arr):
+    """Address of a C-contiguous array's first element (``None`` when empty).
+
+    ``c_char.from_buffer`` reads it in well under a microsecond, where
+    ``arr.ctypes.data`` and an ``ndpointer`` argument each cost ~2.5 µs;
+    a read-only array takes the general route.
+    """
+    if arr.nbytes == 0:
+        return None
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    except TypeError:
+        return arr.ctypes.data
 
 
 def _sample_rows(name, rows):
@@ -44,11 +66,99 @@ def _sample_rows(name, rows):
     return rows
 
 
+def _padded(data, lengths, counts):
+    """A padded tensor's arrays as C-contiguous float64/int64, or ``ValueError``."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+    counts = np.ascontiguousarray(counts, dtype=np.int64)
+    n = data.shape[0] if data.ndim == 3 else -1
+    if data.ndim != 3 or data.shape[2] != 6 or not lengths.shape == counts.shape == (n,):
+        raise ValueError(
+            f"expected an (n, m_max, 6) tensor with n lengths and counts, got "
+            f"{data.shape}, {lengths.shape} and {counts.shape}"
+        )
+    return data, lengths, counts
+
+
+class Resident:
+    """A :class:`~repro.core.engine.StretchEngine`'s resident arrays,
+    validated, behind the one address the native entries read them by.
+
+    The slot store's ``(cap, m_max, 6)`` ``data``, its ``lengths``,
+    ``counts`` and ``(cap, m_max)`` ``mask``; the ``(6, cap)`` ``hull``,
+    the ``(cap, B, 6)`` ``bucket_hull``, the ``(cap, B)`` ``bucket_occ``
+    and the ``B + 1`` bucket ``edges``.  Each must be C-contiguous and
+    writable with its dtype and shape, or ``ValueError`` (DESIGN.md D9,
+    "Binding by address").  The instance holds every array for as long
+    as it lives, so its addresses cannot dangle; the engine builds one at
+    construction and a fresh one after every growth, and the old one
+    lets go of the retired arrays with it.
+    """
+
+    def __init__(self, store, hull, bucket_hull, bucket_occ, edges):
+        data = store.data
+        if not isinstance(data, np.ndarray) or data.ndim != 3:
+            raise ValueError(f"resident array data must be 3-D, got {np.shape(data)}")
+        if not isinstance(edges, np.ndarray) or edges.ndim != 1 or edges.shape[0] < 2:
+            raise ValueError(f"resident bucket edges must be 1-D with 2+ entries, "
+                             f"got {np.shape(edges)}")
+        cap, m_max = data.shape[:2]
+        n_buckets = edges.shape[0] - 1
+        specs = (
+            ("data", data, np.float64, (cap, m_max, 6)),
+            ("lengths", store.lengths, np.int64, (cap,)),
+            ("counts", store.counts, np.int64, (cap,)),
+            ("mask", store.mask, np.bool_, (cap, m_max)),
+            ("hull", hull, np.float64, (6, cap)),
+            ("bucket_hull", bucket_hull, np.float64, (cap, n_buckets, 6)),
+            ("bucket_occ", bucket_occ, np.bool_, (cap, n_buckets)),
+            ("edges", edges, np.float64, (n_buckets + 1,)),
+        )
+        for name, arr, dtype, shape in specs:
+            if not (
+                isinstance(arr, np.ndarray)
+                and arr.dtype == dtype
+                and arr.shape == shape
+                and arr.flags.c_contiguous
+                and arr.flags.writeable
+            ):
+                got = (
+                    f"{arr.dtype} {arr.shape} (C-contiguous: {arr.flags.c_contiguous}, "
+                    f"writable: {arr.flags.writeable})"
+                    if isinstance(arr, np.ndarray) else type(arr).__name__
+                )
+                raise ValueError(
+                    f"resident array {name} must be a C-contiguous, writable "
+                    f"{np.dtype(dtype)} array of shape {shape}, got {got}"
+                )
+        self.arrays = {name: arr for name, arr, _, _ in specs}
+        self.lengths = store.lengths
+        self.hull, self.bucket_hull, self.bucket_occ = hull, bucket_hull, bucket_occ
+        self.cap, self.m_max, self.n_buckets = cap, m_max, n_buckets
+        self.block = _ckernel.ResidentBlock(
+            cap=cap, m_max=m_max, n_buckets=n_buckets,
+            **{name: _ptr(arr) for name, arr in self.arrays.items()},
+        )
+        #: The block's address: the one pointer argument of a resident call.
+        self.address = ctypes.addressof(self.block)
+
+    def check_filled(self, slots) -> None:
+        """``ValueError`` unless every slot id names a filled slot."""
+        lengths = self.lengths
+        if isinstance(slots, np.ndarray):
+            filled = slots.size == 0 or bool(
+                0 <= slots.min() and slots.max() < self.cap
+                and (lengths[slots] >= 1).all() and (lengths[slots] <= self.m_max).all()
+            )
+        else:
+            filled = all(0 <= s < self.cap and 1 <= lengths[s] <= self.m_max for s in slots)
+        if not filled:
+            raise ValueError("slot ids must name filled slots of the store")
+
+
 def _bind_cc():
     """``(wrappers, None)`` over the system-compiled library, or
     ``(None, reason)`` when it did not load."""
-    from repro.core import _ckernel
-
     lib = _ckernel.LIB
     if lib is None:
         return None, _ckernel.LOAD_ERROR
@@ -57,12 +167,15 @@ def _bind_cc():
         a_data, n_a, data, lengths, counts, targets,
         w_sigma, w_tau, phi_sigma, phi_tau,
     ):
+        a_data = _sample_rows("a_data", a_data)
+        data, lengths, counts = _padded(data, lengths, counts)
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
         out = np.empty(targets.shape[0], dtype=np.float64)
         rc = lib.glove_one_vs_all(
-            np.ascontiguousarray(a_data), a_data.shape[0], float(n_a),
-            data, data.shape[1], lengths, counts,
-            np.ascontiguousarray(targets), targets.shape[0],
-            w_sigma, w_tau, phi_sigma, phi_tau, out,
+            _ptr(a_data), a_data.shape[0], float(n_a),
+            _ptr(data), data.shape[1], _ptr(lengths), _ptr(counts),
+            _ptr(targets), targets.shape[0],
+            w_sigma, w_tau, phi_sigma, phi_tau, _ptr(out),
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
@@ -71,77 +184,73 @@ def _bind_cc():
     def pairwise_matrix_cc(
         data, lengths, counts, w_sigma, w_tau, phi_sigma, phi_tau,
     ):
+        data, lengths, counts = _padded(data, lengths, counts)
         n = data.shape[0]
         mat = np.full((n, n), np.inf, dtype=np.float64)
         rc = lib.glove_pairwise_matrix(
-            data, n, data.shape[1], lengths, counts,
-            w_sigma, w_tau, phi_sigma, phi_tau, mat,
+            _ptr(data), n, data.shape[1], _ptr(lengths), _ptr(counts),
+            w_sigma, w_tau, phi_sigma, phi_tau, _ptr(mat),
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
         return mat
 
-    def _occ_u8(bucket_occ):
-        # The C entries take the occupancy mask as uint8; a bool array
-        # is one byte per element, so this is a free reinterpret.
-        return np.ascontiguousarray(bucket_occ).view(np.uint8)
-
+    # The bounded entries read the store and the summaries through the
+    # engine's Resident; only their per-call arrays are taken here.
     def bounded_many_vs_all_cc(
-        probe_slots, data, lengths, counts,
-        hull, bucket_hull, bucket_occ,
-        targets, thresholds,
+        resident, probe_slots, targets, thresholds,
         w_sigma, w_tau, phi_sigma, phi_tau,
     ):
+        probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
         best = np.empty(P, dtype=np.float64)
         best_idx = np.empty(P, dtype=np.int64)
         pruned = np.zeros(P, dtype=np.int64)
         if P == 0:
             return best, best_idx, pruned
+        targets = np.ascontiguousarray(targets, dtype=np.int64)
+        thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
         rc = lib.glove_bounded_many_vs_all(
-            np.ascontiguousarray(probe_slots), P,
-            data, data.shape[1], lengths, counts,
-            np.ascontiguousarray(hull), hull.shape[1],
-            np.ascontiguousarray(bucket_hull), _occ_u8(bucket_occ),
-            bucket_occ.shape[1],
-            np.ascontiguousarray(targets), targets.shape[0],
-            np.ascontiguousarray(thresholds),
+            resident.address, _ptr(probe_slots), P,
+            _ptr(targets), targets.shape[0], _ptr(thresholds),
             w_sigma, w_tau, phi_sigma, phi_tau,
-            best, best_idx, pruned,
+            _ptr(best), _ptr(best_idx), _ptr(pruned),
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
         return best, best_idx, pruned
 
     def bounded_many_vs_some_cc(
-        probe_slots, data, lengths, counts,
-        hull, bucket_hull, bucket_occ,
-        flat_targets, offsets, thresholds, reverse, best_vals,
+        resident, probe_slots, flat_targets, offsets, thresholds, reverse, best_vals,
         w_sigma, w_tau, phi_sigma, phi_tau,
     ):
+        probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
+        flat_targets = np.ascontiguousarray(flat_targets, dtype=np.int64)
         out = np.empty(flat_targets.shape[0], dtype=np.float64)
         pruned = np.zeros(P, dtype=np.int64)
         if P == 0 or out.size == 0:
             return out, pruned
+        # The C entry takes the reverse flags as uint8; a bool array is
+        # one byte per element, so the view is a free reinterpret.
+        reverse = np.ascontiguousarray(reverse, dtype=np.bool_).view(np.uint8)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
+        best_vals = np.ascontiguousarray(best_vals, dtype=np.float64)
         rc = lib.glove_bounded_many_vs_some(
-            np.ascontiguousarray(probe_slots), P,
-            data, data.shape[1], lengths, counts,
-            np.ascontiguousarray(hull), hull.shape[1],
-            np.ascontiguousarray(bucket_hull), _occ_u8(bucket_occ),
-            bucket_occ.shape[1],
-            np.ascontiguousarray(flat_targets), np.ascontiguousarray(offsets),
-            np.ascontiguousarray(thresholds), _occ_u8(reverse),
-            np.ascontiguousarray(best_vals),
+            resident.address, _ptr(probe_slots), P,
+            _ptr(flat_targets), _ptr(offsets),
+            _ptr(thresholds), _ptr(reverse), _ptr(best_vals),
             w_sigma, w_tau, phi_sigma, phi_tau,
-            out, pruned,
+            _ptr(out), _ptr(pruned),
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
         return out, pruned
 
-    # The merge-product entries take pointers straight from their
-    # callers, so shapes, dtypes and slot ids are checked here first.
+    # The merge-product entries read their rows from their callers (the
+    # stream's absorb and the shard repair), so shapes and dtypes are
+    # checked here first.
     def merge_arrays_cc(
         long, short, n_long, n_short, w_sigma, w_tau, phi_sigma, phi_tau,
     ):
@@ -154,8 +263,9 @@ def _bind_cc():
             )
         out = np.empty_like(short)
         n = lib.glove_merge(
-            long, long.shape[0], short, short.shape[0], float(n_long), float(n_short),
-            w_sigma, w_tau, phi_sigma, phi_tau, out,
+            _ptr(long), long.shape[0], _ptr(short), short.shape[0],
+            float(n_long), float(n_short),
+            w_sigma, w_tau, phi_sigma, phi_tau, _ptr(out),
         )
         if n < 0:
             raise MemoryError("merge kernel scratch allocation failed")
@@ -164,38 +274,33 @@ def _bind_cc():
     def reshape_arrays_cc(data, atol):
         data = _sample_rows("data", data)
         out = np.empty_like(data)
-        n = lib.glove_reshape(data, data.shape[0], atol, out)
+        n = lib.glove_reshape(_ptr(data), data.shape[0], atol, _ptr(out))
         if n < 0:
             raise MemoryError("reshape kernel scratch allocation failed")
         return out, n
 
-    def summarize_arrays_cc(
-        slots, data, lengths, edges, hull, bucket_hull, bucket_occ,
-    ):
-        # The outputs are written in place, so nothing is copied: the
-        # ndpointer argtypes reject a wrong dtype or a non-C layout.
+    def summarize_arrays_cc(resident, slots):
+        # The summaries are written in place through the resident block,
+        # whose arrays were validated when the engine bound them; only
+        # the slot ids are checked here.
         slots = np.ascontiguousarray(slots, dtype=np.int64)
-        cap, m_max = data.shape[:2]
-        n_buckets = edges.shape[0] - 1
-        if not (
-            n_buckets >= 1
-            and data.shape[2:] == (6,)
-            and lengths.shape == (cap,)
-            and hull.shape == (6, cap)
-            and bucket_hull.shape == (cap, n_buckets, 6)
-            and bucket_occ.shape == (cap, n_buckets)
-            and bucket_occ.dtype == np.bool_
-        ):
-            raise ValueError("summary arrays do not match the slot store's capacity")
-        if slots.size and not (
-            0 <= slots.min() and slots.max() < cap
-            and (lengths[slots] >= 1).all() and (lengths[slots] <= m_max).all()
-        ):
-            raise ValueError("slot ids must name filled slots of the store")
-        lib.glove_summarize(
-            slots, slots.shape[0], data, cap, m_max, lengths, edges, n_buckets,
-            hull, bucket_hull, bucket_occ.view(np.uint8),
+        resident.check_filled(slots)
+        lib.glove_summarize(resident.address, _ptr(slots), slots.shape[0])
+
+    def merge_step_cc(
+        resident, a, b, dst, reshape, atol, summarize,
+        w_sigma, w_tau, phi_sigma, phi_tau,
+    ):
+        resident.check_filled((a, b))
+        if not 0 <= dst < resident.cap:
+            raise ValueError(f"product slot {dst} is outside the store's capacity")
+        n = lib.glove_merge_step(
+            resident.address, a, b, dst, bool(reshape), atol, bool(summarize),
+            w_sigma, w_tau, phi_sigma, phi_tau,
         )
+        if n < 0:
+            raise MemoryError("merge kernel scratch allocation failed")
+        return n
 
     return (
         one_vs_all_cc,
@@ -205,6 +310,7 @@ def _bind_cc():
         merge_arrays_cc,
         reshape_arrays_cc,
         summarize_arrays_cc,
+        merge_step_cc,
     ), None
 
 
@@ -219,7 +325,18 @@ if _cc is not None:
         merge_arrays,
         reshape_arrays,
         summarize_arrays,
+        merge_step,
     ) = _cc
 
 #: True when the ``cc`` binding backs the ``compiled`` backend.
 COMPILED_AVAILABLE = COMPILED_TIER is not None
+
+
+def tier_line() -> str:
+    """``kernel tier: cc``, or ``kernel tier: none (<reason>)``."""
+    return f"kernel tier: {COMPILED_TIER or f'none ({FALLBACK_REASON})'}"
+
+
+@on_install
+def _record_tier(registry) -> None:
+    registry.gauge("kernel.cc_bound").set(1.0 if COMPILED_AVAILABLE else 0.0)

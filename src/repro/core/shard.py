@@ -55,12 +55,13 @@ from repro.core.glove import (
     GloveStats,
     _fold_leftover,
     _greedy_merge,
-    _merge_pair,
     finalize_result,
     glove,
     validate_population,
 )
+from repro.core.merge import merge_fingerprints
 from repro.core.pairwise import PaddedFingerprints, one_vs_all
+from repro.core.reshape import reshape_fingerprint
 from repro.core.sample import DT, T
 
 #: Fingerprints per shard the auto rule (``ComputeConfig.shards=None``)
@@ -206,7 +207,10 @@ def _boundary_repair(
         stats.n_boundary_crossings += 1
         stats.n_probe_dispatches += 1
         target = int(efforts.argmin())
-        merged = _merge_pair(fp, finished[target], config)
+        # The same bytes as StretchEngine.merge_step, outside an engine.
+        merged = merge_fingerprints(fp, finished[target], config.stretch)
+        if config.reshape:
+            merged = reshape_fingerprint(merged)
         finished[target] = merged
         # In-place row refresh: a merge product never outgrows its
         # shorter parent, so it always fits the absorbing group's slot.

@@ -14,6 +14,7 @@ from .registry import (
     SNAPSHOT_SCHEMA,
     DEFAULT_LATENCY_BOUNDARIES_S,
     get_metrics,
+    on_install,
     set_metrics,
     validate_snapshot,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "DEFAULT_LATENCY_BOUNDARIES_S",
     "get_metrics",
+    "on_install",
     "set_metrics",
     "validate_snapshot",
     "dump_json",

@@ -306,9 +306,9 @@ class WindowManager:
         # Direct jump: the first index whose end exceeds the watermark.
         first_open = floor((watermark - self.config.window_min - self.origin) / slide) + 1
         first_open = max(first_open, self._next_to_close)
-        closed = [
-            self._open.pop(i) for i in range(self._next_to_close, first_open) if i in self._open
-        ]
+        # Visit the materialized windows, not the index range: one event
+        # far in the future would otherwise walk ~t / slide empty indices.
+        closed = [self._open.pop(i) for i in sorted(self._open) if i < first_open]
         self._next_to_close = first_open
         return closed
 

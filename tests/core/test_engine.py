@@ -28,6 +28,7 @@ from repro.core.pairwise import (
     one_vs_all,
     pairwise_matrix,
 )
+from repro.core.reshape import reshape_fingerprint
 from tests.conftest import make_fp
 from tests.properties.test_k_anonymity import populations
 
@@ -150,8 +151,10 @@ class TestLowerBounds:
 
     def test_bounds_stay_valid_for_merge_products(self, engine, small_civ):
         fps = list(small_civ)
-        merged = merge_fingerprints(fps[0], fps[1], StretchConfig())
-        slot = engine.append(merged)
+        slot = engine.merge_step(0, 1)
+        assert engine.store.fps[slot].data.tobytes() == reshape_fingerprint(
+            merge_fingerprints(fps[0], fps[1], StretchConfig())
+        ).data.tobytes()
         targets = np.arange(2, 10, dtype=np.int64)
         exact = engine.row(slot, targets)
         lb0, lb1 = _bounds(engine, slot, targets)

@@ -14,10 +14,13 @@ The fallback tests run subprocesses with the cc tier disabled
 degrade exactly as documented when no accelerated binding exists.
 """
 
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +31,7 @@ from repro.core import kernels
 from repro.core.config import ComputeConfig, StretchConfig
 from repro.core.engine import StretchEngine
 from repro.core.fingerprint import Fingerprint
-from repro.core.merge import merge_fingerprints, merge_sample_arrays
+from repro.core.merge import merge_sample_arrays
 from repro.core.pairwise import (
     PaddedFingerprints,
     bucket_lower_bounds,
@@ -38,6 +41,7 @@ from repro.core.pairwise import (
 )
 from repro.core.reshape import ATOL, has_temporal_overlap, reshape_sample_array
 from repro.core.sample import T, X, Y, Sample
+from tests.properties.test_differential import SKEWED_STRETCH
 
 # Wide value ranges on purpose: spatial spreads far beyond phi_sigma
 # (20 km) and temporal gaps beyond phi_tau (480 min) exercise the
@@ -155,52 +159,55 @@ class TestKernelParity:
 
 
 def _numpy_bounded():
-    """``NumpyBackend``'s bounded pair behind the kernel entries' signatures.
+    """``NumpyBackend``'s bounded pair behind one flat CSR signature.
 
-    The NumPy pair reads a packed store (its level-1 bound needs the
-    sample mask) and ragged per-probe lists, so the adapter rebuilds both
-    from the flat arrays the native entries take.
+    The NumPy pair takes ragged per-probe lists, so the adapter splits
+    the flat targets and reverse flags the native entry takes.
     """
-    from types import SimpleNamespace
-
     from repro.core.engine import NumpyBackend
 
     backend = NumpyBackend(ComputeConfig(backend="numpy"), StretchConfig())
 
-    def store(data, lengths, counts):
-        mask = np.arange(data.shape[1])[None, :] < lengths[:, None]
-        return SimpleNamespace(data=data, lengths=lengths, counts=counts, mask=mask)
-
-    def bmva(probe_slots, data, lengths, counts, hull, bhull, bocc, targets,
-             thresholds, *cfg_args):
+    def bmva(probe_slots, store, resident, targets, thresholds, *cfg_args):
         return backend.bounded_many_vs_all(
-            probe_slots, store(data, lengths, counts), (hull, bhull, bocc),
-            targets, thresholds,
+            probe_slots, store, resident, targets, thresholds
         )
 
-    def bmvs(probe_slots, data, lengths, counts, hull, bhull, bocc, flat, offsets,
-             thresholds, reverse, best_vals, *cfg_args):
+    def bmvs(probe_slots, store, resident, flat, offsets, thresholds, reverse,
+             best_vals, *cfg_args):
         def split(a):
             return [a[offsets[p] : offsets[p + 1]] for p in range(len(probe_slots))]
 
         rows, pruned = backend.bounded_many_vs_some(
-            probe_slots, store(data, lengths, counts), (hull, bhull, bocc),
-            split(flat), thresholds, split(reverse), best_vals,
+            probe_slots, store, resident, split(flat), thresholds, split(reverse),
+            best_vals,
         )
         return (np.concatenate(rows) if rows else np.empty(0)), pruned
 
     return bmva, bmvs
 
 
+def _cc_bounded():
+    """The native entries, which read the store through the resident block."""
+
+    def bmva(probe_slots, store, resident, targets, thresholds, *cfg_args):
+        return kernels.bounded_many_vs_all_arrays(
+            resident, probe_slots, targets, thresholds, *cfg_args
+        )
+
+    def bmvs(probe_slots, store, resident, flat, offsets, thresholds, reverse,
+             best_vals, *cfg_args):
+        return kernels.bounded_many_vs_some_arrays(
+            resident, probe_slots, flat, offsets, thresholds, reverse, best_vals,
+            *cfg_args,
+        )
+
+    return bmva, bmvs
+
+
 BOUNDED_BINDINGS = [("numpy", *_numpy_bounded())]
 if kernels.COMPILED_AVAILABLE:
-    BOUNDED_BINDINGS.append(
-        (
-            kernels.COMPILED_TIER,
-            kernels.bounded_many_vs_all_arrays,
-            kernels.bounded_many_vs_some_arrays,
-        )
-    )
+    BOUNDED_BINDINGS.append((kernels.COMPILED_TIER, *_cc_bounded()))
 
 #: Admissible per-probe thresholds including both infinities — a
 #: threshold only decides *which* pairs evaluate, never their values.
@@ -215,11 +222,8 @@ def _bounded_engine(fps, pruning=True):
 
 
 def _bounded_args(engine, config):
-    store = engine.store
-    return (
-        store.data, store.lengths, store.counts,
-        engine._hull, engine._bucket_hull, engine._bucket_occ,
-    ), _config_args(config)
+    """The store and the resident summaries every bounded entry reads."""
+    return (engine.store, engine._resident), _config_args(config)
 
 
 def _replay_walk(engine, probe, targets, threshold, reverse=None, best_vals=None):
@@ -506,9 +510,9 @@ def test_argmin_survives_an_inadmissible_bound():
     # ties it exactly, but its level-1 bound is above that best, so the
     # sweep prunes the lower id the exhaustive argmin picks.
     engine = _one_ulp_engine()
-    arrays, cfg_args = _bounded_args(engine, engine.stretch)
     best, idx, _ = kernels.bounded_many_vs_all_arrays(
-        np.array([0]), *arrays, np.array([3, 1]), np.array([np.inf]), *cfg_args
+        engine._resident, np.array([0]), np.array([3, 1]), np.array([np.inf]),
+        *_config_args(engine.stretch),
     )
     assert (best[0], idx[0]) == (engine.row(0, np.array([1]))[0], 1)
 
@@ -521,6 +525,7 @@ if kernels.COMPILED_AVAILABLE:
             kernels.merge_arrays,
             kernels.reshape_arrays,
             kernels.summarize_arrays,
+            kernels.merge_step,
         )
     )
 
@@ -598,21 +603,55 @@ def _summary_bytes(engine):
     )
 
 
+def _resident_bytes(engine):
+    """Every resident array of an engine, whole capacity included."""
+    store = engine.store
+    return tuple(
+        arr.tobytes()
+        for arr in (
+            store.data, store.mask, store.lengths, store.counts,
+            engine._hull, engine._bucket_hull, engine._bucket_occ,
+        )
+    )
+
+
+def _chain_product(a, b, reshape_on, config):
+    """Fingerprints ``a`` and ``b`` merged through the NumPy chain.
+
+    ``merge_sample_arrays`` with the longer leading (``a`` on equal
+    lengths), the ``Fingerprint`` constructor's canonicalization, then
+    ``reshape_sample_array`` when ``reshape_on`` and an overlap exists.
+    """
+    long, short = (a, b) if a.m >= b.m else (b, a)
+    merged = Fingerprint(
+        f"{a.uid}+{b.uid}",
+        merge_sample_arrays(long.data, short.data, long.count, short.count, config),
+        count=a.count + b.count,
+        members=a.members + b.members,
+    )
+    if reshape_on and has_temporal_overlap(merged.data):
+        merged = merged.with_samples(reshape_sample_array(merged.data))
+    return merged
+
+
 @pytest.mark.parametrize(
-    "tier,merge,reshape,summarize", MERGE_BINDINGS, ids=[b[0] for b in MERGE_BINDINGS]
+    "tier,merge,reshape,summarize,merge_step",
+    MERGE_BINDINGS,
+    ids=[b[0] for b in MERGE_BINDINGS],
 )
 class TestMergeProductParity:
     """The merge-product entries equal the NumPy bodies byte for byte.
 
-    ``merge_arrays``, ``reshape_arrays`` and ``summarize_arrays`` of the
-    bound tier against ``merge_sample_arrays``,
-    ``reshape_sample_array`` and ``StretchEngine._summarize``, compared
-    by ``tobytes()`` so a sign bit on a zero counts (DESIGN.md D9).
+    ``merge_arrays``, ``reshape_arrays``, ``summarize_arrays`` and the
+    fused ``merge_step`` of the bound tier against
+    ``merge_sample_arrays``, ``reshape_sample_array`` and
+    ``StretchEngine._summarize``, compared by ``tobytes()`` so a sign bit
+    on a zero counts (DESIGN.md D9).
     """
 
     @given(fps=merge_inputs())
     @settings(max_examples=60, deadline=None)
-    def test_merge_bitwise(self, tier, merge, reshape, summarize, fps):
+    def test_merge_bitwise(self, tier, merge, reshape, summarize, merge_step, fps):
         long, short = sorted(fps, key=lambda fp: -fp.m)
         reference = merge_sample_arrays(
             long.data, short.data, long.count, short.count, StretchConfig()
@@ -623,7 +662,7 @@ class TestMergeProductParity:
 
     @given(fps=merge_inputs())
     @settings(max_examples=60, deadline=None)
-    def test_reshape_bitwise(self, tier, merge, reshape, summarize, fps):
+    def test_reshape_bitwise(self, tier, merge, reshape, summarize, merge_step, fps):
         long, short = sorted(fps, key=lambda fp: -fp.m)
         merged = Fingerprint(
             "m",
@@ -638,7 +677,9 @@ class TestMergeProductParity:
 
     @given(fps=merge_inputs(n_fps=5, max_m=12), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_summaries_bitwise(self, tier, merge, reshape, summarize, fps, data):
+    def test_summaries_bitwise(
+        self, tier, merge, reshape, summarize, merge_step, fps, data
+    ):
         # Hour-aligned times on hour buckets put samples exactly on
         # bucket edges; single-sample slots come from m = 1 draws.
         if data.draw(st.booleans()):
@@ -658,11 +699,16 @@ class TestMergeProductParity:
         engine = StretchEngine(
             fps, compute=ComputeConfig(backend="numpy", lb_bucket_minutes=60.0)
         )
-        # Appending past the initial capacity (2n) grows every summary
+        # Merging past the initial capacity (2n) grows every summary
         # array before the late slots are summarized.
         for _ in range(len(fps) + 1):
-            i, j = data.draw(st.lists(st.integers(0, len(fps) - 1), min_size=2, max_size=2))
-            engine.append(merge_fingerprints(fps[i], fps[j]))
+            i, j = data.draw(
+                st.lists(
+                    st.integers(0, engine.store.size - 1),
+                    min_size=2, max_size=2, unique=True,
+                )
+            )
+            engine.merge_step(i, j)
         assert engine.store.size > 2 * len(fps)
         own = _summary_bytes(engine)
 
@@ -672,14 +718,75 @@ class TestMergeProductParity:
         reference = _summary_bytes(engine)
         for arr in (engine._hull, engine._bucket_hull, engine._bucket_occ):
             arr[...] = 0
-        summarize(
-            slots, engine.store.data, engine.store.lengths, engine._bucket_edges,
-            engine._hull, engine._bucket_hull, engine._bucket_occ,
-        )
+        summarize(engine._resident, slots)
         assert _summary_bytes(engine) == reference
         assert own == reference
 
-    def test_signed_zero_inputs(self, tier, merge, reshape, summarize):
+    @given(
+        fps=merge_inputs(n_fps=3, max_m=20),
+        reshape_on=st.booleans(),
+        pruning=st.booleans(),
+        stretch=st.sampled_from([StretchConfig(), SKEWED_STRETCH]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_merge_step_bitwise(
+        self, tier, merge, reshape, summarize, merge_step, fps, reshape_on, pruning,
+        stretch, data,
+    ):
+        # n + 1 merges of filled slots (products included) fill the 2n
+        # initial slots and grow the store, so the last products land
+        # past a growth, through a freshly bound resident block.
+        compute = ComputeConfig(backend="numpy", pruning=pruning, lb_bucket_minutes=60.0)
+        reference = StretchEngine(fps, stretch, compute)
+        engines = {body: StretchEngine(fps, stretch, compute) for body in ("cc", "numpy")}
+        for _ in range(len(fps) + 1):
+            i, j = data.draw(
+                st.lists(
+                    st.integers(0, reference.store.size - 1),
+                    min_size=2, max_size=2, unique=True,
+                )
+            )
+            product = _chain_product(
+                reference.store.fps[i], reference.store.fps[j], reshape_on, stretch
+            )
+            slot = reference._next_slot()
+            reference.store.append(product)
+            if pruning:
+                reference._summarize(slot)
+            assert engines["cc"].merge_step(i, j, reshape_on) == slot
+            with mock.patch.object(kernels, "COMPILED_AVAILABLE", False):
+                assert engines["numpy"].merge_step(i, j, reshape_on) == slot
+        assert reference.store.size > 2 * len(fps)
+        want = _resident_bytes(reference)
+        for body, engine in engines.items():
+            assert _resident_bytes(engine) == want, body
+            assert engine.store.size == reference.store.size
+            for got, ref in zip(engine.store.fps, reference.store.fps[: reference.store.size]):
+                assert (got.uid, got.count, got.members) == (ref.uid, ref.count, ref.members)
+                assert got.data.tobytes() == ref.data.tobytes(), body
+
+    def test_merge_step_rejects_bad_slots(
+        self, tier, merge, reshape, summarize, merge_step
+    ):
+        rows = np.zeros((3, 6))
+        engine = _bounded_engine([Fingerprint("a", rows), Fingerprint("b", rows)])
+        store = engine.store
+        args = (True, ATOL, True, *_config_args(engine.stretch))
+        # Out of range either way, and a slot that holds no fingerprint.
+        for bad in (-1, store.capacity, store.size):
+            with pytest.raises(ValueError, match="slot ids"):
+                merge_step(engine._resident, bad, 0, store.size, *args)
+            with pytest.raises(ValueError, match="slot ids"):
+                merge_step(engine._resident, 0, bad, store.size, *args)
+            with pytest.raises(ValueError, match="slot ids"):
+                engine.merge_step(0, bad)
+        for dst in (-1, store.capacity):
+            with pytest.raises(ValueError, match="capacity"):
+                merge_step(engine._resident, 0, 1, dst, *args)
+        assert store.size == 2 and not store.lengths[2:].any()
+
+    def test_signed_zero_inputs(self, tier, merge, reshape, summarize, merge_step):
         # 12-row zero-extent +-0.0 fingerprints: the stage-1 groups and
         # the reshape run exceed 8 rows, where NumPy's min/max would
         # resolve a +-0.0 tie by SIMD lane.  The Fingerprint boundary
@@ -722,20 +829,87 @@ def test_cc_merge_product_entries_validate_inputs():
     with pytest.raises(ValueError, match=r"\(m, 6\) float64"):
         kernels.reshape_arrays(rows.astype(np.float32), 1e-9)
 
+    # The summaries' arrays are validated when the engine binds them
+    # (TestResidentValidation); the slot ids are checked per call.
     engine = _bounded_engine([Fingerprint("a", rows), Fingerprint("b", rows)])
     store = engine.store
-    summaries = (engine._bucket_edges, engine._hull, engine._bucket_hull, engine._bucket_occ)
     # Out of range either way, and a slot that holds no fingerprint yet.
     for slot in (-1, store.capacity, store.size):
         with pytest.raises(ValueError, match="slot ids"):
-            kernels.summarize_arrays(
-                np.array([slot]), store.data, store.lengths, *summaries
-            )
-    with pytest.raises(ValueError, match="capacity"):
-        kernels.summarize_arrays(
-            np.array([0]), store.data, store.lengths, engine._bucket_edges,
-            engine._hull[:, :1], engine._bucket_hull, engine._bucket_occ,
-        )
+            kernels.summarize_arrays(engine._resident, np.array([slot]))
+
+
+class TestResidentValidation:
+    """Validation before pointers (DESIGN.md D9, "Binding by address").
+
+    An engine checks the shape, dtype and C-contiguity of every resident
+    array when it is built and again after every growth, on every tier,
+    before any address is taken; a mismatch raises ``ValueError``.
+    """
+
+    @staticmethod
+    def _fps():
+        rows = np.zeros((3, 6))
+        rows[:, T] = (0.0, 60.0, 120.0)
+        return [Fingerprint("a", rows), Fingerprint("b", rows + 1.0)]
+
+    @pytest.mark.parametrize(
+        "name,corrupt",
+        [
+            ("data", np.asfortranarray),
+            ("data", lambda a: np.zeros(a.shape[:2] + (7,))),
+            ("lengths", lambda a: a.astype(np.int32)),
+            ("lengths", lambda a: np.append(a, 0)),
+            ("counts", lambda a: a[::-1]),
+            ("mask", lambda a: a.astype(np.uint8)),
+        ],
+        ids=[
+            "fortran-data", "seven-column-data", "int32-lengths", "long-lengths",
+            "strided-counts", "uint8-mask",
+        ],
+    )
+    def test_rejected_at_build(self, monkeypatch, name, corrupt):
+        from repro.core import engine as engine_module
+
+        class Corrupted(engine_module.SlotStore):
+            def __init__(self, fps):
+                super().__init__(fps)
+                setattr(self, name, corrupt(getattr(self, name)))
+
+        monkeypatch.setattr(engine_module, "SlotStore", Corrupted)
+        with pytest.raises(ValueError, match=f"resident array {name} "):
+            StretchEngine(self._fps(), compute=ComputeConfig(backend="numpy"))
+
+    @pytest.mark.parametrize(
+        "owner,name,corrupt",
+        [
+            ("store", "counts", lambda a: a.astype(np.int32)),
+            ("engine", "_bucket_hull", lambda a: a.astype(np.float32)),
+            ("engine", "_bucket_occ", lambda a: a.view(np.uint8)),
+        ],
+        ids=["int32-counts", "float32-bucket-hull", "uint8-occupancy"],
+    )
+    def test_rejected_at_growth(self, owner, name, corrupt):
+        engine = StretchEngine(self._fps(), compute=ComputeConfig(backend="numpy"))
+        target = engine.store if owner == "store" else engine
+        setattr(target, name, corrupt(getattr(target, name)))
+        engine.merge_step(0, 1)
+        engine.merge_step(0, 2)
+        assert engine.store.size == engine.store.capacity
+        with pytest.raises(ValueError, match=f"resident array {name.lstrip('_')} "):
+            engine.merge_step(1, 3)
+
+    def test_growth_releases_the_old_arrays(self):
+        # A fresh resident block replaces the old one, so nothing keeps
+        # the pre-growth arrays alive once the engine lets go of them.
+        engine = StretchEngine(self._fps(), compute=ComputeConfig(backend="numpy"))
+        old = [weakref.ref(engine.store.data), weakref.ref(engine._bucket_hull)]
+        engine.merge_step(0, 1)
+        engine.merge_step(0, 2)
+        engine.merge_step(1, 3)
+        assert engine.store.size > 4
+        gc.collect()
+        assert all(ref() is None for ref in old)
 
 
 @pytest.mark.parametrize(
@@ -887,7 +1061,7 @@ class TestFallback:
             for name in (
                 "one_vs_all_arrays", "pairwise_matrix_arrays",
                 "bounded_many_vs_all_arrays", "bounded_many_vs_some_arrays",
-                "merge_arrays", "reshape_arrays", "summarize_arrays",
+                "merge_arrays", "reshape_arrays", "summarize_arrays", "merge_step",
             ):
                 assert not hasattr(kernels, name), name
             assert kernels.FALLBACK_REASON == "disabled by REPRO_CC_KERNEL=0"
@@ -938,7 +1112,7 @@ class TestFallback:
         # byte for byte the bound tier's.
         proc = _run_fallback_probe(
             """
-            from repro.core import merge, reshape
+            from repro.core import engine
             from repro.core.artifacts import ArtifactStore, dataset_digest
             from repro.core.config import ComputeConfig, GloveConfig
             from repro.core.engine import StretchEngine
@@ -954,9 +1128,11 @@ class TestFallback:
                     return fn(*args, **kwargs)
                 return wrapper
 
-            merge.merge_sample_arrays = counted("merge", merge.merge_sample_arrays)
-            reshape.has_temporal_overlap = counted(
-                "reshape", reshape.has_temporal_overlap
+            # The greedy loop merges through StretchEngine.merge_step,
+            # the stream and the shard repair through merge_fingerprints.
+            engine.merge_sample_arrays = counted("merge", engine.merge_sample_arrays)
+            engine.has_temporal_overlap = counted(
+                "reshape", engine.has_temporal_overlap
             )
             StretchEngine._summarize = counted("summarize", StretchEngine._summarize)
             sc = get_scenario("bench").scaled(n_users=24, days=1, seed=0)

@@ -1,11 +1,15 @@
 """End-to-end tests of the ``--metrics*`` CLI flags (DESIGN.md D12)."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+from repro.core import kernels
 from repro.obs import get_metrics, validate_snapshot
 
 #: Snapshot keys a stream run must always report (the D12 acceptance
@@ -26,6 +30,7 @@ STREAM_GAUGES = {
     "stream.window_latency_p95_s",
     "stream.suppression_rate",
     "stream.carry_over_depth",
+    "kernel.cc_bound",
 }
 
 
@@ -53,6 +58,7 @@ class TestMetricsFlags:
         assert "metrics (repro.metrics.v1)" in out
         assert "stream.events" in out
         assert "engine.boundary_crossings" in out
+        assert kernels.tier_line() in out.splitlines()
 
     def test_metrics_json_snapshot_has_acceptance_keys(self, raw_csv, tmp_path):
         snap_path = tmp_path / "metrics.json"
@@ -63,6 +69,24 @@ class TestMetricsFlags:
         assert STREAM_GAUGES <= set(snapshot["gauges"])
         assert snapshot["counters"]["stream.events"] > 0
         assert snapshot["counters"]["engine.probe_dispatches"] > 0
+        assert snapshot["gauges"]["kernel.cc_bound"] == float(kernels.COMPILED_AVAILABLE)
+
+    def test_metrics_report_why_no_tier_is_bound(self, raw_csv, tmp_path):
+        # The fallback shows in the table and the gauge, as in ``info``.
+        snap = tmp_path / "m.json"
+        env = dict(os.environ, REPRO_CC_KERNEL="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in ("src", env.get("PYTHONPATH", "")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "measure", str(raw_csv), "-k", "2",
+             "--metrics", "--metrics-json", str(snap)],
+            capture_output=True, text=True, env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "kernel tier: none (disabled by REPRO_CC_KERNEL=0)" in proc.stdout
+        assert json.loads(snap.read_text())["gauges"]["kernel.cc_bound"] == 0.0
 
     def test_cached_run_still_reports_stream_metrics(self, raw_csv, tmp_path):
         # First run computes; second is served from the artifact store

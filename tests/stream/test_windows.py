@@ -64,6 +64,14 @@ class TestTumblingWindows:
         closed = drain(manager, [ev("a", 0), ev("a", 95)])
         assert [w.index for w in closed] == [0, 9]
 
+    def test_far_future_event_closes_without_walking_the_gap(self):
+        # ~5.6e12 empty windows lie between the two events: the close
+        # visits the materialized windows only, so this returns at once.
+        manager = WindowManager(StreamConfig(window_min=180.0))
+        closed = drain(manager, [ev("a", 361), ev("a", 1e15)])
+        assert [w.n_events for w in closed] == [1, 1]
+        assert closed[1].index == (10**15 - 361) // 180
+
     def test_fingerprints_in_uid_order(self):
         manager = WindowManager(StreamConfig(window_min=100.0))
         closed = drain(manager, [ev("b", 0), ev("a", 1), ev("b", 2)])

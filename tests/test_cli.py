@@ -1,5 +1,7 @@
 """Tests for the ``glove`` command-line tool."""
 
+import random
+
 import pytest
 
 from repro.cli import main
@@ -147,6 +149,84 @@ def test_fewer_users_than_k_exits_two(tmp_path, capsys, case):
     extra = [arg.format(out=tmp_path / "out.csv") for arg in _NEEDS_K_USERS[case]]
     assert main([case.split("-")[0], str(path)] + extra) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+#: Well-formed inputs for the byte-mutation fuzz: four users, and their
+#: k=2 publication.
+_FUZZ_EVENTS = (
+    "uid,t_min,x_m,y_m\n"
+    "u1,361,612700.0,22300.0\nu1,529,612200.0,17200.0\nu1,663,612200.0,17200.0\n"
+    "u2,12,1000.0,2000.0\nu2,70,1500.0,2500.0\nu2,900,400.0,0.0\n"
+    "u3,300,611600.0,23000.0\nu3,700,611900.0,21000.0\n"
+    "u4,20,1200.0,1900.0\nu4,880,600.0,100.0\nu4,1300,-50.5,7.25\n"
+)
+_FUZZ_FINGERPRINTS = (
+    "uid,count,x,dx,y,dy,t,dt\n"
+    "u1+u3,2,611600.000,1100.000,17200.000,5800.000,300.000,61.000\n"
+    "u1+u3,2,611900.000,300.000,17200.000,3800.000,663.000,37.000\n"
+    "u2+u4,2,1000.000,500.000,1900.000,600.000,12.000,58.000\n"
+    "u2+u4,2,-50.500,650.500,0.000,100.000,880.000,420.000\n"
+)
+
+#: The fuzz's commands; ``{path}`` is the mutated file.
+_FUZZ_COMMANDS = {
+    "info": [],
+    "measure": ["-k", "2"],
+    "anonymize": ["-k", "2", "-o", "{out}"],
+    "stream": ["-k", "2", "--window", "180", "-o", "{out}"],
+    "attack": ["--method", "glove", "-k", "2"],
+}
+
+
+def _mutate(rng, text):
+    """One byte deletion, insertion, truncation, duplicated line or
+    swapped field pair."""
+    data = text.encode()
+    kind = rng.choice(["delete", "insert", "truncate", "duplicate", "swap"])
+    pos = rng.randrange(len(data))
+    if kind == "delete":
+        return data[:pos] + data[pos + 1 :]
+    if kind == "insert":
+        return data[:pos] + bytes([rng.choice(b",\n.-+e9 x\"\xff\x00")]) + data[pos:]
+    if kind == "truncate":
+        return data[:pos]
+    lines = data.split(b"\n")
+    i = rng.randrange(len(lines))
+    if kind == "duplicate":
+        return b"\n".join(lines[: i + 1] + lines[i:])
+    fields = lines[i].split(b",")
+    a, b = rng.randrange(len(fields)), rng.randrange(len(fields))
+    fields[a], fields[b] = fields[b], fields[a]
+    return b"\n".join(lines[:i] + [b",".join(fields)] + lines[i + 1 :])
+
+
+@pytest.mark.parametrize(
+    "kind,text",
+    [("events", _FUZZ_EVENTS), ("fingerprints", _FUZZ_FINGERPRINTS)],
+    ids=["events", "fingerprints"],
+)
+def test_byte_mutation_fuzz_exits_zero_or_two(tmp_path, capsys, kind, text):
+    """Mutated inputs exit 0, or 2 naming the file: never a traceback or 3.
+
+    A fixed seed and 40 mutants per file kind keep the run deterministic
+    and bounded (200 runs a kind).
+    """
+    rng = random.Random(f"glove-cli-fuzz-{kind}")
+    for n in range(40):
+        path = tmp_path / f"{kind}-{n}.csv"
+        path.write_bytes(_mutate(rng, text))
+        for command, extra in _FUZZ_COMMANDS.items():
+            argv = [command, str(path)]
+            argv += [arg.format(out=tmp_path / "out.csv") for arg in extra]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            assert code in (0, 2), (argv, path.read_bytes(), err)
+            assert "Traceback" not in err, (argv, err)
+            if code == 2:
+                assert f"error: {path}" in err, (argv, path.read_bytes(), err)
 
 
 class TestComputeFlags:
