@@ -616,6 +616,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # set is stable whether or not the run happened to hit/miss.
     registry.counter("artifact.hits")
     registry.counter("artifact.misses")
+    registry.gauge("kernel.cc_bound").set(float(kernels.COMPILED_AVAILABLE))
     previous = set_metrics(registry)
     try:
         code = args.func(args)

@@ -653,7 +653,7 @@ static void sorted_on_t(const double *rows, int64_t n, double *out,
 /* merge_sample_arrays of lng (ml rows) and sht (ms rows, ml >= ms >= 1):
  * writes the merged rows, stably sorted on T, to out (ms rows) and
  * returns their count, or -1 when scratch allocation fails. */
-int64_t glove_merge(
+static int64_t glove_merge(
     const double *lng, int64_t ml, const double *sht, int64_t ms,
     double n_long, double n_short,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau,
@@ -715,7 +715,7 @@ int64_t glove_merge(
  * sample, and a run of one keeps its row verbatim.  Writes the groups
  * to out (m rows) and returns their count, or -1 when scratch
  * allocation fails. */
-int64_t glove_reshape(const double *data, int64_t m, double atol, double *out)
+static int64_t glove_reshape(const double *data, int64_t m, double atol, double *out)
 {
     if (m < 2) {
         for (int64_t i = 0; i < m * NCOLS; i++)
@@ -978,14 +978,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr,                               # thresholds
         *cfg, ptr, ptr, ptr,               # best, best_idx, pruned
     ]
-    lib.glove_merge.restype = c_i64
-    lib.glove_merge.argtypes = [
-        ptr, c_i64, ptr, c_i64,            # long, m_long, short, m_short
-        c_f64, c_f64,                      # n_long, n_short
-        *cfg, ptr,                         # out
-    ]
-    lib.glove_reshape.restype = c_i64
-    lib.glove_reshape.argtypes = [ptr, c_i64, c_f64, ptr]  # data, m, atol, out
     lib.glove_summarize.restype = None
     lib.glove_summarize.argtypes = [ptr, ptr, c_i64]  # resident block, slots, n_slots
     lib.glove_merge_step.restype = c_i64

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core import kernels
 from repro.core.config import ComputeConfig, StretchConfig, env_int
 from repro.core.fingerprint import Fingerprint
-from repro.core.merge import merge_sample_arrays
+from repro.core.merge import merge_fingerprints
 from repro.core.pairwise import (
     PaddedFingerprints,
     bucket_lower_bounds,
@@ -42,7 +42,7 @@ from repro.core.pairwise import (
     many_vs_some,
     one_vs_all,
 )
-from repro.core.reshape import ATOL, has_temporal_overlap, reshape_sample_array
+from repro.core.reshape import ATOL, reshape_fingerprint
 from repro.core.sample import DT, DX, DY, NCOLS, T, X, Y
 
 # ----------------------------------------------------------------------
@@ -761,23 +761,28 @@ class StretchEngine:
         longer slot leads, ``i`` on equal lengths), the reshape when
         ``reshape``, the product's row, length, count and mask, and its
         bound summaries.  On a bound kernel tier that is one native call
-        (``kernels.merge_step``), otherwise the NumPy bodies; either way
-        the bytes are :func:`~repro.core.merge.merge_fingerprints`
-        followed by :func:`~repro.core.reshape.reshape_fingerprint`
-        (DESIGN.md D9, "The merge step").  The product's
-        :class:`Fingerprint` is built once, from its row; the parents
-        stay alive until :meth:`retire`.
+        (``kernels.merge_step``) whose bytes are those of
+        :func:`~repro.core.merge.merge_fingerprints` followed by
+        :func:`~repro.core.reshape.reshape_fingerprint` (DESIGN.md D9,
+        "The merge step"); without one it is that chain.  The product's
+        :class:`Fingerprint` is built once; the parents stay alive until
+        :meth:`retire`.
         """
         store = self.store
         dst = self._next_slot()
-        if kernels.COMPILED_AVAILABLE:
-            cfg = self.stretch
-            n = kernels.merge_step(
-                self._resident, i, j, dst, reshape, ATOL, self.pruning,
-                cfg.w_sigma, cfg.w_tau, cfg.phi_max_sigma_m, cfg.phi_max_tau_min,
-            )
-        else:
-            n = self._merge_rows(i, j, dst, reshape)
+        if not kernels.COMPILED_AVAILABLE:
+            fp = merge_fingerprints(store.fps[i], store.fps[j], self.stretch)
+            if reshape:
+                fp = reshape_fingerprint(fp)
+            store.append(fp)
+            if self.pruning:
+                self._summarize(dst)
+            return dst
+        cfg = self.stretch
+        n = kernels.merge_step(
+            self._resident, i, j, dst, reshape, ATOL, self.pruning,
+            cfg.w_sigma, cfg.w_tau, cfg.phi_max_sigma_m, cfg.phi_max_tau_min,
+        )
         a, b = store.fps[i], store.fps[j]
         return store.commit(
             Fingerprint(
@@ -785,29 +790,6 @@ class StretchEngine:
                 count=a.count + b.count, members=a.members + b.members,
             )
         )
-
-    def _merge_rows(self, i: int, j: int, dst: int, reshape: bool) -> int:
-        """NumPy body of :meth:`merge_step`: writes the product of slots
-        ``i`` and ``j`` to slot ``dst`` and returns its length."""
-        store = self.store
-        self._resident.check_filled([i, j])
-        lng, sht = (i, j) if store.lengths[i] >= store.lengths[j] else (j, i)
-        # ``+ 0.0`` is the Fingerprint constructor's signed-zero
-        # canonicalization, applied where the chain builds one.
-        rows = merge_sample_arrays(
-            store.probe(lng), store.probe(sht),
-            int(store.counts[lng]), int(store.counts[sht]), self.stretch,
-        ) + 0.0
-        if reshape and has_temporal_overlap(rows):
-            rows = reshape_sample_array(rows) + 0.0
-        n = rows.shape[0]
-        store.data[dst, :n] = rows
-        store.mask[dst, :n] = True
-        store.lengths[dst] = n
-        store.counts[dst] = store.counts[i] + store.counts[j]
-        if self.pruning:
-            self._summarize(dst)
-        return n
 
     def _next_slot(self) -> int:
         """The slot the next product fills, growing the store and the

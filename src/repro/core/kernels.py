@@ -22,12 +22,12 @@ entry returns the reference's bits.
 The entries below are bound only when the library loads.
 ``COMPILED_TIER`` names the bound tier (``"cc"`` or ``None``) and
 ``COMPILED_AVAILABLE`` is true when it is bound — that is what
-:class:`repro.core.engine.CompiledBackend`, the engine's merge step and
-bound summaries, the merge and the reshape key on; without it they run
-the NumPy bodies.  ``FALLBACK_REASON`` says why no tier is bound
-(``None`` when one is).  The entries that read an engine's store and
-summaries take its :class:`Resident`, validated once per binding, so a
-call converts only its own small per-call arrays (DESIGN.md D9).
+:class:`repro.core.engine.CompiledBackend` and the engine's merge step
+and bound summaries key on; without it they run the NumPy bodies.
+``FALLBACK_REASON`` says why no tier is bound (``None`` when one is).
+The entries that read an engine's store and summaries take its
+:class:`Resident`, validated once per binding, so a call converts only
+its own small per-call arrays (DESIGN.md D9).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import ctypes
 import numpy as np
 
 from repro.core import _ckernel
-from repro.obs import on_install
 
 
 def _ptr(arr):
@@ -248,37 +247,6 @@ def _bind_cc():
             raise MemoryError("stretch kernel scratch allocation failed")
         return out, pruned
 
-    # The merge-product entries read their rows from their callers (the
-    # stream's absorb and the shard repair), so shapes and dtypes are
-    # checked here first.
-    def merge_arrays_cc(
-        long, short, n_long, n_short, w_sigma, w_tau, phi_sigma, phi_tau,
-    ):
-        long = _sample_rows("long", long)
-        short = _sample_rows("short", short)
-        if not long.shape[0] >= short.shape[0] >= 1:
-            raise ValueError(
-                f"merge needs m_long >= m_short >= 1, "
-                f"got {long.shape[0]} and {short.shape[0]}"
-            )
-        out = np.empty_like(short)
-        n = lib.glove_merge(
-            _ptr(long), long.shape[0], _ptr(short), short.shape[0],
-            float(n_long), float(n_short),
-            w_sigma, w_tau, phi_sigma, phi_tau, _ptr(out),
-        )
-        if n < 0:
-            raise MemoryError("merge kernel scratch allocation failed")
-        return out[:n]
-
-    def reshape_arrays_cc(data, atol):
-        data = _sample_rows("data", data)
-        out = np.empty_like(data)
-        n = lib.glove_reshape(_ptr(data), data.shape[0], atol, _ptr(out))
-        if n < 0:
-            raise MemoryError("reshape kernel scratch allocation failed")
-        return out, n
-
     def summarize_arrays_cc(resident, slots):
         # The summaries are written in place through the resident block,
         # whose arrays were validated when the engine bound them; only
@@ -307,8 +275,6 @@ def _bind_cc():
         pairwise_matrix_cc,
         bounded_many_vs_all_cc,
         bounded_many_vs_some_cc,
-        merge_arrays_cc,
-        reshape_arrays_cc,
         summarize_arrays_cc,
         merge_step_cc,
     ), None
@@ -322,8 +288,6 @@ if _cc is not None:
         pairwise_matrix_arrays,
         bounded_many_vs_all_arrays,
         bounded_many_vs_some_arrays,
-        merge_arrays,
-        reshape_arrays,
         summarize_arrays,
         merge_step,
     ) = _cc
@@ -335,8 +299,3 @@ COMPILED_AVAILABLE = COMPILED_TIER is not None
 def tier_line() -> str:
     """``kernel tier: cc``, or ``kernel tier: none (<reason>)``."""
     return f"kernel tier: {COMPILED_TIER or f'none ({FALLBACK_REASON})'}"
-
-
-@on_install
-def _record_tier(registry) -> None:
-    registry.gauge("kernel.cc_bound").set(1.0 if COMPILED_AVAILABLE else 0.0)

@@ -23,7 +23,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.config import StretchConfig
 from repro.core.fingerprint import Fingerprint
 from repro.core.sample import DT, DX, DY, NCOLS, T, X, Y
@@ -100,9 +99,6 @@ def merge_fingerprints(
     inputs (truthfulness is preserved: no fabricated samples, only
     coarsened ones).  Reshaping (temporal-overlap resolution) is a
     separate pass, see :mod:`repro.core.reshape`.
-
-    On a bound kernel tier the merge is one native call
-    (``kernels.merge_arrays``), bitwise :func:`merge_sample_arrays`.
     """
     if a.m == 0 or b.m == 0:
         raise ValueError("cannot merge empty fingerprints")
@@ -110,15 +106,9 @@ def merge_fingerprints(
         long_fp, short_fp = a, b
     else:
         long_fp, short_fp = b, a
-    if kernels.COMPILED_AVAILABLE:
-        data = kernels.merge_arrays(
-            long_fp.data, short_fp.data, float(long_fp.count), float(short_fp.count),
-            config.w_sigma, config.w_tau, config.phi_max_sigma_m, config.phi_max_tau_min,
-        )
-    else:
-        data = merge_sample_arrays(
-            long_fp.data, short_fp.data, long_fp.count, short_fp.count, config
-        )
+    data = merge_sample_arrays(
+        long_fp.data, short_fp.data, long_fp.count, short_fp.count, config
+    )
     return Fingerprint(
         uid if uid is not None else f"{a.uid}+{b.uid}",
         data,

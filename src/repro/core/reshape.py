@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.fingerprint import Fingerprint
 from repro.core.merge import generalize_rows
 from repro.core.sample import DT, NCOLS, T
@@ -72,16 +71,7 @@ def reshape_sample_array(data: np.ndarray, atol: float = ATOL) -> np.ndarray:
 
 
 def reshape_fingerprint(fp: Fingerprint) -> Fingerprint:
-    """Reshaped copy of a fingerprint (``fp`` itself if no overlaps exist).
-
-    On a bound kernel tier the sweep is one native call
-    (``kernels.reshape_arrays``), bitwise :func:`reshape_sample_array`.
-    On T-sorted data it finds as many groups as samples exactly when
-    :func:`has_temporal_overlap` is false.
-    """
-    if kernels.COMPILED_AVAILABLE:
-        rows, n_groups = kernels.reshape_arrays(fp.data, ATOL)
-        return fp if n_groups == fp.m else fp.with_samples(rows[:n_groups])
+    """Reshaped copy of a fingerprint (``fp`` itself if no overlaps exist)."""
     if not has_temporal_overlap(fp.data):
         return fp
     return fp.with_samples(reshape_sample_array(fp.data))

@@ -14,7 +14,6 @@ from .registry import (
     SNAPSHOT_SCHEMA,
     DEFAULT_LATENCY_BOUNDARIES_S,
     get_metrics,
-    on_install,
     set_metrics,
     validate_snapshot,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "DEFAULT_LATENCY_BOUNDARIES_S",
     "get_metrics",
-    "on_install",
     "set_metrics",
     "validate_snapshot",
     "dump_json",

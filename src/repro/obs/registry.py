@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -352,16 +352,6 @@ class MetricsRegistry:
 _NULL_REGISTRY = MetricsRegistry(enabled=False)
 _metrics: MetricsRegistry = _NULL_REGISTRY
 
-#: Called with every live registry :func:`set_metrics` installs, so a
-#: process-wide fact (``kernel.cc_bound``) is in every snapshot.
-_install_hooks: List[Callable[[MetricsRegistry], None]] = []
-
-
-def on_install(hook: Callable[[MetricsRegistry], None]):
-    """Run ``hook(registry)`` whenever a live registry is installed."""
-    _install_hooks.append(hook)
-    return hook
-
 
 def get_metrics() -> MetricsRegistry:
     """The process-wide registry (a disabled no-op unless installed)."""
@@ -376,9 +366,6 @@ def set_metrics(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
     global _metrics
     old = _metrics
     _metrics = registry if registry is not None else _NULL_REGISTRY
-    if _metrics.enabled:
-        for hook in _install_hooks:
-            hook(_metrics)
     return old
 
 

@@ -522,8 +522,6 @@ if kernels.COMPILED_AVAILABLE:
     MERGE_BINDINGS.append(
         (
             kernels.COMPILED_TIER,
-            kernels.merge_arrays,
-            kernels.reshape_arrays,
             kernels.summarize_arrays,
             kernels.merge_step,
         )
@@ -587,11 +585,16 @@ def merge_inputs(draw, n_fps=2, max_m=40):
     return fps
 
 
-def _merge_with(merge, long, short):
-    return merge(
-        long.data, short.data, float(long.count), float(short.count),
-        *_config_args(StretchConfig()),
+def _step_rows(merge_step, long, short, reshape_on):
+    """The rows the merge-step entry writes for ``long`` (slot 0, so it
+    leads on equal lengths) and ``short`` (slot 1)."""
+    engine = StretchEngine([long, short], compute=ComputeConfig(backend="numpy"))
+    dst = engine._next_slot()
+    n = merge_step(
+        engine._resident, 0, 1, dst, reshape_on, ATOL, False,
+        *_config_args(engine.stretch),
     )
+    return engine.store.data[dst, :n].copy()
 
 
 def _summary_bytes(engine):
@@ -635,15 +638,15 @@ def _chain_product(a, b, reshape_on, config):
 
 
 @pytest.mark.parametrize(
-    "tier,merge,reshape,summarize,merge_step",
+    "tier,summarize,merge_step",
     MERGE_BINDINGS,
     ids=[b[0] for b in MERGE_BINDINGS],
 )
 class TestMergeProductParity:
     """The merge-product entries equal the NumPy bodies byte for byte.
 
-    ``merge_arrays``, ``reshape_arrays``, ``summarize_arrays`` and the
-    fused ``merge_step`` of the bound tier against
+    ``summarize_arrays`` and the fused ``merge_step`` of the bound tier
+    (its merge stage, its reshape stage and the whole step) against
     ``merge_sample_arrays``, ``reshape_sample_array`` and
     ``StretchEngine._summarize``, compared by ``tobytes()`` so a sign bit
     on a zero counts (DESIGN.md D9).
@@ -651,34 +654,32 @@ class TestMergeProductParity:
 
     @given(fps=merge_inputs())
     @settings(max_examples=60, deadline=None)
-    def test_merge_bitwise(self, tier, merge, reshape, summarize, merge_step, fps):
+    def test_merge_bitwise(self, tier, summarize, merge_step, fps):
         long, short = sorted(fps, key=lambda fp: -fp.m)
         reference = merge_sample_arrays(
             long.data, short.data, long.count, short.count, StretchConfig()
         )
-        got = _merge_with(merge, long, short)
+        got = _step_rows(merge_step, long, short, reshape_on=False)
         assert got.shape == reference.shape
         assert got.tobytes() == reference.tobytes()
 
     @given(fps=merge_inputs())
     @settings(max_examples=60, deadline=None)
-    def test_reshape_bitwise(self, tier, merge, reshape, summarize, merge_step, fps):
+    def test_reshape_bitwise(self, tier, summarize, merge_step, fps):
+        # The step's reshape stage on its own merge product: the sweep
+        # where an overlap exists, the rows unchanged where none does.
         long, short = sorted(fps, key=lambda fp: -fp.m)
-        merged = Fingerprint(
-            "m",
-            merge_sample_arrays(long.data, short.data, long.count, short.count),
-        )
-        for fp in (long, short, merged):
-            rows, n_groups = reshape(fp.data, ATOL)
-            reference = reshape_sample_array(fp.data)
-            assert rows[:n_groups].tobytes() == reference.tobytes()
-            # The group count alone decides reshape_fingerprint's no-op.
-            assert (n_groups == fp.m) == (not has_temporal_overlap(fp.data))
+        merged = _step_rows(merge_step, long, short, reshape_on=False)
+        reshaped = _step_rows(merge_step, long, short, reshape_on=True)
+        overlap = has_temporal_overlap(merged)
+        reference = reshape_sample_array(merged) if overlap else merged
+        assert reshaped.tobytes() == reference.tobytes()
+        assert (reshaped.shape[0] == merged.shape[0]) == (not overlap)
 
     @given(fps=merge_inputs(n_fps=5, max_m=12), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_summaries_bitwise(
-        self, tier, merge, reshape, summarize, merge_step, fps, data
+        self, tier, summarize, merge_step, fps, data
     ):
         # Hour-aligned times on hour buckets put samples exactly on
         # bucket edges; single-sample slots come from m = 1 draws.
@@ -731,7 +732,7 @@ class TestMergeProductParity:
     )
     @settings(max_examples=60, deadline=None)
     def test_merge_step_bitwise(
-        self, tier, merge, reshape, summarize, merge_step, fps, reshape_on, pruning,
+        self, tier, summarize, merge_step, fps, reshape_on, pruning,
         stretch, data,
     ):
         # n + 1 merges of filled slots (products included) fill the 2n
@@ -767,7 +768,7 @@ class TestMergeProductParity:
                 assert got.data.tobytes() == ref.data.tobytes(), body
 
     def test_merge_step_rejects_bad_slots(
-        self, tier, merge, reshape, summarize, merge_step
+        self, tier, summarize, merge_step
     ):
         rows = np.zeros((3, 6))
         engine = _bounded_engine([Fingerprint("a", rows), Fingerprint("b", rows)])
@@ -786,7 +787,7 @@ class TestMergeProductParity:
                 merge_step(engine._resident, 0, 1, dst, *args)
         assert store.size == 2 and not store.lengths[2:].any()
 
-    def test_signed_zero_inputs(self, tier, merge, reshape, summarize, merge_step):
+    def test_signed_zero_inputs(self, tier, summarize, merge_step):
         # 12-row zero-extent +-0.0 fingerprints: the stage-1 groups and
         # the reshape run exceed 8 rows, where NumPy's min/max would
         # resolve a +-0.0 tie by SIMD lane.  The Fingerprint boundary
@@ -806,13 +807,13 @@ class TestMergeProductParity:
         assert np.signbit(long_rows).any() and np.signbit(short_rows).any()
 
         reference = merge_sample_arrays(long.data, short.data, 1, 1)
-        got = _merge_with(merge, long, short)
+        got = _step_rows(merge_step, long, short, reshape_on=False)
         assert got.tobytes() == reference.tobytes()
         merged = Fingerprint("m", reference)
-        rows, n_groups = reshape(merged.data, ATOL)
+        rows = _step_rows(merge_step, long, short, reshape_on=True)
         reshaped = reshape_sample_array(merged.data)
-        assert n_groups < merged.m
-        assert rows[:n_groups].tobytes() == reshaped.tobytes()
+        assert rows.shape[0] < merged.m
+        assert rows.tobytes() == reshaped.tobytes()
         assert not np.signbit(reshaped).any()
 
 
@@ -820,17 +821,10 @@ class TestMergeProductParity:
     kernels.COMPILED_TIER != "cc", reason="the cc wrappers guard raw pointers"
 )
 def test_cc_merge_product_entries_validate_inputs():
-    args = _config_args(StretchConfig())
     rows = np.zeros((3, 6))
-    with pytest.raises(ValueError, match="m_long >= m_short"):
-        kernels.merge_arrays(rows[:2], rows, 1.0, 1.0, *args)
-    with pytest.raises(ValueError, match=r"\(m, 6\) float64"):
-        kernels.merge_arrays(rows[:, :5], rows[:, :5], 1.0, 1.0, *args)
-    with pytest.raises(ValueError, match=r"\(m, 6\) float64"):
-        kernels.reshape_arrays(rows.astype(np.float32), 1e-9)
-
     # The summaries' arrays are validated when the engine binds them
-    # (TestResidentValidation); the slot ids are checked per call.
+    # (TestResidentValidation); the slot ids are checked per call, as
+    # the merge step's are (test_merge_step_rejects_bad_slots).
     engine = _bounded_engine([Fingerprint("a", rows), Fingerprint("b", rows)])
     store = engine.store
     # Out of range either way, and a slot that holds no fingerprint yet.
@@ -1061,7 +1055,7 @@ class TestFallback:
             for name in (
                 "one_vs_all_arrays", "pairwise_matrix_arrays",
                 "bounded_many_vs_all_arrays", "bounded_many_vs_some_arrays",
-                "merge_arrays", "reshape_arrays", "summarize_arrays", "merge_step",
+                "summarize_arrays", "merge_step",
             ):
                 assert not hasattr(kernels, name), name
             assert kernels.FALLBACK_REASON == "disabled by REPRO_CC_KERNEL=0"
@@ -1112,7 +1106,7 @@ class TestFallback:
         # byte for byte the bound tier's.
         proc = _run_fallback_probe(
             """
-            from repro.core import engine
+            from repro.core import merge, reshape
             from repro.core.artifacts import ArtifactStore, dataset_digest
             from repro.core.config import ComputeConfig, GloveConfig
             from repro.core.engine import StretchEngine
@@ -1128,11 +1122,9 @@ class TestFallback:
                     return fn(*args, **kwargs)
                 return wrapper
 
-            # The greedy loop merges through StretchEngine.merge_step,
-            # the stream and the shard repair through merge_fingerprints.
-            engine.merge_sample_arrays = counted("merge", engine.merge_sample_arrays)
-            engine.has_temporal_overlap = counted(
-                "reshape", engine.has_temporal_overlap
+            merge.merge_sample_arrays = counted("merge", merge.merge_sample_arrays)
+            reshape.has_temporal_overlap = counted(
+                "reshape", reshape.has_temporal_overlap
             )
             StretchEngine._summarize = counted("summarize", StretchEngine._summarize)
             sc = get_scenario("bench").scaled(n_users=24, days=1, seed=0)

@@ -71,6 +71,15 @@ class TestMetricsFlags:
         assert snapshot["counters"]["engine.probe_dispatches"] > 0
         assert snapshot["gauges"]["kernel.cc_bound"] == float(kernels.COMPILED_AVAILABLE)
 
+    def test_live_install_records_the_kernel_tier(self, raw_csv, tmp_path):
+        # Any subcommand's live registry carries the gauge, also one
+        # that runs no kernel.
+        snap_path = tmp_path / "metrics.json"
+        assert main(["info", str(raw_csv), "--metrics-json", str(snap_path)]) == 0
+        snapshot = json.loads(snap_path.read_text())
+        validate_snapshot(snapshot)
+        assert snapshot["gauges"] == {"kernel.cc_bound": float(kernels.COMPILED_AVAILABLE)}
+
     def test_metrics_report_why_no_tier_is_bound(self, raw_csv, tmp_path):
         # The fallback shows in the table and the gauge, as in ``info``.
         snap = tmp_path / "m.json"

@@ -277,18 +277,6 @@ class TestDisabledRegistry:
             set_metrics(previous)
         assert get_metrics() is previous
 
-    def test_live_install_records_the_kernel_tier(self):
-        from repro.core import kernels
-
-        live = MetricsRegistry(enabled=True)
-        previous = set_metrics(live)
-        try:
-            gauges = live.snapshot()["gauges"]
-        finally:
-            set_metrics(previous)
-        assert gauges == {"kernel.cc_bound": 1.0 if kernels.COMPILED_AVAILABLE else 0.0}
-        validate_snapshot(live.snapshot())
-
     def test_set_metrics_none_restores_disabled_default(self):
         previous = set_metrics(MetricsRegistry(enabled=True))
         try:
