@@ -208,6 +208,8 @@ def _run_glove_bench() -> dict:
         "days": GLOVE_SCENARIO.days,
         "seed": GLOVE_SCENARIO.seed,
         "k": config.k,
+        # Timed rows read against the CPUs they ran on (kernel_threads).
+        "host_cpus": os.cpu_count(),
         "seed_path_s": round(seed_s, 3),
         "seed_path_exact_evaluations": baseline.stats.n_exact_evaluations,
         "backends": {},
@@ -245,6 +247,7 @@ def _run_glove_bench() -> dict:
             "exact_evaluations": stats.n_exact_evaluations,
             "pruned_evaluations": stats.n_pruned_evaluations,
             "bound_pruned": stats.n_bound_pruned,
+            "lb1_evaluations": stats.n_lb1_evaluations,
             "boundary_crossings": stats.n_boundary_crossings,
             "probe_dispatches": stats.n_probe_dispatches,
             "batched_probes": stats.n_batched_probes,
@@ -270,6 +273,7 @@ def _run_glove_bench() -> dict:
         "exact_evaluations": sharded.stats.n_exact_evaluations,
         "pruned_evaluations": sharded.stats.n_pruned_evaluations,
         "bound_pruned": sharded.stats.n_bound_pruned,
+        "lb1_evaluations": sharded.stats.n_lb1_evaluations,
         "boundary_crossings": sharded.stats.n_boundary_crossings,
         "probe_dispatches": sharded.stats.n_probe_dispatches,
         "batched_probes": sharded.stats.n_batched_probes,
@@ -461,6 +465,7 @@ def _run_shard_bench() -> dict:
         "days": SHARD_SCENARIO.days,
         "seed": SHARD_SCENARIO.seed,
         "k": config.k,
+        "host_cpus": os.cpu_count(),
         "backend": "sharded",
         "shards_used": stats.shards_used,
         "shard_strategy": compute.shard_strategy,
@@ -470,6 +475,7 @@ def _run_shard_bench() -> dict:
         "n_output_groups": len(result.dataset),
         "exact_evaluations": stats.n_exact_evaluations,
         "bound_pruned": stats.n_bound_pruned,
+        "lb1_evaluations": stats.n_lb1_evaluations,
         "boundary_crossings": stats.n_boundary_crossings,
         "probe_dispatches": stats.n_probe_dispatches,
         "batched_probes": stats.n_batched_probes,

@@ -256,6 +256,7 @@ def cmd_anonymize(args) -> int:
         metrics.counter("engine.probe_dispatches").set_to(stats.n_probe_dispatches)
         metrics.counter("engine.batched_probes").set_to(stats.n_batched_probes)
         metrics.counter("engine.bound_pruned").set_to(stats.n_bound_pruned)
+        metrics.counter("engine.lb1_evaluations").set_to(stats.n_lb1_evaluations)
         metrics.counter("glove.merges").set_to(stats.n_merges)
         spatial, temporal = extent_accuracy(result.dataset)
         print(

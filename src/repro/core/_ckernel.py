@@ -225,16 +225,16 @@ int glove_one_vs_all(
 
 /* ---- fused bound-and-prune sweep ----------------------------------
  * The bound-and-prune walk of DESIGN.md D13: the level-0 hull-gap
- * bound and the level-1 per-time-bucket bound (the scalar forms of
- * pairwise.hull_lower_bounds and pairwise.bucket_lower_bounds) are
- * evaluated inside the native sweep, and the exact kernel runs only
- * for candidates whose bound could still beat the probe's running best
- * (or, where the reverse flag allows, the target's cached best).  Every
- * comparison replicates NumPy's maximum/minimum tie rule, every mean
- * runs the same pairwise summation over the same (padded) widths, and
- * the walk order is a stable sort by level-0 bound — so every evaluated
- * value is bitwise StretchEngine.row's, and the running best tightens
- * per candidate. */
+ * bound and the level-1 per-time-bucket bound (pairwise.hull_lower_bounds
+ * and pairwise.bucket_lower_bounds, level 1 folded a bucket at a time
+ * across a side's sample columns) are evaluated inside the native
+ * sweep, and the exact kernel runs only for candidates whose bound
+ * could still beat the probe's running best (or, where the reverse flag
+ * allows, the target's cached best).  Every comparison replicates
+ * NumPy's maximum/minimum tie rule, every mean runs the same pairwise
+ * summation over the same (padded) widths, and the walk order is a
+ * stable sort by level-0 bound — so every evaluated value is bitwise
+ * StretchEngine.row's, and the running best tightens per candidate. */
 
 static double interval_gap(double a_lo, double a_hi, double b_lo, double b_hi)
 {
@@ -261,78 +261,87 @@ static double hull_bound(
     return w_sigma * s_term + w_tau * t_term;
 }
 
-static double sample_hull_bound(
-    double sx, double shx, double sy, double shy, double st, double sht,
-    const double *h,
+/* The struct-of-arrays sample columns of one slot's m rows: x, x+dx,
+ * y, y+dy, t, t+dt, each `stride` doubles apart. */
+static void sample_columns(const double *d, int64_t m, int64_t stride, double *cols)
+{
+    for (int64_t i = 0; i < m; i++) {
+        const double *s = d + i * NCOLS;
+        cols[i] = s[XCOL];
+        cols[stride + i] = s[XCOL] + s[DXCOL];
+        cols[2 * stride + i] = s[YCOL];
+        cols[3 * stride + i] = s[YCOL] + s[DYCOL];
+        cols[4 * stride + i] = s[TCOL];
+        cols[5 * stride + i] = s[TCOL] + s[DTCOL];
+    }
+}
+
+/* mins[i] = the minimum over the occupied buckets of the other side's
+ * bucket hulls h (n_buckets x 6, occupancy occ) of sample i's
+ * hull-gap effort, for the m samples of `cols`.  The bucket loop is
+ * outermost, so each sample still folds its buckets in ascending order
+ * with the same select as the one-sample-at-a-time fold; an unoccupied
+ * bucket's +inf could never win that select, so it is skipped.  The
+ * sample loop is elementwise over the columns, so its selects compile
+ * to the SIMD min/max of D9, bit for bit the select. */
+static void fold_buckets(
+    const double *restrict cols, int64_t m, int64_t stride,
+    const double *restrict h, const uint8_t *restrict occ, int64_t n_buckets,
+    double *restrict mins,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau)
 {
-    double gx = interval_gap(sx, shx, h[0], h[1]);
-    double gy = interval_gap(sy, shy, h[2], h[3]);
-    double gt = interval_gap(st, sht, h[4], h[5]);
-    double s_term = (gx + gy) / phi_sigma;
-    s_term = s_term < 1.0 ? s_term : 1.0;
-    double t_term = gt / phi_tau;
-    t_term = t_term < 1.0 ? t_term : 1.0;
-    return w_sigma * s_term + w_tau * t_term;
+    const double *sx = cols, *shx = cols + stride;
+    const double *sy = cols + 2 * stride, *shy = cols + 3 * stride;
+    const double *st = cols + 4 * stride, *sht = cols + 5 * stride;
+    for (int64_t i = 0; i < m; i++)
+        mins[i] = INFINITY;
+    for (int64_t b = 0; b < n_buckets; b++) {
+        if (!occ[b])
+            continue;
+        const double *hb = h + b * 6;
+        double hx = hb[0], hhx = hb[1], hy = hb[2], hhy = hb[3];
+        double ht = hb[4], hht = hb[5];
+        for (int64_t i = 0; i < m; i++) {
+            double gx = interval_gap(sx[i], shx[i], hx, hhx);
+            double gy = interval_gap(sy[i], shy[i], hy, hhy);
+            double gt = interval_gap(st[i], sht[i], ht, hht);
+            double s_term = (gx + gy) / phi_sigma;
+            s_term = s_term < 1.0 ? s_term : 1.0;
+            double t_term = gt / phi_tau;
+            t_term = t_term < 1.0 ? t_term : 1.0;
+            double v = w_sigma * s_term + w_tau * t_term;
+            mins[i] = mins[i] < v ? mins[i] : v;
+        }
+    }
 }
 
 /* Level-1 bound of the (a, c) pair following Eq. 10's longer-side
- * rule.  The a-side direction folds the minimum over all of c's
- * buckets (unoccupied contribute +inf) and means over ma samples; the
- * c-side direction folds only a's occupied buckets and sums a
- * zero-padded width-m_max vector before dividing by mc, replicating
- * the reference's masked mean bit for bit.  lbbuf needs m_max
- * doubles. */
+ * rule.  The a-side direction folds a's samples (acols, built once per
+ * probe) against c's buckets and means over ma samples; the c-side
+ * direction folds c's samples (built into ccols here) against a's
+ * buckets and sums a zero-padded width-m_max vector before dividing by
+ * mc, replicating the reference's masked mean bit for bit.  ccols needs
+ * 6*m_max doubles, lbbuf m_max. */
 static double bucket_bound(
-    const double *data, int64_t m_max, const int64_t *lengths,
-    const double *bhull, const uint8_t *bocc, int64_t n_buckets,
-    int64_t a, int64_t c, double *lbbuf,
+    const resident_t *r, int64_t a, int64_t c,
+    const double *acols, double *ccols, double *lbbuf,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau)
 {
-    int64_t ma = lengths[a];
-    int64_t mc = lengths[c];
+    int64_t m_max = r->m_max, n_buckets = r->n_buckets;
+    int64_t ma = r->lengths[a];
+    int64_t mc = r->lengths[c];
     double la = 0.0, lb = 0.0;
     if (ma >= mc) {
-        const double *ad = data + a * m_max * NCOLS;
-        const double *ch = bhull + c * n_buckets * 6;
-        const uint8_t *co = bocc + c * n_buckets;
-        for (int64_t i = 0; i < ma; i++) {
-            const double *s = ad + i * NCOLS;
-            double sx = s[XCOL], shx = sx + s[DXCOL];
-            double sy = s[YCOL], shy = sy + s[DYCOL];
-            double st = s[TCOL], sht = st + s[DTCOL];
-            double m = INFINITY;
-            for (int64_t b = 0; b < n_buckets; b++) {
-                double v = co[b]
-                    ? sample_hull_bound(sx, shx, sy, shy, st, sht, ch + b * 6,
-                                        w_sigma, w_tau, phi_sigma, phi_tau)
-                    : INFINITY;
-                m = m < v ? m : v;
-            }
-            lbbuf[i] = m;
-        }
+        fold_buckets(acols, ma, m_max, r->bhull + c * n_buckets * 6,
+                     r->bocc + c * n_buckets, n_buckets, lbbuf,
+                     w_sigma, w_tau, phi_sigma, phi_tau);
         la = psum(lbbuf, ma) / (double)ma;
     }
     if (mc >= ma) {
-        const double *cd = data + c * m_max * NCOLS;
-        const double *ah = bhull + a * n_buckets * 6;
-        const uint8_t *ao = bocc + a * n_buckets;
-        for (int64_t j = 0; j < mc; j++) {
-            const double *s = cd + j * NCOLS;
-            double sx = s[XCOL], shx = sx + s[DXCOL];
-            double sy = s[YCOL], shy = sy + s[DYCOL];
-            double st = s[TCOL], sht = st + s[DTCOL];
-            double m = INFINITY;
-            for (int64_t b = 0; b < n_buckets; b++) {
-                if (ao[b]) {
-                    double v = sample_hull_bound(
-                        sx, shx, sy, shy, st, sht, ah + b * 6,
-                        w_sigma, w_tau, phi_sigma, phi_tau);
-                    m = m < v ? m : v;
-                }
-            }
-            lbbuf[j] = m;
-        }
+        sample_columns(r->data + c * m_max * NCOLS, mc, m_max, ccols);
+        fold_buckets(ccols, mc, m_max, r->bhull + a * n_buckets * 6,
+                     r->bocc + a * n_buckets, n_buckets, lbbuf,
+                     w_sigma, w_tau, phi_sigma, phi_tau);
         for (int64_t j = mc; j < m_max; j++)
             lbbuf[j] = 0.0;
         lb = psum(lbbuf, m_max) / (double)mc;
@@ -373,40 +382,66 @@ static void stable_argsort(const double *keys, int64_t *idx, int64_t *tmp, int64
     }
 }
 
+/* Scratch of one bounded sweep: the exact kernel's sa/sb/tb, the
+ * level-1 per-sample minima, the probe's and a target's sample columns,
+ * and the level-0 bounds with their sort permutation for n_max
+ * candidates.  sweep_alloc returns -1 when an allocation fails. */
+typedef struct {
+    double *sa, *sb, *tb, *lbbuf, *acols, *ccols, *lb0;
+    int64_t *order, *tmp;
+} sweep_t;
+
+static void sweep_free(sweep_t *w)
+{
+    free(w->sa); free(w->sb); free(w->tb); free(w->lbbuf);
+    free(w->acols); free(w->ccols); free(w->lb0);
+    free(w->order); free(w->tmp);
+}
+
+static int sweep_alloc(sweep_t *w, int64_t m_max, int64_t n_max)
+{
+    w->sa = calloc((size_t)m_max, sizeof(double));
+    w->sb = calloc((size_t)m_max, sizeof(double));
+    w->tb = malloc((size_t)(9 * m_max) * sizeof(double));
+    w->lbbuf = malloc((size_t)m_max * sizeof(double));
+    w->acols = malloc((size_t)(6 * m_max) * sizeof(double));
+    w->ccols = malloc((size_t)(6 * m_max) * sizeof(double));
+    w->lb0 = malloc((size_t)n_max * sizeof(double));
+    w->order = malloc((size_t)n_max * sizeof(int64_t));
+    w->tmp = malloc((size_t)n_max * sizeof(int64_t));
+    if (w->sa == NULL || w->sb == NULL || w->tb == NULL || w->lbbuf == NULL ||
+        w->acols == NULL || w->ccols == NULL || w->lb0 == NULL ||
+        w->order == NULL || w->tmp == NULL) {
+        sweep_free(w);
+        return -1;
+    }
+    return 0;
+}
+
 /* Fused bound-and-prune ragged sweep (CSR layout; probes are slot ids
  * into the store tensors).  Pruned positions get a +inf sentinel
- * (exact efforts never exceed 1.0) and count into pruned[p]. */
+ * (exact efforts never exceed 1.0) and count into pruned[p]; the pairs
+ * that reach the level-1 bound count into lb1_evals[p]. */
 int glove_bounded_many_vs_some(
     const resident_t *r,
     const int64_t *probe_slots, int64_t n_probes,
     const int64_t *flat_targets, const int64_t *offsets,
     const double *thresholds, const uint8_t *reverse, const double *best_vals,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau,
-    double *out, int64_t *pruned)
+    double *out, int64_t *pruned, int64_t *lb1_evals)
 {
-    const double *data = r->data, *hull = r->hull, *bhull = r->bhull;
+    const double *data = r->data, *hull = r->hull;
     const int64_t *lengths = r->lengths, *counts = r->counts;
-    const uint8_t *bocc = r->bocc;
-    int64_t m_max = r->m_max, hull_cap = r->cap, n_buckets = r->n_buckets;
+    int64_t m_max = r->m_max, hull_cap = r->cap;
     int64_t n_max = 1;
     for (int64_t p = 0; p < n_probes; p++) {
         int64_t n = offsets[p + 1] - offsets[p];
         if (n > n_max)
             n_max = n;
     }
-    double *sa = calloc((size_t)m_max, sizeof(double));
-    double *sb = calloc((size_t)m_max, sizeof(double));
-    double *tb = malloc((size_t)(9 * m_max) * sizeof(double));
-    double *lbbuf = malloc((size_t)m_max * sizeof(double));
-    double *lb0 = malloc((size_t)n_max * sizeof(double));
-    int64_t *order = malloc((size_t)n_max * sizeof(int64_t));
-    int64_t *tmp = malloc((size_t)n_max * sizeof(int64_t));
-    if (sa == NULL || sb == NULL || tb == NULL || lbbuf == NULL ||
-        lb0 == NULL || order == NULL || tmp == NULL) {
-        free(sa); free(sb); free(tb); free(lbbuf);
-        free(lb0); free(order); free(tmp);
+    sweep_t w;
+    if (sweep_alloc(&w, m_max, n_max) != 0)
         return -1;
-    }
     for (int64_t p = 0; p < n_probes; p++) {
         int64_t a = probe_slots[p];
         int64_t ma = lengths[a];
@@ -416,24 +451,25 @@ int glove_bounded_many_vs_some(
         int64_t n = offsets[p + 1] - off;
         if (n == 0)
             continue;
+        sample_columns(a_data, ma, m_max, w.acols);
         for (int64_t idx = 0; idx < n; idx++)
-            lb0[idx] = hull_bound(hull, hull_cap, a, flat_targets[off + idx],
-                                  w_sigma, w_tau, phi_sigma, phi_tau);
-        stable_argsort(lb0, order, tmp, n);
+            w.lb0[idx] = hull_bound(hull, hull_cap, a, flat_targets[off + idx],
+                                    w_sigma, w_tau, phi_sigma, phi_tau);
+        stable_argsort(w.lb0, w.order, w.tmp, n);
         double best = thresholds[p];
         int64_t best_idx = -1;
         for (int64_t k = 0; k < n; k++) {
-            int64_t j = order[k];
+            int64_t j = w.order[k];
             int64_t t = flat_targets[off + j];
             int rev = reverse[off + j] != 0;
-            double lb = lb0[j];
+            double lb = w.lb0[j];
             if (lb > best && (!rev || lb >= best_vals[t])) {
                 out[off + j] = INFINITY;
                 pruned[p]++;
                 continue;
             }
-            double lb1 = bucket_bound(data, m_max, lengths, bhull, bocc,
-                                      n_buckets, a, t, lbbuf,
+            lb1_evals[p]++;
+            double lb1 = bucket_bound(r, a, t, w.acols, w.ccols, w.lbbuf,
                                       w_sigma, w_tau, phi_sigma, phi_tau);
             if (lb1 > best && (!rev || lb1 >= best_vals[t])) {
                 out[off + j] = INFINITY;
@@ -443,7 +479,7 @@ int glove_bounded_many_vs_some(
             double v = pair_effort(
                 a_data, ma, n_a,
                 data + t * m_max * NCOLS, lengths[t], (double)counts[t],
-                sa, sb, tb, m_max, m_max,
+                w.sa, w.sb, w.tb, m_max, m_max,
                 w_sigma, w_tau, phi_sigma, phi_tau);
             out[off + j] = v;
             if (v < best || (v == best && t < best_idx)) {
@@ -452,8 +488,7 @@ int glove_bounded_many_vs_some(
             }
         }
     }
-    free(sa); free(sb); free(tb); free(lbbuf);
-    free(lb0); free(order); free(tmp);
+    sweep_free(&w);
     return 0;
 }
 
@@ -467,48 +502,37 @@ int glove_bounded_many_vs_all(
     const int64_t *targets, int64_t n_targets,
     const double *thresholds,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau,
-    double *best_out, int64_t *best_idx_out, int64_t *pruned)
+    double *best_out, int64_t *best_idx_out, int64_t *pruned, int64_t *lb1_evals)
 {
-    const double *data = r->data, *hull = r->hull, *bhull = r->bhull;
+    const double *data = r->data, *hull = r->hull;
     const int64_t *lengths = r->lengths, *counts = r->counts;
-    const uint8_t *bocc = r->bocc;
-    int64_t m_max = r->m_max, hull_cap = r->cap, n_buckets = r->n_buckets;
-    int64_t n_max = n_targets > 1 ? n_targets : 1;
-    double *sa = calloc((size_t)m_max, sizeof(double));
-    double *sb = calloc((size_t)m_max, sizeof(double));
-    double *tb = malloc((size_t)(9 * m_max) * sizeof(double));
-    double *lbbuf = malloc((size_t)m_max * sizeof(double));
-    double *lb0 = malloc((size_t)n_max * sizeof(double));
-    int64_t *order = malloc((size_t)n_max * sizeof(int64_t));
-    int64_t *tmp = malloc((size_t)n_max * sizeof(int64_t));
-    if (sa == NULL || sb == NULL || tb == NULL || lbbuf == NULL ||
-        lb0 == NULL || order == NULL || tmp == NULL) {
-        free(sa); free(sb); free(tb); free(lbbuf);
-        free(lb0); free(order); free(tmp);
+    int64_t m_max = r->m_max, hull_cap = r->cap;
+    sweep_t w;
+    if (sweep_alloc(&w, m_max, n_targets > 1 ? n_targets : 1) != 0)
         return -1;
-    }
     for (int64_t p = 0; p < n_probes; p++) {
         int64_t a = probe_slots[p];
         int64_t ma = lengths[a];
         const double *a_data = data + a * m_max * NCOLS;
         double n_a = (double)counts[a];
+        sample_columns(a_data, ma, m_max, w.acols);
         for (int64_t idx = 0; idx < n_targets; idx++)
-            lb0[idx] = hull_bound(hull, hull_cap, a, targets[idx],
-                                  w_sigma, w_tau, phi_sigma, phi_tau);
-        stable_argsort(lb0, order, tmp, n_targets);
+            w.lb0[idx] = hull_bound(hull, hull_cap, a, targets[idx],
+                                    w_sigma, w_tau, phi_sigma, phi_tau);
+        stable_argsort(w.lb0, w.order, w.tmp, n_targets);
         double best = thresholds[p];
         int64_t best_idx = -1;
         for (int64_t k = 0; k < n_targets; k++) {
-            int64_t j = order[k];
+            int64_t j = w.order[k];
             int64_t t = targets[j];
             if (t == a)
                 continue;
-            if (lb0[j] > best) {
+            if (w.lb0[j] > best) {
                 pruned[p]++;
                 continue;
             }
-            double lb1 = bucket_bound(data, m_max, lengths, bhull, bocc,
-                                      n_buckets, a, t, lbbuf,
+            lb1_evals[p]++;
+            double lb1 = bucket_bound(r, a, t, w.acols, w.ccols, w.lbbuf,
                                       w_sigma, w_tau, phi_sigma, phi_tau);
             if (lb1 > best) {
                 pruned[p]++;
@@ -517,7 +541,7 @@ int glove_bounded_many_vs_all(
             double v = pair_effort(
                 a_data, ma, n_a,
                 data + t * m_max * NCOLS, lengths[t], (double)counts[t],
-                sa, sb, tb, m_max, m_max,
+                w.sa, w.sb, w.tb, m_max, m_max,
                 w_sigma, w_tau, phi_sigma, phi_tau);
             if (v < best || (v == best && t < best_idx)) {
                 best = v;
@@ -527,8 +551,7 @@ int glove_bounded_many_vs_all(
         best_out[p] = best;
         best_idx_out[p] = best_idx;
     }
-    free(sa); free(sb); free(tb); free(lbbuf);
-    free(lb0); free(order); free(tmp);
+    sweep_free(&w);
     return 0;
 }
 
@@ -968,7 +991,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr, c_i64,                        # probe_slots, n_probes
         ptr, ptr,                          # flat_targets, offsets
         ptr, ptr, ptr,                     # thresholds, reverse, best_vals
-        *cfg, ptr, ptr,                    # out, pruned
+        *cfg, ptr, ptr, ptr,               # out, pruned, lb1_evals
     ]
     lib.glove_bounded_many_vs_all.restype = ctypes.c_int
     lib.glove_bounded_many_vs_all.argtypes = [
@@ -976,7 +999,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr, c_i64,                        # probe_slots, n_probes
         ptr, c_i64,                        # targets, n_targets
         ptr,                               # thresholds
-        *cfg, ptr, ptr, ptr,               # best, best_idx, pruned
+        *cfg, ptr, ptr, ptr, ptr,          # best, best_idx, pruned, lb1_evals
     ]
     lib.glove_summarize.restype = None
     lib.glove_summarize.argtypes = [ptr, ptr, c_i64]  # resident block, slots, n_slots

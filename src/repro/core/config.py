@@ -122,11 +122,11 @@ class ComputeConfig:
         multi-core hosts without process-pool pickling.  ``"auto"``
         resolves to the machine's CPU count at backend construction —
         the safe default for portable configs, since oversubscribing a
-        small machine pessimizes (the 1-CPU large_n sweep measured
-        18.454 s at 1 thread vs 23.908 s at 8).  ``None`` reads the
-        ``REPRO_KERNEL_THREADS`` environment knob (integer or ``auto``,
-        default 1).  Composes with shard-level ``workers``: each shard
-        process splits its own probe batches.
+        small machine pessimizes (BENCH_glove.json's large_n sweep on a
+        2-CPU host: 3.684/4.772/5.133 s at 1/2/8 threads).  ``None``
+        reads the ``REPRO_KERNEL_THREADS`` environment knob (integer or
+        ``auto``, default 1).  Composes with shard-level ``workers``:
+        each shard process splits its own probe batches.
     """
 
     backend: str = "auto"

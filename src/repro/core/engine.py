@@ -77,8 +77,8 @@ def _effective_kernel_threads(compute: ComputeConfig) -> int:
     The explicit config field wins; otherwise the
     ``REPRO_KERNEL_THREADS`` environment knob applies (default 1).
     ``auto`` (flag or env) resolves to the machine's CPU count, so a
-    1-CPU container never splits batches — the large_n sweep measured
-    18.454 s → 23.908 s going 1→8 threads there (BENCH_glove.json).
+    small host never oversubscribes — BENCH_glove.json's large_n sweep
+    on a 2-CPU host read 3.684/4.772/5.133 s at 1/2/8 threads.
     The env knob degrades to 1 on other malformed values — only the
     config field / CLI flag validates strictly (DESIGN.md D6).
     """
@@ -242,14 +242,20 @@ class StretchBackend(abc.ABC):
         #: (probe, target) pairs whose exact evaluation the bounded
         #: entries skipped because a lower bound ruled them out.
         self.n_bound_pruned = 0
+        #: (probe, target) pairs of the bounded entries that reached the
+        #: level-1 bound: each then ran the exact kernel or was pruned
+        #: by level 1.
+        self.n_lb1_evaluations = 0
 
-    def dispatch_counters(self) -> Tuple[int, int, int, int]:
-        """``(crossings, probe_dispatches, batched_probes, bound_pruned)``."""
+    def dispatch_counters(self) -> Tuple[int, int, int, int, int]:
+        """``(crossings, probe_dispatches, batched_probes, bound_pruned,
+        lb1_evaluations)``."""
         return (
             self.n_boundary_crossings,
             self.n_probe_dispatches,
             self.n_batched_probes,
             self.n_bound_pruned,
+            self.n_lb1_evaluations,
         )
 
     @abc.abstractmethod
@@ -406,6 +412,7 @@ class NumpyBackend(StretchBackend):
                 sub = rest[:_SCAN_BATCH]
                 sub = sub[(lb0[sub] <= best[p]) | (lb0[sub] < cap[sub])]
                 if sub.size:
+                    self.n_lb1_evaluations += sub.size
                     lb1 = bucket_lower_bounds(
                         store, bucket_hull, bucket_occ, a, tgts[sub], cfg
                     )
@@ -534,18 +541,23 @@ class CompiledBackend(StretchBackend):
             )
 
         if len(slices) == 1:
-            best, best_idx, pruned = run(0, P)
+            best, best_idx, pruned, lb1 = run(0, P)
         else:
             best = np.empty(P, dtype=np.float64)
             best_idx = np.empty(P, dtype=np.int64)
             pruned = np.zeros(P, dtype=np.int64)
+            lb1 = np.zeros(P, dtype=np.int64)
             futures = [(s, self._thread_pool().submit(run, s, e)) for s, e in slices]
             for s, fut in futures:
-                b, bi, pr = fut.result()
+                b, bi, pr, l1 = fut.result()
                 best[s : s + b.shape[0]] = b
                 best_idx[s : s + b.shape[0]] = bi
                 pruned[s : s + b.shape[0]] = pr
-        self.n_bound_pruned += int(pruned.sum())
+                lb1[s : s + b.shape[0]] = l1
+        # Summed as lists: a NumPy reduce costs ~1.5 µs a call on these
+        # few-probe arrays, and the stream runs thousands of calls.
+        self.n_bound_pruned += sum(pruned.tolist())
+        self.n_lb1_evaluations += sum(lb1.tolist())
         return best, best_idx, pruned
 
     def bounded_many_vs_some(
@@ -558,6 +570,7 @@ class CompiledBackend(StretchBackend):
         pruned = np.zeros(P, dtype=np.int64)
         if P == 0:
             return [], pruned
+        lb1 = np.zeros(P, dtype=np.int64)
         t_arrays = [np.asarray(t, dtype=np.int64) for t in targets_list]
         offsets = np.zeros(P + 1, dtype=np.int64)
         np.cumsum([t.size for t in t_arrays], out=offsets[1:])
@@ -588,16 +601,19 @@ class CompiledBackend(StretchBackend):
 
             if len(slices) == 1:
                 s, e = slices[0]
-                flat_out[offsets[s] : offsets[e]], pruned[s:e] = run(s, e)
+                flat_out[offsets[s] : offsets[e]], pruned[s:e], lb1[s:e] = run(s, e)
             else:
                 futures = [
                     (s, e, self._thread_pool().submit(run, s, e)) for s, e in slices
                 ]
                 for s, e, fut in futures:
-                    flat_out[offsets[s] : offsets[e]], pruned[s:e] = fut.result()
+                    flat_out[offsets[s] : offsets[e]], pruned[s:e], lb1[s:e] = (
+                        fut.result()
+                    )
         self.n_probe_dispatches += P
         self.n_batched_probes += P
-        self.n_bound_pruned += int(pruned.sum())
+        self.n_bound_pruned += sum(pruned.tolist())
+        self.n_lb1_evaluations += sum(lb1.tolist())
         return [flat_out[offsets[p] : offsets[p + 1]] for p in range(P)], pruned
 
     def close(self) -> None:
@@ -719,8 +735,8 @@ class StretchEngine:
     bounding-box summaries behind two levels of lower bounds on the
     fingerprint stretch effort (Eq. 10), which the backends' bounded
     pair evaluates (:func:`repro.core.pairwise.hull_lower_bounds`,
-    :func:`~repro.core.pairwise.bucket_lower_bounds` and their scalar
-    C counterparts in :mod:`repro.core._ckernel`):
+    :func:`~repro.core.pairwise.bucket_lower_bounds` and their C
+    counterparts in :mod:`repro.core._ckernel`):
 
     * **level 0**: the spatiotemporal gap between two slots' global
       bounding boxes, O(1) per pair;

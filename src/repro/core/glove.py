@@ -98,6 +98,12 @@ class GloveStats:
         (probe, target) pairs whose exact evaluation the backend's
         bounded pair skipped (DESIGN.md D13), as the backend counted
         them; equal to ``n_pruned_evaluations`` on every backend.
+    n_lb1_evaluations:
+        (probe, target) pairs of the bounded pair that reached the
+        level-1 bound (DESIGN.md D13): each ran the exact kernel or was
+        pruned by level 1, so the count is the search's exact
+        evaluations plus its level-1 prunes.  With pruning off every
+        pair the search visits reaches it.
     suppression:
         Sample-suppression statistics (zero counts when disabled).
     """
@@ -114,6 +120,7 @@ class GloveStats:
     n_probe_dispatches: int = 0
     n_batched_probes: int = 0
     n_bound_pruned: int = 0
+    n_lb1_evaluations: int = 0
     suppression: Optional[SuppressionStats] = None
 
     def record_metrics(self, registry) -> None:
@@ -131,6 +138,7 @@ class GloveStats:
         registry.counter("engine.probe_dispatches").inc(self.n_probe_dispatches)
         registry.counter("engine.batched_probes").inc(self.n_batched_probes)
         registry.counter("engine.bound_pruned").inc(self.n_bound_pruned)
+        registry.counter("engine.lb1_evaluations").inc(self.n_lb1_evaluations)
 
 
 @dataclass(frozen=True)
@@ -339,6 +347,7 @@ def glove(
             stats.n_probe_dispatches,
             stats.n_batched_probes,
             stats.n_bound_pruned,
+            stats.n_lb1_evaluations,
         ) = engine.backend.dispatch_counters()
     return finalize_result(out, stats, config)
 

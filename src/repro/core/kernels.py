@@ -195,7 +195,8 @@ def _bind_cc():
         return mat
 
     # The bounded entries read the store and the summaries through the
-    # engine's Resident; only their per-call arrays are taken here.
+    # engine's Resident; only their per-call arrays are taken here.  Each
+    # also returns, per probe, the pairs that reached the level-1 bound.
     def bounded_many_vs_all_cc(
         resident, probe_slots, targets, thresholds,
         w_sigma, w_tau, phi_sigma, phi_tau,
@@ -205,19 +206,20 @@ def _bind_cc():
         best = np.empty(P, dtype=np.float64)
         best_idx = np.empty(P, dtype=np.int64)
         pruned = np.zeros(P, dtype=np.int64)
+        lb1 = np.zeros(P, dtype=np.int64)
         if P == 0:
-            return best, best_idx, pruned
+            return best, best_idx, pruned, lb1
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
         rc = lib.glove_bounded_many_vs_all(
             resident.address, _ptr(probe_slots), P,
             _ptr(targets), targets.shape[0], _ptr(thresholds),
             w_sigma, w_tau, phi_sigma, phi_tau,
-            _ptr(best), _ptr(best_idx), _ptr(pruned),
+            _ptr(best), _ptr(best_idx), _ptr(pruned), _ptr(lb1),
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
-        return best, best_idx, pruned
+        return best, best_idx, pruned, lb1
 
     def bounded_many_vs_some_cc(
         resident, probe_slots, flat_targets, offsets, thresholds, reverse, best_vals,
@@ -228,8 +230,9 @@ def _bind_cc():
         flat_targets = np.ascontiguousarray(flat_targets, dtype=np.int64)
         out = np.empty(flat_targets.shape[0], dtype=np.float64)
         pruned = np.zeros(P, dtype=np.int64)
+        lb1 = np.zeros(P, dtype=np.int64)
         if P == 0 or out.size == 0:
-            return out, pruned
+            return out, pruned, lb1
         # The C entry takes the reverse flags as uint8; a bool array is
         # one byte per element, so the view is a free reinterpret.
         reverse = np.ascontiguousarray(reverse, dtype=np.bool_).view(np.uint8)
@@ -241,11 +244,11 @@ def _bind_cc():
             _ptr(flat_targets), _ptr(offsets),
             _ptr(thresholds), _ptr(reverse), _ptr(best_vals),
             w_sigma, w_tau, phi_sigma, phi_tau,
-            _ptr(out), _ptr(pruned),
+            _ptr(out), _ptr(pruned), _ptr(lb1),
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
-        return out, pruned
+        return out, pruned, lb1
 
     def summarize_arrays_cc(resident, slots):
         # The summaries are written in place through the resident block,

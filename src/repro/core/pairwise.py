@@ -269,10 +269,10 @@ def many_vs_some(
 # ----------------------------------------------------------------------
 # Lower bounds on the stretch effort (DESIGN.md D4)
 # ----------------------------------------------------------------------
-# The references of the C sweep's scalar ``hull_bound`` /
-# ``bucket_bound`` (``_ckernel``), over a packed store and the engine's
-# bound summaries: a ``(6, cap)`` component-major hull, ``(cap, B, 6)``
-# per-time-bucket hulls and a ``(cap, B)`` bucket occupancy mask.
+# The references of the C sweep's ``hull_bound`` / ``bucket_bound``
+# (``_ckernel``), over a packed store and the engine's bound summaries:
+# a ``(6, cap)`` component-major hull, ``(cap, B, 6)`` per-time-bucket
+# hulls and a ``(cap, B)`` bucket occupancy mask.
 def _interval_gap(a_lo, a_hi, b_lo, b_hi):
     """Separation between intervals ``[a_lo, a_hi]`` and ``[b_lo, b_hi]``."""
     return np.maximum(0.0, np.maximum(a_lo - b_hi, b_lo - a_hi))

@@ -131,6 +131,26 @@ def partition_indices(
     raise ValueError(f"unknown shard strategy {strategy!r}")
 
 
+#: The ``GloveStats`` fields of a shard's counter tuple, in order: the
+#: loop's own three, then the backend's ``dispatch_counters()``.
+_COUNTER_FIELDS = (
+    "n_merges",
+    "n_exact_evaluations",
+    "n_pruned_evaluations",
+    "n_boundary_crossings",
+    "n_probe_dispatches",
+    "n_batched_probes",
+    "n_bound_pruned",
+    "n_lb1_evaluations",
+)
+
+
+def _add_counters(stats: GloveStats, counters: tuple) -> None:
+    """Add one engine's counter tuple into the run's ``stats``."""
+    for name, value in zip(_COUNTER_FIELDS, counters):
+        setattr(stats, name, getattr(stats, name) + value)
+
+
 def _shard_task(args) -> Tuple[List[Fingerprint], Optional[Fingerprint], tuple]:
     """Run the pruned greedy loop on one shard (process-pool safe).
 
@@ -145,17 +165,12 @@ def _shard_task(args) -> Tuple[List[Fingerprint], Optional[Fingerprint], tuple]:
         finished, leftover, _ = _greedy_merge(engine, fps, config, stats)
         finished_fps = [engine.store.fps[s] for s in finished]
         leftover_fp = engine.store.fps[leftover] if leftover is not None else None
-        crossings, dispatches, batched, bound_pruned = (
-            engine.backend.dispatch_counters()
-        )
+        dispatch = engine.backend.dispatch_counters()
     counters = (
         stats.n_merges,
         stats.n_exact_evaluations,
         stats.n_pruned_evaluations,
-        crossings,
-        dispatches,
-        batched,
-        bound_pruned,
+        *dispatch,
     )
     return finished_fps, leftover_fp, counters
 
@@ -188,16 +203,11 @@ def _boundary_repair(
             if leftover is not None:
                 _fold_leftover(engine, nn, fin, leftover, config, sub)
             finished.extend(engine.store.fps[s] for s in fin)
-            crossings, dispatches, batched, bound_pruned = (
-                engine.backend.dispatch_counters()
-            )
-        stats.n_merges += sub.n_merges
-        stats.n_exact_evaluations += sub.n_exact_evaluations
-        stats.n_pruned_evaluations += sub.n_pruned_evaluations
-        stats.n_boundary_crossings += crossings
-        stats.n_probe_dispatches += dispatches
-        stats.n_batched_probes += batched
-        stats.n_bound_pruned += bound_pruned
+            dispatch = engine.backend.dispatch_counters()
+        _add_counters(
+            stats,
+            (sub.n_merges, sub.n_exact_evaluations, sub.n_pruned_evaluations, *dispatch),
+        )
         stats.leftover_merged = stats.leftover_merged or sub.leftover_merged
         return
     packed = PaddedFingerprints(finished)
@@ -278,13 +288,7 @@ def sharded_glove(
         finished.extend(shard_finished)
         if shard_leftover is not None:
             leftovers.append(shard_leftover)
-        stats.n_merges += counters[0]
-        stats.n_exact_evaluations += counters[1]
-        stats.n_pruned_evaluations += counters[2]
-        stats.n_boundary_crossings += counters[3]
-        stats.n_probe_dispatches += counters[4]
-        stats.n_batched_probes += counters[5]
-        stats.n_bound_pruned += counters[6]
+        _add_counters(stats, counters)
 
     _boundary_repair(finished, leftovers, config, inner, stats)
 

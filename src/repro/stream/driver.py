@@ -206,6 +206,7 @@ def _batch_result(
     wstats.n_probe_dispatches = result.stats.n_probe_dispatches
     wstats.n_batched_probes = result.stats.n_batched_probes
     wstats.n_bound_pruned = result.stats.n_bound_pruned
+    wstats.n_lb1_evaluations = result.stats.n_lb1_evaluations
     return result
 
 
@@ -273,6 +274,7 @@ def _finalize(pending: _PendingWindow, config: GloveConfig) -> WindowResult:
     pending.wstats.n_probe_dispatches = pending.glove_stats.n_probe_dispatches
     pending.wstats.n_batched_probes = pending.glove_stats.n_batched_probes
     pending.wstats.n_bound_pruned = pending.glove_stats.n_bound_pruned
+    pending.wstats.n_lb1_evaluations = pending.glove_stats.n_lb1_evaluations
     pending.wstats.wall_s += time.perf_counter() - t0
     return WindowResult(
         index=pending.index,
@@ -371,6 +373,7 @@ def iter_stream_glove(
                 glove_stats.n_probe_dispatches,
                 glove_stats.n_batched_probes,
                 glove_stats.n_bound_pruned,
+                glove_stats.n_lb1_evaluations,
             ) = engine.backend.dispatch_counters()
         if leftover_fp is not None:
             carry = [leftover_fp]

@@ -59,7 +59,8 @@ class WindowStats:
         Sample-suppression statistics of the emitted window.
     wall_s:
         Processing latency of the window (assembly + GLOVE + output).
-    n_boundary_crossings, n_probe_dispatches, n_batched_probes:
+    n_boundary_crossings, n_probe_dispatches, n_batched_probes, n_bound_pruned,
+    n_lb1_evaluations:
         Stretch-backend dispatch counters harvested from the window's
         engine (zero for deferred windows, which run no merges).
     """
@@ -84,6 +85,7 @@ class WindowStats:
     n_probe_dispatches: int = 0
     n_batched_probes: int = 0
     n_bound_pruned: int = 0
+    n_lb1_evaluations: int = 0
 
 
 @dataclass
@@ -116,6 +118,7 @@ class StreamStats:
     n_probe_dispatches: int = 0
     n_batched_probes: int = 0
     n_bound_pruned: int = 0
+    n_lb1_evaluations: int = 0
     suppression_total_samples: int = 0
     suppression_discarded_samples: int = 0
     suppression_discarded_fingerprints: int = 0
@@ -178,6 +181,7 @@ class StreamStats:
         self.n_probe_dispatches += window.n_probe_dispatches
         self.n_batched_probes += window.n_batched_probes
         self.n_bound_pruned += window.n_bound_pruned
+        self.n_lb1_evaluations += window.n_lb1_evaluations
         if window.suppression is not None:
             self.suppression_total_samples += window.suppression.total_samples
             self.suppression_discarded_samples += window.suppression.discarded_samples
@@ -210,6 +214,7 @@ class StreamStats:
             "engine.probe_dispatches": self.n_probe_dispatches,
             "engine.batched_probes": self.n_batched_probes,
             "engine.bound_pruned": self.n_bound_pruned,
+            "engine.lb1_evaluations": self.n_lb1_evaluations,
         }
         for name, value in counters.items():
             registry.counter(name).set_to(value)

@@ -348,9 +348,12 @@ class TestDispatchCounters:
         targets = np.arange(8, dtype=np.int64)
         _, _, pruned = engine.bounded_argmin(np.arange(4), targets)
         bound_pruned = int(pruned.sum())
-        assert engine.backend.dispatch_counters() == (4, 4, 0, bound_pruned)
+        *counters, lb1 = engine.backend.dispatch_counters()
+        assert counters == [4, 4, 0, bound_pruned]
+        # 4 probes x 7 other targets: the evaluated ones reached level 1.
+        assert 28 - bound_pruned <= lb1 <= 28
         engine.row(0, targets)
-        assert engine.backend.dispatch_counters() == (5, 5, 0, bound_pruned)
+        assert engine.backend.dispatch_counters() == (5, 5, 0, bound_pruned, lb1)
 
     def test_compiled_many_vs_all_counts_one_crossing(self, small_civ):
         from repro.core import kernels
@@ -360,18 +363,23 @@ class TestDispatchCounters:
         targets = np.arange(8, dtype=np.int64)
         with self._engine(small_civ, backend="compiled", kernel_threads=1) as engine:
             _, _, a = engine.bounded_argmin(np.arange(4), targets)
-            assert engine.backend.dispatch_counters() == (1, 4, 4, int(a.sum()))
+            *counters, lb1_a = engine.backend.dispatch_counters()
+            assert counters == [1, 4, 4, int(a.sum())]
+            assert 28 - int(a.sum()) <= lb1_a <= 28
             t_lists = [targets[targets != p] for p in range(4)]
-            _, b = engine.bounded_rows_some(
+            rows, b = engine.bounded_rows_some(
                 np.arange(4), t_lists, [np.zeros(7, dtype=bool)] * 4,
                 np.full(16, np.inf),
             )
-            assert engine.backend.dispatch_counters() == (2, 8, 8, int(a.sum() + b.sum()))
+            *counters, lb1 = engine.backend.dispatch_counters()
+            assert counters == [2, 8, 8, int(a.sum() + b.sum())]
+            evaluated = sum(int((row < np.inf).sum()) for row in rows)
+            assert evaluated <= lb1 - lb1_a <= evaluated + int(b.sum())
 
     def test_auto_backend_aggregates_children(self, small_civ):
         with self._engine(small_civ, backend="auto") as engine:
             engine.bounded_argmin(np.arange(4), np.arange(8))
-            crossings, dispatches, batched, _ = engine.backend.dispatch_counters()
+            crossings, dispatches, batched, _, _ = engine.backend.dispatch_counters()
         assert dispatches == 4
         # ``auto`` is whichever tier the environment binds: batched
         # native (1 crossing) or the per-probe NumPy walk.
@@ -427,3 +435,49 @@ class TestPruneAccounting:
         assert pruned.stats.n_pruned_evaluations == pruned.stats.n_bound_pruned
         assert full.stats.n_pruned_evaluations == full.stats.n_bound_pruned == 0
         assert dataset_digest(full.dataset) == dataset_digest(pruned.dataset)
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            dict(backend="numpy"),
+            dict(backend="compiled"),
+            dict(backend="sharded", shards=1, workers=1),
+            dict(backend="sharded", shards=2, workers=1),
+        ],
+        ids=["numpy", "compiled", "sharded1", "sharded2"],
+    )
+    def test_lb1_evaluations_are_exact_plus_level1_prunes(self, small_civ, compute):
+        # Every pair reaching level 1 is evaluated or pruned there, so
+        # the count lies between the search's exact evaluations and
+        # those plus every bound prune; with neutral summaries every
+        # non-self pair reaches it.  The sharded repair's one-vs-all
+        # evaluations run outside the bounded pair.
+        from repro.core import kernels
+
+        if compute["backend"] == "compiled" and not kernels.COMPILED_AVAILABLE:
+            pytest.skip("no accelerated kernel binding")
+        pruned = glove(small_civ, GloveConfig(k=2), ComputeConfig(**compute)).stats
+        full = glove(
+            small_civ, GloveConfig(k=2), ComputeConfig(pruning=False, **compute)
+        ).stats
+        if compute.get("shards") == 2:
+            assert 0 < pruned.n_lb1_evaluations <= pruned.n_exact_evaluations + pruned.n_bound_pruned
+            assert 0 < full.n_lb1_evaluations <= full.n_exact_evaluations
+            return
+        assert pruned.n_exact_evaluations <= pruned.n_lb1_evaluations
+        assert pruned.n_lb1_evaluations <= pruned.n_exact_evaluations + pruned.n_bound_pruned
+        assert full.n_lb1_evaluations == full.n_exact_evaluations
+
+    def test_numpy_walk_counts_its_level1_candidates(self, small_civ, monkeypatch):
+        from repro.core import engine as engine_mod
+
+        passed = []
+        bound = engine_mod.bucket_lower_bounds
+
+        def counting(store, bucket_hull, bucket_occ, slot, targets, config):
+            passed.append(len(targets))
+            return bound(store, bucket_hull, bucket_occ, slot, targets, config)
+
+        monkeypatch.setattr(engine_mod, "bucket_lower_bounds", counting)
+        stats = glove(small_civ, GloveConfig(k=2), ComputeConfig(backend="numpy")).stats
+        assert stats.n_lb1_evaluations == sum(passed) > 0

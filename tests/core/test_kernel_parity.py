@@ -188,19 +188,22 @@ def _numpy_bounded():
 
 
 def _cc_bounded():
-    """The native entries, which read the store through the resident block."""
+    """The native entries, which read the store through the resident block.
+
+    Their trailing level-1 counts are pinned by :class:`TestLevel1Counter`.
+    """
 
     def bmva(probe_slots, store, resident, targets, thresholds, *cfg_args):
         return kernels.bounded_many_vs_all_arrays(
             resident, probe_slots, targets, thresholds, *cfg_args
-        )
+        )[:3]
 
     def bmvs(probe_slots, store, resident, flat, offsets, thresholds, reverse,
              best_vals, *cfg_args):
         return kernels.bounded_many_vs_some_arrays(
             resident, probe_slots, flat, offsets, thresholds, reverse, best_vals,
             *cfg_args,
-        )
+        )[:2]
 
     return bmva, bmvs
 
@@ -235,7 +238,8 @@ def _replay_walk(engine, probe, targets, threshold, reverse=None, best_vals=None
     and, where reverse-flagged, at or above the target's cached best;
     otherwise it takes ``engine.row``'s value and the running best
     tightens per candidate under the lowest-id tie rule.  Returns
-    ``(row, pruned, best, best_idx)``.
+    ``(row, pruned, best, best_idx, reached)``, ``reached`` counting the
+    candidates that got past level 0 to the level-1 bound.
     """
     cfg = engine.stretch
     lb0 = hull_lower_bounds(engine._hull, probe, targets, cfg)
@@ -246,16 +250,24 @@ def _replay_walk(engine, probe, targets, threshold, reverse=None, best_vals=None
     if reverse is None:
         reverse = np.zeros(targets.size, dtype=bool)
     row = np.full(targets.size, np.inf)
-    best, best_idx, pruned = threshold, -1, 0
+    best, best_idx, pruned, reached = threshold, -1, 0, 0
     for j in np.argsort(lb0, kind="stable"):
         t = targets[j]
-        if any(lb > best and (not reverse[j] or lb >= best_vals[t]) for lb in (lb0[j], lb1[j])):
+
+        def prunes(lb):
+            return lb > best and (not reverse[j] or lb >= best_vals[t])
+
+        if prunes(lb0[j]):
+            pruned += 1
+            continue
+        reached += 1
+        if prunes(lb1[j]):
             pruned += 1
             continue
         row[j] = exact[j]
         if exact[j] < best or (exact[j] == best and t < best_idx):
             best, best_idx = exact[j], t
-    return row, pruned, best, best_idx
+    return row, pruned, best, best_idx, reached
 
 
 def _csr(t_lists):
@@ -337,7 +349,7 @@ class TestBoundedParity:
             if tgts.size == 0:
                 continue
             rev_p = reverse[offsets[p] : offsets[p + 1]]
-            ref_row, ref_pruned, _, _ = _replay_walk(
+            ref_row, ref_pruned, _, _, _ = _replay_walk(
                 engine, probe_slot, tgts, thresholds[p], rev_p, best_vals
             )
             if tier == "numpy":
@@ -396,7 +408,9 @@ class TestBoundedParity:
                 continue
             # The probe meeting itself is skipped unseen, so the walk
             # over the other targets is the walk over all of them.
-            _, ref_pruned, ref_best, ref_idx = _replay_walk(engine, probe_slot, others, tau)
+            _, ref_pruned, ref_best, ref_idx, _ = _replay_walk(
+                engine, probe_slot, others, tau
+            )
             assert best[p] == ref_best and best_idx[p] == ref_idx
             if tier == "numpy":
                 assert pruned[p] <= ref_pruned
@@ -445,14 +459,14 @@ class TestBoundedParity:
         # running best, and at or above the cached best, may prune.
         best_vals = np.zeros(engine.store.capacity)
         for tau in (np.inf, 0.0, -np.inf):
-            _, ref_pruned, ref_best, ref_idx = _replay_walk(engine, 0, targets, tau)
+            _, ref_pruned, ref_best, ref_idx, _ = _replay_walk(engine, 0, targets, tau)
             best, idx, pruned = run(tau)
             assert (best[0], idx[0]) == (ref_best, ref_idx)
             if tier == "numpy":
                 continue
             assert pruned[0] == ref_pruned
             for reverse in (np.zeros(2, dtype=bool), np.ones(2, dtype=bool)):
-                ref_row, ref_pruned, _, _ = _replay_walk(
+                ref_row, ref_pruned, _, _, _ = _replay_walk(
                     engine, 0, targets, tau, reverse, best_vals
                 )
                 row, pruned = bmvs(
@@ -510,11 +524,160 @@ def test_argmin_survives_an_inadmissible_bound():
     # ties it exactly, but its level-1 bound is above that best, so the
     # sweep prunes the lower id the exhaustive argmin picks.
     engine = _one_ulp_engine()
-    best, idx, _ = kernels.bounded_many_vs_all_arrays(
+    best, idx, _, _ = kernels.bounded_many_vs_all_arrays(
         engine._resident, np.array([0]), np.array([3, 1]), np.array([np.inf]),
         *_config_args(engine.stretch),
     )
     assert (best[0], idx[0]) == (engine.row(0, np.array([1]))[0], 1)
+
+
+#: Bucket counts of the level-1 parity test: one and two buckets, one
+#: 8-wide stretch of bucket hulls, and the default cap of 48.
+LEVEL1_BUCKETS = (1, 2, 8, 48)
+
+
+@st.composite
+def level1_populations(draw, n_buckets):
+    """2–4 fingerprints of 1–40 samples over ``n_buckets`` hour-wide buckets.
+
+    Fingerprint 0 opens at minute 0 and fingerprint 1 closes at
+    ``60 * n_buckets``, so an engine with ``lb_bucket_minutes=60`` and
+    ``lb_max_buckets=n_buckets`` puts its bucket edges on whole hours.
+    Sample times fall on those edges or between them with short
+    durations, which leaves buckets unoccupied; with the equal-lengths
+    flag every fingerprint has the same sample count.  Times sit on a
+    quarter-minute grid, so no sample's end rounds past the last edge.
+    """
+    span = 60.0 * n_buckets
+    n = draw(st.integers(min_value=2, max_value=4))
+    equal_m = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=40)))
+    on_edge = st.integers(min_value=0, max_value=n_buckets).map(lambda h: 60.0 * h)
+    time = st.one_of(on_edge, st.integers(0, 4 * int(span)).map(lambda q: q / 4))
+    duration = st.one_of(
+        st.sampled_from([0.0, 60.0]), st.integers(0, 720).map(lambda q: q / 4)
+    )
+    coord = st.floats(min_value=-3e4, max_value=3e4)
+    extent = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5e3))
+    fps = []
+    for u in range(n):
+        m = equal_m or draw(st.integers(min_value=1, max_value=40))
+        rows = []
+        for _ in range(m):
+            t = draw(time)
+            dt = min(draw(duration), span - t)
+            rows.append((draw(coord), draw(extent), draw(coord), draw(extent), t, dt))
+        fps.append(rows)
+    x, dx, y, dy, _, _ = fps[0][0]
+    fps[0][0] = (x, dx, y, dy, 0.0, 0.0)
+    x, dx, y, dy, _, _ = fps[1][-1]
+    fps[1][-1] = (x, dx, y, dy, span, 0.0)
+    counts = [draw(st.integers(min_value=1, max_value=5)) for _ in fps]
+    return [
+        Fingerprint(f"u{u}", np.array(rows), count=c, members=[f"u{u}-{i}" for i in range(c)])
+        for u, (rows, c) in enumerate(zip(fps, counts))
+    ]
+
+
+@pytest.mark.skipif(not kernels.COMPILED_AVAILABLE, reason="no accelerated kernel binding")
+@pytest.mark.parametrize("n_buckets", LEVEL1_BUCKETS)
+class TestLevel1Parity:
+    """The native level-1 bound is bitwise ``bucket_lower_bounds``.
+
+    The sweep folds each bucket across a side's samples at once
+    (DESIGN.md D13), so fingerprints here run past one SIMD vector of
+    samples.  Without a bound entry of its own, the native value is
+    pinned by two single-target sweeps per ordered pair: at threshold
+    ``L`` (the NumPy bound) the pair reaches level 1 and is evaluated,
+    so the native bound is at most ``L``; one ulp below ``L`` it is
+    pruned at level 1 wherever level 0 let it through, so the native
+    bound is above that ulp.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bound_is_bitwise_the_numpy_bound(self, n_buckets, data):
+        fps = data.draw(level1_populations(n_buckets))
+        pruning = data.draw(st.booleans())
+        engine = StretchEngine(fps, compute=ComputeConfig(
+            backend="numpy", pruning=pruning,
+            lb_bucket_minutes=60.0, lb_max_buckets=n_buckets,
+        ))
+        if pruning:
+            assert engine._bucket_occ.shape[1] == n_buckets
+            assert (np.diff(engine._bucket_edges) == 60.0).all()
+        cfg = engine.stretch
+        best_vals = np.full(engine.store.capacity, np.inf)
+        n = len(fps)
+
+        def sweep(a, c, tau):
+            out, pruned, lb1 = kernels.bounded_many_vs_some_arrays(
+                engine._resident, np.array([a]), np.array([c]), np.array([0, 1]),
+                np.array([tau]), np.zeros(1, dtype=bool), best_vals,
+                *_config_args(cfg),
+            )
+            return out[0] < np.inf, int(lb1[0])
+
+        for a in range(n):
+            for c in range(n):
+                if a == c:
+                    continue
+                target = np.array([c])
+                L = bucket_lower_bounds(
+                    engine.store, engine._bucket_hull, engine._bucket_occ, a, target, cfg
+                )[0]
+                lb0 = hull_lower_bounds(engine._hull, a, target, cfg)[0]
+                if lb0 <= L:
+                    assert sweep(a, c, L) == (True, 1)
+                if lb0 < L:
+                    assert sweep(a, c, np.nextafter(L, -np.inf)) == (False, 1)
+
+
+@pytest.mark.skipif(not kernels.COMPILED_AVAILABLE, reason="no accelerated kernel binding")
+class TestLevel1Counter:
+    """The pairs reaching the level-1 bound, counted per probe.
+
+    Each such pair then runs the exact kernel or is pruned by level 1,
+    so the native count is the replay's ``reached``: the sweep's exact
+    evaluations plus its level-1 prunes.  The argmin sweep meets each
+    probe's own slot in the shared targets and skips it uncounted.  With
+    neutral summaries every non-self pair reaches level 1.
+    """
+
+    @given(
+        fps=st.one_of(collections(min_n=3, max_n=6), level1_populations(8)),
+        pruning=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_the_replay(self, fps, pruning, data):
+        engine = _bounded_engine(fps, pruning=pruning)
+        cfg_args = _config_args(engine.stretch)
+        n = len(fps)
+        probes = np.arange(n, dtype=np.int64)
+        targets = np.arange(n, dtype=np.int64)
+        thresholds = np.array([data.draw(threshold_values) for _ in probes])
+        if not pruning:
+            # Level 0 is 0 then, so any threshold of at least 0 (the
+            # production +inf included) lets every pair through.
+            thresholds = np.abs(thresholds)
+        _, _, pruned, lb1 = kernels.bounded_many_vs_all_arrays(
+            engine._resident, probes, targets, thresholds, *cfg_args
+        )
+        t_lists = [targets[targets != p] for p in probes]
+        flat, offsets = _csr(t_lists)
+        out, row_pruned, row_lb1 = kernels.bounded_many_vs_some_arrays(
+            engine._resident, probes, flat, offsets, thresholds,
+            np.zeros(flat.size, dtype=bool), np.full(engine.store.capacity, np.inf),
+            *cfg_args,
+        )
+        for p in probes:
+            _, ref_pruned, _, _, reached = _replay_walk(engine, p, t_lists[p], thresholds[p])
+            evaluated = int((out[offsets[p] : offsets[p + 1]] < np.inf).sum())
+            assert lb1[p] == row_lb1[p] == reached
+            # Exact evaluations plus level-1 prunes.
+            assert evaluated <= reached <= evaluated + ref_pruned
+            if not pruning:
+                assert reached == evaluated == n - 1 and pruned[p] == 0
 
 
 MERGE_BINDINGS = []

@@ -23,6 +23,8 @@ STREAM_COUNTERS = {
     "engine.boundary_crossings",
     "engine.probe_dispatches",
     "engine.batched_probes",
+    "engine.bound_pruned",
+    "engine.lb1_evaluations",
 }
 STREAM_GAUGES = {
     "stream.events_per_sec",
@@ -58,6 +60,7 @@ class TestMetricsFlags:
         assert "metrics (repro.metrics.v1)" in out
         assert "stream.events" in out
         assert "engine.boundary_crossings" in out
+        assert "engine.lb1_evaluations" in out
         assert kernels.tier_line() in out.splitlines()
 
     def test_metrics_json_snapshot_has_acceptance_keys(self, raw_csv, tmp_path):
@@ -158,6 +161,7 @@ class TestMetricsOnEverySubcommand:
         snapshot = json.loads(snap.read_text())
         validate_snapshot(snapshot)
         assert snapshot["counters"]["engine.probe_dispatches"] > 0
+        assert snapshot["counters"]["engine.lb1_evaluations"] > 0
         # Run again: the anonymize stage is cached, yet dispatch
         # counters must still be reported (harvested from the result).
         snap2 = tmp_path / "m2.json"
@@ -166,10 +170,8 @@ class TestMetricsOnEverySubcommand:
              "--metrics-json", str(snap2)]
         ) == 0
         cached = json.loads(snap2.read_text())
-        assert (
-            cached["counters"]["engine.probe_dispatches"]
-            == snapshot["counters"]["engine.probe_dispatches"]
-        )
+        for name in ("engine.probe_dispatches", "engine.lb1_evaluations"):
+            assert cached["counters"][name] == snapshot["counters"][name]
 
     def test_attack(self, raw_csv, tmp_path):
         published = tmp_path / "p.csv"

@@ -143,6 +143,7 @@ class TestInstrumentationParity:
         # ...and the registry saw exactly the run's totals.
         snap = registry.snapshot()
         assert snap["counters"]["engine.probe_dispatches"] == b.n_probe_dispatches
+        assert snap["counters"]["engine.lb1_evaluations"] == b.n_lb1_evaluations
         assert snap["counters"]["stream.merges"] == b.n_merges
 
     def test_stream_run_harvests_dispatch_counters(self, small_civ):
@@ -155,3 +156,7 @@ class TestInstrumentationParity:
         assert result.stats.n_boundary_crossings > 0
         per_window = sum(w.stats.n_probe_dispatches for w in result.windows)
         assert per_window == result.stats.n_probe_dispatches
+        assert result.stats.n_lb1_evaluations > 0
+        assert result.stats.n_lb1_evaluations == sum(
+            w.stats.n_lb1_evaluations for w in result.windows
+        )
