@@ -63,6 +63,7 @@ recomputes them.  ``REPRO_CACHE=0`` forces a full re-measure.
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -178,8 +179,27 @@ def _bench_record_key(name: str, scenario) -> str:
     )
 
 
+#: Timed runs behind each spread (min/median/max) record.
+SPREAD_RUNS = 3
+
+
+def _spread(times) -> dict:
+    """The min/median/max of a row's timed runs, in seconds."""
+    return {
+        "runs": len(times),
+        "min_s": round(min(times), 3),
+        "median_s": round(statistics.median(times), 3),
+        "max_s": round(max(times), 3),
+    }
+
+
 def _run_glove_bench() -> dict:
-    """Time a seeded GLOVE run on the baseline and on every backend."""
+    """Time a seeded GLOVE run on the baseline and on every backend.
+
+    The thread-splitter rows (``compiled-t2``/``-t8``) repeat their run
+    :data:`SPREAD_RUNS` times and record the spread, ``wall_s`` being
+    its median; every other row times one run.
+    """
     import numpy as np
 
     from repro.core.config import ComputeConfig, GloveConfig
@@ -233,9 +253,12 @@ def _run_glove_bench() -> dict:
             backend="compiled", kernel_threads=8
         )
     for backend, compute in compute_by_backend.items():
-        t0 = time.time()
-        result = glove(dataset, config, compute)
-        elapsed = time.time() - t0
+        times = []
+        for _ in range(SPREAD_RUNS if compute.kernel_threads is not None else 1):
+            t0 = time.time()
+            result = glove(dataset, config, compute)
+            times.append(time.time() - t0)
+        elapsed = statistics.median(times)
         consistent = digest(result) == reference and all(
             a.members == b.members and np.array_equal(a.data, b.data)
             for a, b in zip(result.dataset, baseline.dataset)
@@ -248,6 +271,8 @@ def _run_glove_bench() -> dict:
             "pruned_evaluations": stats.n_pruned_evaluations,
             "bound_pruned": stats.n_bound_pruned,
             "lb1_evaluations": stats.n_lb1_evaluations,
+            "exact_memo_hits": stats.n_exact_memo_hits,
+            "lb1_memo_hits": stats.n_lb1_memo_hits,
             "boundary_crossings": stats.n_boundary_crossings,
             "probe_dispatches": stats.n_probe_dispatches,
             "batched_probes": stats.n_batched_probes,
@@ -258,6 +283,7 @@ def _run_glove_bench() -> dict:
         }
         if compute.kernel_threads is not None:
             record["backends"][backend]["kernel_threads"] = compute.kernel_threads
+            record["backends"][backend]["spread"] = _spread(times)
 
     # The sharded tier on the same scenario: output is k-anonymous but
     # not byte-identical at shards > 1 (grouping is shard-local), so the
@@ -274,6 +300,8 @@ def _run_glove_bench() -> dict:
         "pruned_evaluations": sharded.stats.n_pruned_evaluations,
         "bound_pruned": sharded.stats.n_bound_pruned,
         "lb1_evaluations": sharded.stats.n_lb1_evaluations,
+        "exact_memo_hits": sharded.stats.n_exact_memo_hits,
+        "lb1_memo_hits": sharded.stats.n_lb1_memo_hits,
         "boundary_crossings": sharded.stats.n_boundary_crossings,
         "probe_dispatches": sharded.stats.n_probe_dispatches,
         "batched_probes": sharded.stats.n_batched_probes,
@@ -391,13 +419,16 @@ def _run_kernel_bench() -> dict:
             open_tau = np.full(probe_slots.size, np.inf)
             half_tau = open_tau.copy()
             half_tau[1::2] = -np.inf
+            # Memo-less bindings, so each timed repeat runs the kernels:
+            # the engine's own Resident would recall repeats 2-30 from
+            # its pair memo (DESIGN.md D13).
             def bind(hull, bhull):
                 return kernels.Resident(store, hull, bhull, bocc, engine._bucket_edges)
 
             settings = {
                 "prune_0": (bind(wide_hull, wide_bhull), open_tau),
                 "prune_50": (bind(wide_hull, wide_bhull), half_tau),
-                "natural": (engine._resident, open_tau),
+                "natural": (bind(hull, bhull), open_tau),
             }
             bounded = {}
             for key, (bounds, thresholds) in settings.items():
@@ -432,7 +463,11 @@ def _run_shard_bench() -> dict:
 
     Also sweeps the compiled tier's ``kernel_threads`` splitter over the
     same workload: every thread count must produce byte-identical output
-    (the record stores the digests' agreement, not just wall time).
+    (the record stores the digests' agreement, not just wall time).  The
+    sweep interleaves :data:`SPREAD_RUNS` rounds of 1, 2 and 8 threads
+    (the first 1-thread run is the audited one) and records each count's
+    spread and memo hits; split calls cannot recall each other's entries
+    of one call, so the hits depend on the thread count.
     """
     from repro.core.artifacts import dataset_digest
     from repro.core.config import ComputeConfig, GloveConfig
@@ -476,6 +511,8 @@ def _run_shard_bench() -> dict:
         "exact_evaluations": stats.n_exact_evaluations,
         "bound_pruned": stats.n_bound_pruned,
         "lb1_evaluations": stats.n_lb1_evaluations,
+        "exact_memo_hits": stats.n_exact_memo_hits,
+        "lb1_memo_hits": stats.n_lb1_memo_hits,
         "boundary_crossings": stats.n_boundary_crossings,
         "probe_dispatches": stats.n_probe_dispatches,
         "batched_probes": stats.n_batched_probes,
@@ -489,17 +526,27 @@ def _run_shard_bench() -> dict:
 
     record["kernel_tier"] = kernels.COMPILED_TIER
     if kernels.COMPILED_AVAILABLE:
-        digests = {1: dataset_digest(result.dataset)}
-        sweep = {"1": {"wall_s": record["wall_s"]}}
-        for nt in (2, 8):
-            t0 = time.time()
-            swept = glove(
-                dataset, config, ComputeConfig(backend="sharded", kernel_threads=nt)
-            )
-            sweep[str(nt)] = {"wall_s": round(time.time() - t0, 3)}
-            digests[nt] = dataset_digest(swept.dataset)
-        record["kernel_threads_sweep"] = sweep
-        record["identical_across_thread_counts"] = len(set(digests.values())) == 1
+        digests = {dataset_digest(result.dataset)}
+        times = {1: [elapsed], 2: [], 8: []}
+        last = {1: stats}
+        for r in range(SPREAD_RUNS):
+            for nt in (1, 2, 8) if r else (2, 8):
+                t0 = time.time()
+                swept = glove(
+                    dataset, config, ComputeConfig(backend="sharded", kernel_threads=nt)
+                )
+                times[nt].append(time.time() - t0)
+                digests.add(dataset_digest(swept.dataset))
+                last[nt] = swept.stats
+        record["kernel_threads_sweep"] = {
+            str(nt): {
+                **_spread(runs),
+                "exact_memo_hits": last[nt].n_exact_memo_hits,
+                "lb1_memo_hits": last[nt].n_lb1_memo_hits,
+            }
+            for nt, runs in times.items()
+        }
+        record["identical_across_thread_counts"] = len(digests) == 1
     return record
 
 

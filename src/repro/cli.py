@@ -67,6 +67,7 @@ from repro.cdr.io import (
 )
 from repro.core import kernels
 from repro.core.anonymizer import available_anonymizers, get_anonymizer
+from repro.core.engine import DISPATCH_COUNTERS
 from repro.core.config import (
     GloveConfig,
     SuppressionConfig,
@@ -252,11 +253,8 @@ def cmd_anonymize(args) -> int:
         # its dispatch counters; a live run is overwritten in place
         # with identical totals.
         metrics = get_metrics()
-        metrics.counter("engine.boundary_crossings").set_to(stats.n_boundary_crossings)
-        metrics.counter("engine.probe_dispatches").set_to(stats.n_probe_dispatches)
-        metrics.counter("engine.batched_probes").set_to(stats.n_batched_probes)
-        metrics.counter("engine.bound_pruned").set_to(stats.n_bound_pruned)
-        metrics.counter("engine.lb1_evaluations").set_to(stats.n_lb1_evaluations)
+        for name in DISPATCH_COUNTERS:
+            metrics.counter("engine." + name[2:]).set_to(getattr(stats, name))
         metrics.counter("glove.merges").set_to(stats.n_merges)
         spatial, temporal = extent_accuracy(result.dataset)
         print(

@@ -36,6 +36,7 @@ C_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define NCOLS 6
 #define XCOL 0
@@ -45,12 +46,46 @@ C_SOURCE = r"""
 #define TCOL 4
 #define DTCOL 5
 
+/* ---- the pair memo (DESIGN.md D13, "The pair memo") ---------------
+ * One engine's record of the values its bounded sweeps computed: exact
+ * efforts keyed by the unordered slot pair (pair_effort is bitwise
+ * direction-symmetric, D4) and level-1 bounds keyed by the ordered
+ * (probe, target) pair (bucket_bound is not).  Slots are append-only
+ * and a slot's row, count and summaries never change once written, so
+ * a stored value is the kernel's own bits for as long as the engine
+ * lives.  Each kind is an open-addressing table of (key, value) cells
+ * (linear probing, at most half full, grown by doubling) of at most
+ * per_slot entries per store slot; a full table stops inserting.  The values belong to the
+ * stretch configuration in cfg: a sweep run with another one bypasses
+ * the memo. */
+#define MEMO_EXACT 0
+#define MEMO_LB1 1
+#define MEMO_EMPTY UINT64_MAX
+
+typedef struct {
+    uint64_t key;
+    double val;
+} memo_cell_t;
+
+typedef struct {
+    memo_cell_t *cells;
+    int64_t size;
+    int64_t used;
+} memo_table_t;
+
+typedef struct {
+    memo_table_t table[2];
+    int64_t per_slot;
+    double cfg[4];
+} memo_t;
+
 /* The resident arrays of one StretchEngine, validated on the Python
  * side (repro.core.kernels.Resident) and mirrored field for field by
  * ResidentBlock below: the slot store's (cap, m_max, 6) data, lengths,
  * counts and (cap, m_max) mask, the (6, cap) hull, the
- * (cap, n_buckets, 6) bucket hulls, their occupancy and the
- * n_buckets + 1 bucket edges. */
+ * (cap, n_buckets, 6) bucket hulls, their occupancy, the
+ * n_buckets + 1 bucket edges, and the engine's pair memo (NULL for a
+ * block over other summaries). */
 typedef struct {
     double *data;
     int64_t cap;
@@ -63,6 +98,7 @@ typedef struct {
     uint8_t *bocc;
     int64_t n_buckets;
     const double *edges;
+    memo_t *memo;
 } resident_t;
 
 /* NumPy's pairwise summation: sequential below 8 elements, an
@@ -382,14 +418,171 @@ static void stable_argsort(const double *keys, int64_t *idx, int64_t *tmp, int64
     }
 }
 
+static uint64_t pair_key(int64_t a, int64_t b)
+{
+    return ((uint64_t)a << 32) | (uint64_t)b;
+}
+
+static int64_t memo_home(uint64_t key, int64_t size)
+{
+    return (int64_t)((key * 0x9E3779B97F4A7C15ull) >> 32) & (size - 1);
+}
+
+/* The cell of t holding key, else the empty cell that would take it;
+ * NULL while t has no cells.  One probe sequence serves the lookup and
+ * the insert after a miss, and a cell holds key and value on one cache
+ * line. */
+static memo_cell_t *memo_cell(const memo_table_t *t, uint64_t key)
+{
+    if (t->size == 0)
+        return NULL;
+    int64_t i = memo_home(key, t->size);
+    while (t->cells[i].key != key && t->cells[i].key != MEMO_EMPTY)
+        i = (i + 1) & (t->size - 1);
+    return &t->cells[i];
+}
+
+/* Double t's cells (64 at first); 0 when the allocation fails. */
+static int memo_grow(memo_table_t *t)
+{
+    memo_table_t g = {NULL, t->size > 0 ? 2 * t->size : 64, t->used};
+    g.cells = malloc((size_t)g.size * sizeof(memo_cell_t));
+    if (g.cells == NULL)
+        return 0;
+    for (int64_t i = 0; i < g.size; i++)
+        g.cells[i].key = MEMO_EMPTY;
+    for (int64_t i = 0; i < t->size; i++)
+        if (t->cells[i].key != MEMO_EMPTY)
+            *memo_cell(&g, t->cells[i].key) = t->cells[i];
+    free(t->cells);
+    *t = g;
+    return 1;
+}
+
+/* Record key's value in `cell`, the empty cell memo_cell found for it,
+ * unless t holds limit entries.  A table that would pass half full
+ * grows first; a failed growth skips the record, which costs a later
+ * recomputation, never a bit. */
+static void memo_fill(memo_table_t *t, memo_cell_t *cell, uint64_t key, double val,
+                      int64_t limit)
+{
+    if (t->used >= limit)
+        return;
+    if (2 * (t->used + 1) > t->size) {
+        if (!memo_grow(t))
+            return;
+        cell = memo_cell(t, key);
+    }
+    cell->key = key;
+    cell->val = val;
+    t->used++;
+}
+
+memo_t *glove_memo_new(
+    int64_t per_slot, double w_sigma, double w_tau, double phi_sigma, double phi_tau)
+{
+    memo_t *m = calloc(1, sizeof(memo_t));
+    if (m == NULL)
+        return NULL;
+    m->per_slot = per_slot;
+    m->cfg[0] = w_sigma;
+    m->cfg[1] = w_tau;
+    m->cfg[2] = phi_sigma;
+    m->cfg[3] = phi_tau;
+    return m;
+}
+
+void glove_memo_free(memo_t *m)
+{
+    free(m->table[MEMO_EXACT].cells);
+    free(m->table[MEMO_LB1].cells);
+    free(m);
+}
+
+int64_t glove_memo_entries(const memo_t *m, int64_t kind)
+{
+    return m->table[kind].used;
+}
+
+/* Insert the entries of one thread-split call's own memo into the
+ * engine's, serially after the join (D11). */
+void glove_memo_absorb(const resident_t *r, const memo_t *own)
+{
+    memo_t *m = r->memo;
+    if (m == NULL)
+        return;
+    for (int kind = 0; kind < 2; kind++) {
+        const memo_table_t *t = &own->table[kind];
+        for (int64_t i = 0; i < t->size; i++) {
+            uint64_t key = t->cells[i].key;
+            if (key == MEMO_EMPTY)
+                continue;
+            memo_cell_t *cell = memo_cell(&m->table[kind], key);
+            if (cell == NULL || cell->key != key)
+                memo_fill(&m->table[kind], cell, key, t->cells[i].val,
+                          m->per_slot * r->cap);
+        }
+    }
+}
+
 /* Scratch of one bounded sweep: the exact kernel's sa/sb/tb, the
  * level-1 per-sample minima, the probe's and a target's sample columns,
  * and the level-0 bounds with their sort permutation for n_max
- * candidates.  sweep_alloc returns -1 when an allocation fails. */
+ * candidates; sweep_alloc returns -1 when an allocation fails.  Also
+ * the memo the sweep reads and writes: the engine's, or for one call of
+ * the thread splitter the engine's to read (`shared`) and the call's
+ * own to read and write (`own`, D11); `own` is NULL when the resident
+ * carries no memo or the call runs another configuration.  hits counts
+ * the exact and the level-1 values the memo served. */
 typedef struct {
     double *sa, *sb, *tb, *lbbuf, *acols, *ccols, *lb0;
     int64_t *order, *tmp;
+    memo_t *shared, *own;
+    int64_t limit;
+    int64_t *hits;
 } sweep_t;
+
+static void sweep_memo(sweep_t *w, const resident_t *r, memo_t *own, int64_t *hits,
+                       double w_sigma, double w_tau, double phi_sigma, double phi_tau)
+{
+    double cfg[4] = {w_sigma, w_tau, phi_sigma, phi_tau};
+    memo_t *m = r->memo;
+    w->shared = w->own = NULL;
+    w->hits = hits;
+    if (m == NULL || memcmp(m->cfg, cfg, sizeof cfg) != 0)
+        return;
+    w->shared = m;
+    w->own = own != NULL ? own : m;
+    w->limit = m->per_slot * r->cap;
+}
+
+/* 1 and the value in *val when the memo holds key: the engine's
+ * table, then a split call's own.  On a miss *cell is the own table's
+ * empty cell for key, for sweep_record (NULL without a memo). */
+static int sweep_recall(const sweep_t *w, int kind, uint64_t key, double *val,
+                        memo_cell_t **cell)
+{
+    *cell = NULL;
+    if (w->own == NULL)
+        return 0;
+    memo_cell_t *c = memo_cell(&w->shared->table[kind], key);
+    if (w->own != w->shared && (c == NULL || c->key != key))
+        c = memo_cell(&w->own->table[kind], key);
+    if (c != NULL && c->key == key) {
+        *val = c->val;
+        w->hits[kind]++;
+        return 1;
+    }
+    *cell = c;
+    return 0;
+}
+
+static void sweep_record(const sweep_t *w, int kind, memo_cell_t *cell, uint64_t key,
+                         double val)
+{
+    if (w->own != NULL)
+        memo_fill(&w->own->table[kind], cell, key, val, w->limit);
+}
 
 static void sweep_free(sweep_t *w)
 {
@@ -418,20 +611,57 @@ static int sweep_alloc(sweep_t *w, int64_t m_max, int64_t n_max)
     return 0;
 }
 
+/* The level-1 bound of the ordered pair (a, t) and the exact effort of
+ * the unordered one, recalled from the memo or computed and recorded. */
+static double sweep_level1(
+    sweep_t *w, const resident_t *r, int64_t a, int64_t t,
+    double w_sigma, double w_tau, double phi_sigma, double phi_tau)
+{
+    uint64_t key = pair_key(a, t);
+    memo_cell_t *cell;
+    double v;
+    if (!sweep_recall(w, MEMO_LB1, key, &v, &cell)) {
+        v = bucket_bound(r, a, t, w->acols, w->ccols, w->lbbuf,
+                         w_sigma, w_tau, phi_sigma, phi_tau);
+        sweep_record(w, MEMO_LB1, cell, key, v);
+    }
+    return v;
+}
+
+static double sweep_exact(
+    sweep_t *w, const resident_t *r, int64_t a, int64_t t,
+    double w_sigma, double w_tau, double phi_sigma, double phi_tau)
+{
+    uint64_t key = a < t ? pair_key(a, t) : pair_key(t, a);
+    int64_t m_max = r->m_max;
+    memo_cell_t *cell;
+    double v;
+    if (!sweep_recall(w, MEMO_EXACT, key, &v, &cell)) {
+        v = pair_effort(
+            r->data + a * m_max * NCOLS, r->lengths[a], (double)r->counts[a],
+            r->data + t * m_max * NCOLS, r->lengths[t], (double)r->counts[t],
+            w->sa, w->sb, w->tb, m_max, m_max,
+            w_sigma, w_tau, phi_sigma, phi_tau);
+        sweep_record(w, MEMO_EXACT, cell, key, v);
+    }
+    return v;
+}
+
 /* Fused bound-and-prune ragged sweep (CSR layout; probes are slot ids
  * into the store tensors).  Pruned positions get a +inf sentinel
  * (exact efforts never exceed 1.0) and count into pruned[p]; the pairs
- * that reach the level-1 bound count into lb1_evals[p]. */
+ * that reach the level-1 bound count into lb1_evals[p], and the values
+ * the pair memo served into hits[0] (exact) and hits[1] (level 1). */
 int glove_bounded_many_vs_some(
     const resident_t *r,
     const int64_t *probe_slots, int64_t n_probes,
     const int64_t *flat_targets, const int64_t *offsets,
     const double *thresholds, const uint8_t *reverse, const double *best_vals,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau,
-    double *out, int64_t *pruned, int64_t *lb1_evals)
+    double *out, int64_t *pruned, int64_t *lb1_evals,
+    memo_t *own, int64_t *hits)
 {
-    const double *data = r->data, *hull = r->hull;
-    const int64_t *lengths = r->lengths, *counts = r->counts;
+    const double *hull = r->hull;
     int64_t m_max = r->m_max, hull_cap = r->cap;
     int64_t n_max = 1;
     for (int64_t p = 0; p < n_probes; p++) {
@@ -442,16 +672,14 @@ int glove_bounded_many_vs_some(
     sweep_t w;
     if (sweep_alloc(&w, m_max, n_max) != 0)
         return -1;
+    sweep_memo(&w, r, own, hits, w_sigma, w_tau, phi_sigma, phi_tau);
     for (int64_t p = 0; p < n_probes; p++) {
         int64_t a = probe_slots[p];
-        int64_t ma = lengths[a];
-        const double *a_data = data + a * m_max * NCOLS;
-        double n_a = (double)counts[a];
         int64_t off = offsets[p];
         int64_t n = offsets[p + 1] - off;
         if (n == 0)
             continue;
-        sample_columns(a_data, ma, m_max, w.acols);
+        sample_columns(r->data + a * m_max * NCOLS, r->lengths[a], m_max, w.acols);
         for (int64_t idx = 0; idx < n; idx++)
             w.lb0[idx] = hull_bound(hull, hull_cap, a, flat_targets[off + idx],
                                     w_sigma, w_tau, phi_sigma, phi_tau);
@@ -469,18 +697,13 @@ int glove_bounded_many_vs_some(
                 continue;
             }
             lb1_evals[p]++;
-            double lb1 = bucket_bound(r, a, t, w.acols, w.ccols, w.lbbuf,
-                                      w_sigma, w_tau, phi_sigma, phi_tau);
+            double lb1 = sweep_level1(&w, r, a, t, w_sigma, w_tau, phi_sigma, phi_tau);
             if (lb1 > best && (!rev || lb1 >= best_vals[t])) {
                 out[off + j] = INFINITY;
                 pruned[p]++;
                 continue;
             }
-            double v = pair_effort(
-                a_data, ma, n_a,
-                data + t * m_max * NCOLS, lengths[t], (double)counts[t],
-                w.sa, w.sb, w.tb, m_max, m_max,
-                w_sigma, w_tau, phi_sigma, phi_tau);
+            double v = sweep_exact(&w, r, a, t, w_sigma, w_tau, phi_sigma, phi_tau);
             out[off + j] = v;
             if (v < best || (v == best && t < best_idx)) {
                 best = v;
@@ -502,20 +725,18 @@ int glove_bounded_many_vs_all(
     const int64_t *targets, int64_t n_targets,
     const double *thresholds,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau,
-    double *best_out, int64_t *best_idx_out, int64_t *pruned, int64_t *lb1_evals)
+    double *best_out, int64_t *best_idx_out, int64_t *pruned, int64_t *lb1_evals,
+    memo_t *own, int64_t *hits)
 {
-    const double *data = r->data, *hull = r->hull;
-    const int64_t *lengths = r->lengths, *counts = r->counts;
+    const double *hull = r->hull;
     int64_t m_max = r->m_max, hull_cap = r->cap;
     sweep_t w;
     if (sweep_alloc(&w, m_max, n_targets > 1 ? n_targets : 1) != 0)
         return -1;
+    sweep_memo(&w, r, own, hits, w_sigma, w_tau, phi_sigma, phi_tau);
     for (int64_t p = 0; p < n_probes; p++) {
         int64_t a = probe_slots[p];
-        int64_t ma = lengths[a];
-        const double *a_data = data + a * m_max * NCOLS;
-        double n_a = (double)counts[a];
-        sample_columns(a_data, ma, m_max, w.acols);
+        sample_columns(r->data + a * m_max * NCOLS, r->lengths[a], m_max, w.acols);
         for (int64_t idx = 0; idx < n_targets; idx++)
             w.lb0[idx] = hull_bound(hull, hull_cap, a, targets[idx],
                                     w_sigma, w_tau, phi_sigma, phi_tau);
@@ -532,17 +753,12 @@ int glove_bounded_many_vs_all(
                 continue;
             }
             lb1_evals[p]++;
-            double lb1 = bucket_bound(r, a, t, w.acols, w.ccols, w.lbbuf,
-                                      w_sigma, w_tau, phi_sigma, phi_tau);
+            double lb1 = sweep_level1(&w, r, a, t, w_sigma, w_tau, phi_sigma, phi_tau);
             if (lb1 > best) {
                 pruned[p]++;
                 continue;
             }
-            double v = pair_effort(
-                a_data, ma, n_a,
-                data + t * m_max * NCOLS, lengths[t], (double)counts[t],
-                w.sa, w.sb, w.tb, m_max, m_max,
-                w_sigma, w_tau, phi_sigma, phi_tau);
+            double v = sweep_exact(&w, r, a, t, w_sigma, w_tau, phi_sigma, phi_tau);
             if (v < best || (v == best && t < best_idx)) {
                 best = v;
                 best_idx = t;
@@ -960,6 +1176,7 @@ class ResidentBlock(ctypes.Structure):
         ("bucket_occ", ctypes.c_void_p),
         ("n_buckets", ctypes.c_int64),
         ("edges", ctypes.c_void_p),
+        ("memo", ctypes.c_void_p),
     ]
 
 
@@ -992,6 +1209,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr, ptr,                          # flat_targets, offsets
         ptr, ptr, ptr,                     # thresholds, reverse, best_vals
         *cfg, ptr, ptr, ptr,               # out, pruned, lb1_evals
+        ptr, ptr,                          # own memo, memo hits
     ]
     lib.glove_bounded_many_vs_all.restype = ctypes.c_int
     lib.glove_bounded_many_vs_all.argtypes = [
@@ -1000,7 +1218,16 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr, c_i64,                        # targets, n_targets
         ptr,                               # thresholds
         *cfg, ptr, ptr, ptr, ptr,          # best, best_idx, pruned, lb1_evals
+        ptr, ptr,                          # own memo, memo hits
     ]
+    lib.glove_memo_new.restype = ptr
+    lib.glove_memo_new.argtypes = [c_i64, *cfg]  # per_slot
+    lib.glove_memo_free.restype = None
+    lib.glove_memo_free.argtypes = [ptr]
+    lib.glove_memo_entries.restype = c_i64
+    lib.glove_memo_entries.argtypes = [ptr, c_i64]  # memo, kind
+    lib.glove_memo_absorb.restype = None
+    lib.glove_memo_absorb.argtypes = [ptr, ptr]  # resident block, own memo
     lib.glove_summarize.restype = None
     lib.glove_summarize.argtypes = [ptr, ptr, c_i64]  # resident block, slots, n_slots
     lib.glove_merge_step.restype = c_i64

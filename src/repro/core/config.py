@@ -123,7 +123,8 @@ class ComputeConfig:
         resolves to the machine's CPU count at backend construction —
         the safe default for portable configs, since oversubscribing a
         small machine pessimizes (BENCH_glove.json's large_n sweep on a
-        2-CPU host: 3.684/4.772/5.133 s at 1/2/8 threads).  ``None``
+        2-CPU host: medians 3.394/4.393/5.421 s over 3 runs at 1/2/8
+        threads).  ``None``
         reads the ``REPRO_KERNEL_THREADS`` environment knob (integer or
         ``auto``, default 1).  Composes with shard-level ``workers``:
         each shard process splits its own probe batches.

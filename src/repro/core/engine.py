@@ -78,7 +78,8 @@ def _effective_kernel_threads(compute: ComputeConfig) -> int:
     ``REPRO_KERNEL_THREADS`` environment knob applies (default 1).
     ``auto`` (flag or env) resolves to the machine's CPU count, so a
     small host never oversubscribes — BENCH_glove.json's large_n sweep
-    on a 2-CPU host read 3.684/4.772/5.133 s at 1/2/8 threads.
+    on a 2-CPU host read medians of 3.394/4.393/5.421 s over 3 runs at
+    1/2/8 threads.
     The env knob degrades to 1 on other malformed values — only the
     config field / CLI flag validates strictly (DESIGN.md D6).
     """
@@ -212,6 +213,21 @@ class SlotStore:
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
+#: A backend's dispatch counters, in :meth:`StretchBackend.dispatch_counters`
+#: order.  Each is also the name of the ``GloveStats``, ``WindowStats``
+#: and ``StreamStats`` field it feeds, and ``engine.<name without n_>``
+#: is its metric.
+DISPATCH_COUNTERS = (
+    "n_boundary_crossings",
+    "n_probe_dispatches",
+    "n_batched_probes",
+    "n_bound_pruned",
+    "n_lb1_evaluations",
+    "n_exact_memo_hits",
+    "n_lb1_memo_hits",
+)
+
+
 class StretchBackend(abc.ABC):
     """Executes bulk Eq. 10 evaluations against a packed store.
 
@@ -246,17 +262,15 @@ class StretchBackend(abc.ABC):
         #: level-1 bound: each then ran the exact kernel or was pruned
         #: by level 1.
         self.n_lb1_evaluations = 0
+        #: Exact efforts and level-1 bounds of those pairs that the
+        #: engine's pair memo served instead of the kernel (DESIGN.md
+        #: D13, "The pair memo"); 0 on the NumPy walk.
+        self.n_exact_memo_hits = 0
+        self.n_lb1_memo_hits = 0
 
-    def dispatch_counters(self) -> Tuple[int, int, int, int, int]:
-        """``(crossings, probe_dispatches, batched_probes, bound_pruned,
-        lb1_evaluations)``."""
-        return (
-            self.n_boundary_crossings,
-            self.n_probe_dispatches,
-            self.n_batched_probes,
-            self.n_bound_pruned,
-            self.n_lb1_evaluations,
-        )
+    def dispatch_counters(self) -> Tuple[int, ...]:
+        """The :data:`DISPATCH_COUNTERS`, in order."""
+        return tuple(getattr(self, name) for name in DISPATCH_COUNTERS)
 
     @abc.abstractmethod
     def one_vs_all(
@@ -496,6 +510,29 @@ class CompiledBackend(StretchBackend):
         step = -(-n_probes // nt)
         return [(s, min(s + step, n_probes)) for s in range(0, n_probes, step)]
 
+    def _run_slices(self, bounds, slices, run) -> list:
+        """``run(start, end, own)`` per slice: inline for one slice, on
+        the thread pool for several.  Concurrent calls never write the
+        engine's pair memo: each writes its own, and those are absorbed
+        into the engine's in slice order after the join (DESIGN.md D11).
+        Adds the calls' memo hits to the counters."""
+        if len(slices) == 1:
+            results = [run(*slices[0], None)]
+            hits = results[0][-1]
+        else:
+            owns = [None if bounds.memo is None else bounds.memo.spawn() for _ in slices]
+            pool = self._thread_pool()
+            futures = [pool.submit(run, s, e, own) for (s, e), own in zip(slices, owns)]
+            results = [fut.result() for fut in futures]
+            for own in owns:
+                if own is not None:
+                    kernels.absorb_memo(bounds, own)
+            hits = sum(r[-1] for r in results)
+        exact, lb1 = hits.tolist()
+        self.n_exact_memo_hits += exact
+        self.n_lb1_memo_hits += lb1
+        return results
+
     def one_vs_all(self, probe_data, probe_count, packed, targets):
         targets = np.asarray(targets, dtype=np.int64)
         self.n_boundary_crossings += 1
@@ -535,25 +572,18 @@ class CompiledBackend(StretchBackend):
         self.n_batched_probes += P
         args = self._args()
 
-        def run(s: int, e: int):
+        def run(s: int, e: int, own):
             return kernels.bounded_many_vs_all_arrays(
-                bounds, probe_slots[s:e], targets, thresholds[s:e], *args
+                bounds, probe_slots[s:e], targets, thresholds[s:e], *args, own
             )
 
-        if len(slices) == 1:
-            best, best_idx, pruned, lb1 = run(0, P)
+        results = self._run_slices(bounds, slices, run)
+        if len(results) == 1:
+            best, best_idx, pruned, lb1, _ = results[0]
         else:
-            best = np.empty(P, dtype=np.float64)
-            best_idx = np.empty(P, dtype=np.int64)
-            pruned = np.zeros(P, dtype=np.int64)
-            lb1 = np.zeros(P, dtype=np.int64)
-            futures = [(s, self._thread_pool().submit(run, s, e)) for s, e in slices]
-            for s, fut in futures:
-                b, bi, pr, l1 = fut.result()
-                best[s : s + b.shape[0]] = b
-                best_idx[s : s + b.shape[0]] = bi
-                pruned[s : s + b.shape[0]] = pr
-                lb1[s : s + b.shape[0]] = l1
+            best, best_idx, pruned, lb1 = (
+                np.concatenate([r[c] for r in results]) for c in range(4)
+            )
         # Summed as lists: a NumPy reduce costs ~1.5 µs a call on these
         # few-probe arrays, and the stream runs thousands of calls.
         self.n_bound_pruned += sum(pruned.tolist())
@@ -589,27 +619,19 @@ class CompiledBackend(StretchBackend):
             self.n_boundary_crossings += len(slices)
             args = self._args()
 
-            def run(s: int, e: int):
+            def run(s: int, e: int, own):
                 return kernels.bounded_many_vs_some_arrays(
                     bounds, probe_slots[s:e],
                     flat_targets[offsets[s] : offsets[e]],
                     np.ascontiguousarray(offsets[s : e + 1] - offsets[s]),
                     thresholds[s:e],
                     flat_reverse[offsets[s] : offsets[e]],
-                    best_vals, *args,
+                    best_vals, *args, own,
                 )
 
-            if len(slices) == 1:
-                s, e = slices[0]
-                flat_out[offsets[s] : offsets[e]], pruned[s:e], lb1[s:e] = run(s, e)
-            else:
-                futures = [
-                    (s, e, self._thread_pool().submit(run, s, e)) for s, e in slices
-                ]
-                for s, e, fut in futures:
-                    flat_out[offsets[s] : offsets[e]], pruned[s:e], lb1[s:e] = (
-                        fut.result()
-                    )
+            results = self._run_slices(bounds, slices, run)
+            for (s, e), (out, pr, l1, _) in zip(slices, results):
+                flat_out[offsets[s] : offsets[e]], pruned[s:e], lb1[s:e] = out, pr, l1
         self.n_probe_dispatches += P
         self.n_batched_probes += P
         self.n_bound_pruned += sum(pruned.tolist())
@@ -753,7 +775,12 @@ class StretchEngine:
     The store's arrays and the summaries are the engine's *resident*
     arrays: a :class:`~repro.core.kernels.Resident` validates them at
     construction and after every growth, and the native entries read
-    them by its address (DESIGN.md D9, "Binding by address").
+    them by its address (DESIGN.md D9, "Binding by address").  On a
+    bound kernel tier the engine also owns a
+    :class:`~repro.core.kernels.PairMemo`, bound through each Resident
+    it builds, so the native sweeps never compute a slot pair's exact
+    effort or level-1 bound twice (DESIGN.md D13, "The pair memo");
+    :meth:`close` releases it.
     """
 
     def __init__(
@@ -767,6 +794,11 @@ class StretchEngine:
         self.store = SlotStore(fingerprints)
         self.backend = create_backend(self.compute, stretch)
         self.pruning = self.compute.pruning
+        self._memo = (
+            kernels.PairMemo((stretch.w_sigma, stretch.w_tau,
+                              stretch.phi_max_sigma_m, stretch.phi_max_tau_min))
+            if kernels.COMPILED_AVAILABLE else None
+        )
         self._init_bounds()
 
     # -- slot lifecycle -------------------------------------------------
@@ -911,7 +943,7 @@ class StretchEngine:
         """Validate the resident arrays and take their addresses (D9)."""
         self._resident = kernels.Resident(
             self.store, self._hull, self._bucket_hull, self._bucket_occ,
-            self._bucket_edges,
+            self._bucket_edges, self._memo,
         )
 
     def _grow_bounds(self) -> None:
@@ -967,8 +999,15 @@ class StretchEngine:
 
     # -- resource management -------------------------------------------
     def close(self) -> None:
-        """Release the backend's pooled resources."""
+        """Release the backend's pooled resources and the pair memo.
+
+        The engine stays usable, without a memo; a memo a caller still
+        reaches through an older Resident lives as long as that one.
+        """
         self.backend.close()
+        if self._memo is not None:
+            self._memo = None
+            self._bind()
 
     def __enter__(self):
         return self

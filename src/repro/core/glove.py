@@ -40,6 +40,7 @@ import numpy as np
 from repro.core.config import ComputeConfig, GloveConfig
 from repro.core.dataset import FingerprintDataset
 from repro.core.engine import (
+    DISPATCH_COUNTERS,
     StretchEngine,
     get_default_compute,
     get_glove_driver,
@@ -104,6 +105,12 @@ class GloveStats:
         pruned by level 1, so the count is the search's exact
         evaluations plus its level-1 prunes.  With pruning off every
         pair the search visits reaches it.
+    n_exact_memo_hits, n_lb1_memo_hits:
+        Exact efforts and level-1 bounds of those pairs that the
+        engine's pair memo served instead of the kernel (DESIGN.md D13,
+        "The pair memo"): the exact kernel ran ``n_exact_evaluations -
+        n_exact_memo_hits`` times in the bounded pair.  0 on the NumPy
+        walk.
     suppression:
         Sample-suppression statistics (zero counts when disabled).
     """
@@ -121,6 +128,8 @@ class GloveStats:
     n_batched_probes: int = 0
     n_bound_pruned: int = 0
     n_lb1_evaluations: int = 0
+    n_exact_memo_hits: int = 0
+    n_lb1_memo_hits: int = 0
     suppression: Optional[SuppressionStats] = None
 
     def record_metrics(self, registry) -> None:
@@ -134,11 +143,8 @@ class GloveStats:
         registry.counter("glove.merges").inc(self.n_merges)
         registry.counter("glove.exact_evaluations").inc(self.n_exact_evaluations)
         registry.counter("glove.pruned_evaluations").inc(self.n_pruned_evaluations)
-        registry.counter("engine.boundary_crossings").inc(self.n_boundary_crossings)
-        registry.counter("engine.probe_dispatches").inc(self.n_probe_dispatches)
-        registry.counter("engine.batched_probes").inc(self.n_batched_probes)
-        registry.counter("engine.bound_pruned").inc(self.n_bound_pruned)
-        registry.counter("engine.lb1_evaluations").inc(self.n_lb1_evaluations)
+        for name in DISPATCH_COUNTERS:
+            registry.counter("engine." + name[2:]).inc(getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -342,13 +348,8 @@ def glove(
     stats = GloveStats(n_input_fingerprints=len(fps))
     with StretchEngine(fps, stretch=config.stretch, compute=compute) as engine:
         out = _anonymize(engine, fps, config, stats, name=f"{dataset.name}-glove-k{k}")
-        (
-            stats.n_boundary_crossings,
-            stats.n_probe_dispatches,
-            stats.n_batched_probes,
-            stats.n_bound_pruned,
-            stats.n_lb1_evaluations,
-        ) = engine.backend.dispatch_counters()
+        for name, value in zip(DISPATCH_COUNTERS, engine.backend.dispatch_counters()):
+            setattr(stats, name, value)
     return finalize_result(out, stats, config)
 
 

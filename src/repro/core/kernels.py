@@ -27,12 +27,16 @@ and bound summaries key on; without it they run the NumPy bodies.
 ``FALLBACK_REASON`` says why no tier is bound (``None`` when one is).
 The entries that read an engine's store and summaries take its
 :class:`Resident`, validated once per binding, so a call converts only
-its own small per-call arrays (DESIGN.md D9).
+its own small per-call arrays (DESIGN.md D9).  An engine's
+:class:`PairMemo` rides on the Resident it builds, and the bounded
+sweeps recall from it every slot pair's exact effort and level-1 bound
+they already computed (DESIGN.md D13, "The pair memo").
 """
 
 from __future__ import annotations
 
 import ctypes
+import weakref
 
 import numpy as np
 
@@ -79,6 +83,42 @@ def _padded(data, lengths, counts):
     return data, lengths, counts
 
 
+#: Entries per slot of store capacity a :class:`PairMemo` holds of each
+#: kind at most, so an engine's loop state stays O(n) (DESIGN.md D4).
+#: The fullest shard of the seed-0 ``large-n`` run peaks at 64 level-1
+#: entries per slot of capacity and 16 exact entries per used slot.
+MEMO_PER_SLOT = 128
+
+
+class PairMemo:
+    """One engine's native pair memo (DESIGN.md D13, "The pair memo").
+
+    The exact efforts and level-1 bounds the bounded sweeps computed
+    under the stretch configuration ``stretch_args`` (``w_sigma, w_tau,
+    phi_sigma, phi_tau``), at most ``per_slot`` of each kind per store
+    slot.  The table lives on the C side and is freed when the last
+    object holding this one — its engine, a :class:`Resident` bound to
+    it — lets go, so no block can keep a freed address.
+    """
+
+    def __init__(self, stretch_args, per_slot: int = MEMO_PER_SLOT):
+        lib = _ckernel.LIB
+        self.stretch_args, self.per_slot = tuple(stretch_args), per_slot
+        self.address = lib.glove_memo_new(per_slot, *self.stretch_args)
+        if not self.address:
+            raise MemoryError("pair memo allocation failed")
+        self._free = weakref.finalize(self, lib.glove_memo_free, self.address)
+
+    def spawn(self) -> "PairMemo":
+        """An empty memo of the same configuration and budget: the one a
+        thread-split call writes (DESIGN.md D11)."""
+        return PairMemo(self.stretch_args, self.per_slot)
+
+    def entries(self):
+        """``(exact, level_1)``: the entries held of each kind."""
+        return tuple(_ckernel.LIB.glove_memo_entries(self.address, k) for k in (0, 1))
+
+
 class Resident:
     """A :class:`~repro.core.engine.StretchEngine`'s resident arrays,
     validated, behind the one address the native entries read them by.
@@ -91,10 +131,11 @@ class Resident:
     "Binding by address").  The instance holds every array for as long
     as it lives, so its addresses cannot dangle; the engine builds one at
     construction and a fresh one after every growth, and the old one
-    lets go of the retired arrays with it.
+    lets go of the retired arrays with it.  ``memo`` is the engine's
+    :class:`PairMemo`; a Resident over other summaries carries none.
     """
 
-    def __init__(self, store, hull, bucket_hull, bucket_occ, edges):
+    def __init__(self, store, hull, bucket_hull, bucket_occ, edges, memo=None):
         data = store.data
         if not isinstance(data, np.ndarray) or data.ndim != 3:
             raise ValueError(f"resident array data must be 3-D, got {np.shape(data)}")
@@ -134,8 +175,10 @@ class Resident:
         self.lengths = store.lengths
         self.hull, self.bucket_hull, self.bucket_occ = hull, bucket_hull, bucket_occ
         self.cap, self.m_max, self.n_buckets = cap, m_max, n_buckets
+        self.memo = memo
         self.block = _ckernel.ResidentBlock(
             cap=cap, m_max=m_max, n_buckets=n_buckets,
+            memo=None if memo is None else memo.address,
             **{name: _ptr(arr) for name, arr in self.arrays.items()},
         )
         #: The block's address: the one pointer argument of a resident call.
@@ -194,12 +237,14 @@ def _bind_cc():
             raise MemoryError("stretch kernel scratch allocation failed")
         return mat
 
-    # The bounded entries read the store and the summaries through the
-    # engine's Resident; only their per-call arrays are taken here.  Each
-    # also returns, per probe, the pairs that reached the level-1 bound.
+    # The bounded entries read the store, the summaries and the pair
+    # memo through the engine's Resident; only their per-call arrays are
+    # taken here.  Each also returns, per probe, the pairs that reached
+    # the level-1 bound, and the call's (exact, level-1) memo hits.  A
+    # thread-split call passes its own memo to write (DESIGN.md D11).
     def bounded_many_vs_all_cc(
         resident, probe_slots, targets, thresholds,
-        w_sigma, w_tau, phi_sigma, phi_tau,
+        w_sigma, w_tau, phi_sigma, phi_tau, own=None,
     ):
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
@@ -207,8 +252,9 @@ def _bind_cc():
         best_idx = np.empty(P, dtype=np.int64)
         pruned = np.zeros(P, dtype=np.int64)
         lb1 = np.zeros(P, dtype=np.int64)
+        hits = np.zeros(2, dtype=np.int64)
         if P == 0:
-            return best, best_idx, pruned, lb1
+            return best, best_idx, pruned, lb1, hits
         targets = np.ascontiguousarray(targets, dtype=np.int64)
         thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
         rc = lib.glove_bounded_many_vs_all(
@@ -216,14 +262,15 @@ def _bind_cc():
             _ptr(targets), targets.shape[0], _ptr(thresholds),
             w_sigma, w_tau, phi_sigma, phi_tau,
             _ptr(best), _ptr(best_idx), _ptr(pruned), _ptr(lb1),
+            None if own is None else own.address, _ptr(hits),
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
-        return best, best_idx, pruned, lb1
+        return best, best_idx, pruned, lb1, hits
 
     def bounded_many_vs_some_cc(
         resident, probe_slots, flat_targets, offsets, thresholds, reverse, best_vals,
-        w_sigma, w_tau, phi_sigma, phi_tau,
+        w_sigma, w_tau, phi_sigma, phi_tau, own=None,
     ):
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
@@ -231,8 +278,9 @@ def _bind_cc():
         out = np.empty(flat_targets.shape[0], dtype=np.float64)
         pruned = np.zeros(P, dtype=np.int64)
         lb1 = np.zeros(P, dtype=np.int64)
+        hits = np.zeros(2, dtype=np.int64)
         if P == 0 or out.size == 0:
-            return out, pruned, lb1
+            return out, pruned, lb1, hits
         # The C entry takes the reverse flags as uint8; a bool array is
         # one byte per element, so the view is a free reinterpret.
         reverse = np.ascontiguousarray(reverse, dtype=np.bool_).view(np.uint8)
@@ -245,10 +293,14 @@ def _bind_cc():
             _ptr(thresholds), _ptr(reverse), _ptr(best_vals),
             w_sigma, w_tau, phi_sigma, phi_tau,
             _ptr(out), _ptr(pruned), _ptr(lb1),
+            None if own is None else own.address, _ptr(hits),
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
-        return out, pruned, lb1
+        return out, pruned, lb1, hits
+
+    def absorb_memo_cc(resident, own):
+        lib.glove_memo_absorb(resident.address, own.address)
 
     def summarize_arrays_cc(resident, slots):
         # The summaries are written in place through the resident block,
@@ -280,6 +332,7 @@ def _bind_cc():
         bounded_many_vs_some_cc,
         summarize_arrays_cc,
         merge_step_cc,
+        absorb_memo_cc,
     ), None
 
 
@@ -293,6 +346,7 @@ if _cc is not None:
         bounded_many_vs_some_arrays,
         summarize_arrays,
         merge_step,
+        absorb_memo,
     ) = _cc
 
 #: True when the ``cc`` binding backs the ``compiled`` backend.

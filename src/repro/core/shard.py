@@ -43,6 +43,7 @@ import numpy as np
 from repro.core.config import ComputeConfig, GloveConfig
 from repro.core.dataset import FingerprintDataset
 from repro.core.engine import (
+    DISPATCH_COUNTERS,
     StretchEngine,
     auto_backend,
     get_default_compute,
@@ -137,11 +138,7 @@ _COUNTER_FIELDS = (
     "n_merges",
     "n_exact_evaluations",
     "n_pruned_evaluations",
-    "n_boundary_crossings",
-    "n_probe_dispatches",
-    "n_batched_probes",
-    "n_bound_pruned",
-    "n_lb1_evaluations",
+    *DISPATCH_COUNTERS,
 )
 
 

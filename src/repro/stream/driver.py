@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, List, Optional, Set
 
 from repro.core.config import ComputeConfig, GloveConfig
 from repro.core.dataset import FingerprintDataset
-from repro.core.engine import StretchEngine, get_default_compute
+from repro.core.engine import DISPATCH_COUNTERS, StretchEngine, get_default_compute
 from repro.core.fingerprint import Fingerprint
 from repro.core.glove import (
     GloveResult,
@@ -202,11 +202,8 @@ def _batch_result(
     wstats.n_groups = len(result.dataset)
     wstats.n_merges = result.stats.n_merges
     wstats.suppression = result.stats.suppression
-    wstats.n_boundary_crossings = result.stats.n_boundary_crossings
-    wstats.n_probe_dispatches = result.stats.n_probe_dispatches
-    wstats.n_batched_probes = result.stats.n_batched_probes
-    wstats.n_bound_pruned = result.stats.n_bound_pruned
-    wstats.n_lb1_evaluations = result.stats.n_lb1_evaluations
+    for name in DISPATCH_COUNTERS:
+        setattr(wstats, name, getattr(result.stats, name))
     return result
 
 
@@ -270,11 +267,8 @@ def _finalize(pending: _PendingWindow, config: GloveConfig) -> WindowResult:
     pending.wstats.n_groups = len(result.dataset)
     pending.wstats.n_merges = pending.glove_stats.n_merges
     pending.wstats.suppression = result.stats.suppression
-    pending.wstats.n_boundary_crossings = pending.glove_stats.n_boundary_crossings
-    pending.wstats.n_probe_dispatches = pending.glove_stats.n_probe_dispatches
-    pending.wstats.n_batched_probes = pending.glove_stats.n_batched_probes
-    pending.wstats.n_bound_pruned = pending.glove_stats.n_bound_pruned
-    pending.wstats.n_lb1_evaluations = pending.glove_stats.n_lb1_evaluations
+    for name in DISPATCH_COUNTERS:
+        setattr(pending.wstats, name, getattr(pending.glove_stats, name))
     pending.wstats.wall_s += time.perf_counter() - t0
     return WindowResult(
         index=pending.index,
@@ -368,13 +362,8 @@ def iter_stream_glove(
             finished, leftover, _ = _greedy_merge(engine, population, config, glove_stats)
             finished_fps = [engine.store.fps[s] for s in finished]
             leftover_fp = engine.store.fps[leftover] if leftover is not None else None
-            (
-                glove_stats.n_boundary_crossings,
-                glove_stats.n_probe_dispatches,
-                glove_stats.n_batched_probes,
-                glove_stats.n_bound_pruned,
-                glove_stats.n_lb1_evaluations,
-            ) = engine.backend.dispatch_counters()
+            for name, value in zip(DISPATCH_COUNTERS, engine.backend.dispatch_counters()):
+                setattr(glove_stats, name, value)
         if leftover_fp is not None:
             carry = [leftover_fp]
             wstats.carried_out_members = leftover_fp.count

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.engine import DISPATCH_COUNTERS
 from repro.core.suppression import SuppressionStats
 from repro.obs import get_metrics
 
@@ -60,7 +61,7 @@ class WindowStats:
     wall_s:
         Processing latency of the window (assembly + GLOVE + output).
     n_boundary_crossings, n_probe_dispatches, n_batched_probes, n_bound_pruned,
-    n_lb1_evaluations:
+    n_lb1_evaluations, n_exact_memo_hits, n_lb1_memo_hits:
         Stretch-backend dispatch counters harvested from the window's
         engine (zero for deferred windows, which run no merges).
     """
@@ -86,6 +87,8 @@ class WindowStats:
     n_batched_probes: int = 0
     n_bound_pruned: int = 0
     n_lb1_evaluations: int = 0
+    n_exact_memo_hits: int = 0
+    n_lb1_memo_hits: int = 0
 
 
 @dataclass
@@ -119,6 +122,8 @@ class StreamStats:
     n_batched_probes: int = 0
     n_bound_pruned: int = 0
     n_lb1_evaluations: int = 0
+    n_exact_memo_hits: int = 0
+    n_lb1_memo_hits: int = 0
     suppression_total_samples: int = 0
     suppression_discarded_samples: int = 0
     suppression_discarded_fingerprints: int = 0
@@ -177,11 +182,8 @@ class StreamStats:
         self.n_groups += window.n_groups
         self.n_merges += window.n_merges
         self.max_carried_members = max(self.max_carried_members, window.carried_out_members)
-        self.n_boundary_crossings += window.n_boundary_crossings
-        self.n_probe_dispatches += window.n_probe_dispatches
-        self.n_batched_probes += window.n_batched_probes
-        self.n_bound_pruned += window.n_bound_pruned
-        self.n_lb1_evaluations += window.n_lb1_evaluations
+        for name in DISPATCH_COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(window, name))
         if window.suppression is not None:
             self.suppression_total_samples += window.suppression.total_samples
             self.suppression_discarded_samples += window.suppression.discarded_samples
@@ -210,11 +212,7 @@ class StreamStats:
             "stream.merges": self.n_merges,
             "stream.suppressed_samples": self.suppression_discarded_samples,
             "stream.suppressed_fingerprints": self.suppression_discarded_fingerprints,
-            "engine.boundary_crossings": self.n_boundary_crossings,
-            "engine.probe_dispatches": self.n_probe_dispatches,
-            "engine.batched_probes": self.n_batched_probes,
-            "engine.bound_pruned": self.n_bound_pruned,
-            "engine.lb1_evaluations": self.n_lb1_evaluations,
+            **{"engine." + name[2:]: getattr(self, name) for name in DISPATCH_COUNTERS},
         }
         for name, value in counters.items():
             registry.counter(name).set_to(value)

@@ -329,6 +329,54 @@ class TestEngineLifecycle:
         np.testing.assert_array_equal(row, mat[3, [0, 1, 2, 4, 5, 6, 7]])
 
 
+class TestPairMemoLifecycle:
+    """An engine's pair memo lives as long as the engine (DESIGN.md D13).
+
+    Its native table is freed when the engine is closed or dropped, and
+    a closed engine keeps working without one.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _bound_tier(self):
+        from repro.core import kernels
+
+        if not kernels.COMPILED_AVAILABLE:
+            pytest.skip("no accelerated kernel binding")
+
+    def _filled(self, small_civ):
+        engine = StretchEngine(list(small_civ)[:8], compute=ComputeConfig(backend="compiled"))
+        engine.bounded_argmin(np.arange(4), np.arange(8))
+        engine.bounded_argmin(np.arange(4, 8), np.arange(8))
+        assert engine._memo.entries()[1] > 0
+        return engine
+
+    def test_dropped_engine_releases_its_memo(self, small_civ):
+        import gc
+
+        engine = self._filled(small_civ)
+        free = engine._memo._free
+        assert free.alive
+        del engine
+        gc.collect()
+        assert not free.alive
+
+    def test_closed_engine_releases_its_memo_and_still_works(self, small_civ):
+        engine = self._filled(small_civ)
+        free = engine._memo._free
+        before = engine.bounded_argmin(np.arange(8), np.arange(8))
+        engine.close()
+        assert not free.alive
+        assert engine._memo is None and engine._resident.memo is None
+        after = engine.bounded_argmin(np.arange(8), np.arange(8))
+        for got, ref in zip(after, before):
+            np.testing.assert_array_equal(got, ref)
+        assert engine.backend.n_lb1_memo_hits > 0
+
+    def test_numpy_walk_reads_no_memo(self, small_civ):
+        result = glove(small_civ, GloveConfig(k=2), ComputeConfig(backend="numpy"))
+        assert result.stats.n_exact_memo_hits == result.stats.n_lb1_memo_hits == 0
+
+
 class TestDispatchCounters:
     """Per-run native-vs-inline dispatch accounting (DESIGN.md D11).
 
@@ -348,12 +396,14 @@ class TestDispatchCounters:
         targets = np.arange(8, dtype=np.int64)
         _, _, pruned = engine.bounded_argmin(np.arange(4), targets)
         bound_pruned = int(pruned.sum())
-        *counters, lb1 = engine.backend.dispatch_counters()
+        *counters, lb1, exact_hits, lb1_hits = engine.backend.dispatch_counters()
         assert counters == [4, 4, 0, bound_pruned]
         # 4 probes x 7 other targets: the evaluated ones reached level 1.
         assert 28 - bound_pruned <= lb1 <= 28
+        # The NumPy walk has no pair memo.
+        assert exact_hits == lb1_hits == 0
         engine.row(0, targets)
-        assert engine.backend.dispatch_counters() == (5, 5, 0, bound_pruned, lb1)
+        assert engine.backend.dispatch_counters() == (5, 5, 0, bound_pruned, lb1, 0, 0)
 
     def test_compiled_many_vs_all_counts_one_crossing(self, small_civ):
         from repro.core import kernels
@@ -363,23 +413,30 @@ class TestDispatchCounters:
         targets = np.arange(8, dtype=np.int64)
         with self._engine(small_civ, backend="compiled", kernel_threads=1) as engine:
             _, _, a = engine.bounded_argmin(np.arange(4), targets)
-            *counters, lb1_a = engine.backend.dispatch_counters()
+            *counters, lb1_a, exact_hits_a, lb1_hits_a = engine.backend.dispatch_counters()
             assert counters == [1, 4, 4, int(a.sum())]
             assert 28 - int(a.sum()) <= lb1_a <= 28
+            # Probes 0-3 meet each other in both roles: at least one
+            # exact pair repeats across roles, no ordered level-1 pair.
+            assert exact_hits_a > 0 and lb1_hits_a == 0
             t_lists = [targets[targets != p] for p in range(4)]
             rows, b = engine.bounded_rows_some(
                 np.arange(4), t_lists, [np.zeros(7, dtype=bool)] * 4,
                 np.full(16, np.inf),
             )
-            *counters, lb1 = engine.backend.dispatch_counters()
+            *counters, lb1, exact_hits, lb1_hits = engine.backend.dispatch_counters()
             assert counters == [2, 8, 8, int(a.sum() + b.sum())]
             evaluated = sum(int((row < np.inf).sum()) for row in rows)
             assert evaluated <= lb1 - lb1_a <= evaluated + int(b.sum())
+            # The same ordered pairs again: the first call computed every
+            # level-1 bound the second reaches.
+            assert lb1_hits - lb1_hits_a == lb1 - lb1_a
+            assert exact_hits - exact_hits_a <= evaluated
 
     def test_auto_backend_aggregates_children(self, small_civ):
         with self._engine(small_civ, backend="auto") as engine:
             engine.bounded_argmin(np.arange(4), np.arange(8))
-            crossings, dispatches, batched, _, _ = engine.backend.dispatch_counters()
+            crossings, dispatches = engine.backend.dispatch_counters()[:2]
         assert dispatches == 4
         # ``auto`` is whichever tier the environment binds: batched
         # native (1 crossing) or the per-probe NumPy walk.

@@ -524,7 +524,7 @@ def test_argmin_survives_an_inadmissible_bound():
     # ties it exactly, but its level-1 bound is above that best, so the
     # sweep prunes the lower id the exhaustive argmin picks.
     engine = _one_ulp_engine()
-    best, idx, _, _ = kernels.bounded_many_vs_all_arrays(
+    best, idx, _, _, _ = kernels.bounded_many_vs_all_arrays(
         engine._resident, np.array([0]), np.array([3, 1]), np.array([np.inf]),
         *_config_args(engine.stretch),
     )
@@ -610,7 +610,7 @@ class TestLevel1Parity:
         n = len(fps)
 
         def sweep(a, c, tau):
-            out, pruned, lb1 = kernels.bounded_many_vs_some_arrays(
+            out, pruned, lb1, _ = kernels.bounded_many_vs_some_arrays(
                 engine._resident, np.array([a]), np.array([c]), np.array([0, 1]),
                 np.array([tau]), np.zeros(1, dtype=bool), best_vals,
                 *_config_args(cfg),
@@ -660,12 +660,12 @@ class TestLevel1Counter:
             # Level 0 is 0 then, so any threshold of at least 0 (the
             # production +inf included) lets every pair through.
             thresholds = np.abs(thresholds)
-        _, _, pruned, lb1 = kernels.bounded_many_vs_all_arrays(
+        _, _, pruned, lb1, _ = kernels.bounded_many_vs_all_arrays(
             engine._resident, probes, targets, thresholds, *cfg_args
         )
         t_lists = [targets[targets != p] for p in probes]
         flat, offsets = _csr(t_lists)
-        out, row_pruned, row_lb1 = kernels.bounded_many_vs_some_arrays(
+        out, row_pruned, row_lb1, _ = kernels.bounded_many_vs_some_arrays(
             engine._resident, probes, flat, offsets, thresholds,
             np.zeros(flat.size, dtype=bool), np.full(engine.store.capacity, np.inf),
             *cfg_args,
@@ -678,6 +678,253 @@ class TestLevel1Counter:
             assert evaluated <= reached <= evaluated + ref_pruned
             if not pruning:
                 assert reached == evaluated == n - 1 and pruned[p] == 0
+
+
+def _memo_less(engine):
+    """A Resident over the engine's arrays and summaries without a memo:
+    every sweep through it runs every kernel."""
+    return kernels.Resident(
+        engine.store, engine._hull, engine._bucket_hull, engine._bucket_occ,
+        engine._bucket_edges,
+    )
+
+
+def _both_sweeps(resident, probes, targets, thresholds, reverse, best_vals, cfg_args):
+    """Both native sweeps of ``probes`` against ``targets`` (each probe's
+    own slot left out of its row): their outputs and summed memo hits."""
+    best, idx, pruned, lb1, hits = kernels.bounded_many_vs_all_arrays(
+        resident, probes, targets, thresholds, *cfg_args
+    )
+    flat, offsets = _csr([targets[targets != p] for p in probes])
+    out, row_pruned, row_lb1, row_hits = kernels.bounded_many_vs_some_arrays(
+        resident, probes, flat, offsets, thresholds, reverse[: flat.size], best_vals,
+        *cfg_args,
+    )
+    return (best, idx, pruned, lb1, out, row_pruned, row_lb1), hits + row_hits
+
+
+@pytest.mark.skipif(not kernels.COMPILED_AVAILABLE, reason="no accelerated kernel binding")
+class TestPairMemo:
+    """The pair memo changes no output bit (DESIGN.md D13, "The pair memo").
+
+    Each case runs both native sweeps through the engine's Resident,
+    which carries its memo, and the same calls through a memo-less
+    Resident over the same arrays, which runs every kernel: rows,
+    ``+inf`` sentinels, best/best_idx, pruned and level-1 counts must
+    match bit for bit.  Exact efforts are keyed by the unordered pair,
+    level-1 bounds by the ordered one.
+    """
+
+    @staticmethod
+    def _engine(fps, pruning=True):
+        return StretchEngine(fps, compute=ComputeConfig(backend="compiled", pruning=pruning))
+
+    @staticmethod
+    def _inputs(data, engine, n_probes):
+        thresholds = np.array([data.draw(threshold_values) for _ in range(n_probes)])
+        if not engine.pruning:
+            thresholds = np.abs(thresholds)
+        reverse = np.array(data.draw(st.lists(
+            st.booleans(), min_size=n_probes * engine.store.size,
+            max_size=n_probes * engine.store.size,
+        )), dtype=bool)
+        best_vals = np.array(data.draw(st.lists(
+            st.sampled_from([np.inf, 0.0, 0.25, 0.5, 1.0]),
+            min_size=engine.store.capacity, max_size=engine.store.capacity,
+        )))
+        return thresholds, reverse, best_vals
+
+    def _check(self, engine, probes, targets, thresholds, reverse, best_vals):
+        """The sweeps' outputs, bitwise the memo-less ones; the memo hits."""
+        cfg_args = _config_args(engine.stretch)
+        got, hits = _both_sweeps(
+            engine._resident, probes, targets, thresholds, reverse, best_vals, cfg_args
+        )
+        ref, ref_hits = _both_sweeps(
+            _memo_less(engine), probes, targets, thresholds, reverse, best_vals, cfg_args
+        )
+        assert ref_hits.tolist() == [0, 0]
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+        return got, hits.tolist()
+
+    @pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-prune"])
+    @given(
+        fps=st.one_of(collections(min_n=3, max_n=6), level1_populations(8)),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_repeated_calls(self, pruning, fps, data):
+        engine = self._engine(fps, pruning)
+        n = len(fps)
+        probes = targets = np.arange(n, dtype=np.int64)
+        for _ in range(2):
+            inputs = self._inputs(data, engine, n)
+            self._check(engine, probes, targets, *inputs)
+            # The same call again walks the same pairs: the memo now holds
+            # every level-1 bound and exact effort it reaches.
+            got, hits = self._check(engine, probes, targets, *inputs)
+            _, _, _, lb1, out, _, row_lb1 = got
+            evaluated = int(np.count_nonzero(out < np.inf))
+            assert hits[1] == int(lb1.sum() + row_lb1.sum())
+            assert evaluated <= hits[0] <= int(lb1.sum() + row_lb1.sum())
+
+    @given(fps=collections(min_n=2, max_n=4))
+    @settings(max_examples=30, deadline=None)
+    def test_swapped_roles(self, fps):
+        # At a +inf threshold a lone pair is always evaluated.  Swapping
+        # probe and target recalls the exact effort (unordered key) but
+        # not the level-1 bound (ordered key); the original order then
+        # recalls both.
+        engine = self._engine(fps)
+        best_vals = np.full(engine.store.capacity, np.inf)
+        no_reverse = np.zeros(1, dtype=bool)
+
+        def lone(a, c):
+            got, hits = self._check(
+                engine, np.array([a]), np.array([a, c]), np.array([np.inf]),
+                no_reverse, best_vals,
+            )
+            assert got[4][0] < np.inf
+            return hits
+
+        n = len(fps)
+        for a in range(n):
+            for c in range(a + 1, n):
+                assert lone(a, c) == [1, 1]  # the argmin sweep's values, recalled
+                assert lone(c, a) == [2, 1]
+                assert lone(a, c) == [2, 2]
+
+    def test_level1_keys_are_ordered(self):
+        # D4's rounding case: the probe side means over its 27 samples,
+        # the target side over the zero-padded width 50, so the two
+        # directions of the level-1 bound differ in the last bit.  The
+        # smaller one, recorded first, must not be recalled for the
+        # other direction: one ulp below its own bound that pair prunes.
+        engine = _one_ulp_engine()
+        cfg = engine.stretch
+        best_vals = np.full(engine.store.capacity, np.inf)
+
+        def sweep(a, c, tau):
+            out, _, lb1, _ = kernels.bounded_many_vs_some_arrays(
+                engine._resident, np.array([a]), np.array([c]), np.array([0, 1]),
+                np.array([tau]), np.zeros(1, dtype=bool), best_vals, *_config_args(cfg),
+            )
+            return bool(out[0] < np.inf), int(lb1[0])
+
+        bound = {
+            (a, c): bucket_lower_bounds(
+                engine.store, engine._bucket_hull, engine._bucket_occ, a, np.array([c]), cfg
+            )[0]
+            for a, c in ((0, 1), (1, 0))
+        }
+        assert bound[(1, 0)] < bound[(0, 1)]
+        assert sweep(1, 0, bound[(1, 0)]) == (True, 1)
+        assert sweep(0, 1, np.nextafter(bound[(0, 1)], -np.inf)) == (False, 1)
+        assert sweep(0, 1, bound[(0, 1)]) == (True, 1)
+
+    @given(fps=collections(min_n=3, max_n=5), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_across_a_store_growth(self, fps, data):
+        # Slots keep their ids and bytes when the store grows, so the
+        # memo carries over into the rebuilt Resident.
+        engine = self._engine(fps)
+        n = len(fps)
+        probes = np.arange(n, dtype=np.int64)
+        self._check(engine, probes, probes, *self._inputs(data, engine, n))
+        before = engine._memo.entries()
+        cap = engine.store.capacity
+        while engine.store.capacity == cap:
+            engine.merge_step(0, 1)
+        assert engine._resident.memo is engine._memo
+        assert engine._memo.entries() == before
+        targets = np.arange(engine.store.size, dtype=np.int64)
+        _, hits = self._check(engine, probes, targets, *self._inputs(data, engine, n))
+        inputs = self._inputs(data, engine, targets.size)
+        self._check(engine, targets, targets, *inputs)
+        _, again = self._check(engine, targets, targets, *inputs)
+        assert again[1] > 0
+
+    @given(fps=collections(min_n=4, max_n=6), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_past_the_cap(self, fps, data):
+        # One entry of each kind per slot of capacity: the memo fills
+        # and stops inserting, and nothing else changes.
+        engine = self._engine(fps, pruning=False)
+        engine._memo = kernels.PairMemo(_config_args(engine.stretch), per_slot=1)
+        engine._bind()
+        limit = engine.store.capacity
+        probes = np.arange(len(fps), dtype=np.int64)
+        inputs = self._inputs(data, engine, probes.size)
+        for _ in range(3):
+            self._check(engine, probes, probes, *inputs)
+        exact, level1 = engine._memo.entries()
+        assert exact <= limit and level1 == min(limit, probes.size * (probes.size - 1))
+
+    @given(fps=collections(min_n=3, max_n=6), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_other_summaries_never_read_the_memo(self, fps, data):
+        # The bench's widened hulls: every bound reads 0, so a recalled
+        # level-1 value of the engine's summaries would prune wrongly.
+        engine = self._engine(fps)
+        n = len(fps)
+        probes = np.arange(n, dtype=np.int64)
+        inputs = self._inputs(data, engine, n)
+        self._check(engine, probes, probes, *inputs)
+        entries = engine._memo.entries()
+        hull, bhull = engine._hull.copy(), engine._bucket_hull.copy()
+        for lo, hi in ((0, 1), (2, 3), (4, 5)):
+            hull[lo], hull[hi] = -np.inf, np.inf
+            bhull[..., lo], bhull[..., hi] = -np.inf, np.inf
+        wide = kernels.Resident(
+            engine.store, hull, bhull, engine._bucket_occ, engine._bucket_edges
+        )
+        assert wide.memo is None
+        best, idx, pruned, lb1, hits = kernels.bounded_many_vs_all_arrays(
+            wide, probes, probes, np.full(n, np.inf), *_config_args(engine.stretch)
+        )
+        assert hits.tolist() == [0, 0] and engine._memo.entries() == entries
+        assert pruned.tolist() == [0] * n and lb1.tolist() == [n - 1] * n
+        for p in probes:
+            others = probes[probes != p]
+            row = engine.row(p, others)
+            assert (best[p], idx[p]) == (row.min(), others[row == row.min()].min())
+
+    @given(fps=collections(min_n=3, max_n=5), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_another_configuration_bypasses_the_memo(self, fps, data):
+        engine = self._engine(fps)
+        n = len(fps)
+        probes = np.arange(n, dtype=np.int64)
+        thresholds, reverse, best_vals = self._inputs(data, engine, n)
+        self._check(engine, probes, probes, thresholds, reverse, best_vals)
+        entries = engine._memo.entries()
+        skewed = _config_args(SKEWED_STRETCH)
+        got, hits = _both_sweeps(
+            engine._resident, probes, probes, thresholds, reverse, best_vals, skewed
+        )
+        ref, _ = _both_sweeps(
+            _memo_less(engine), probes, probes, thresholds, reverse, best_vals, skewed
+        )
+        assert hits.tolist() == [0, 0] and engine._memo.entries() == entries
+        assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+    def test_engines_do_not_share_a_memo(self):
+        # Same slot ids, different bytes: a memo shared across engines
+        # would serve one population's values to the other.
+        rng = np.random.default_rng(5)
+        probes = np.arange(4, dtype=np.int64)
+        for _ in range(2):
+            rows = np.zeros((4, 6))
+            rows[:, [X, Y]] = rng.uniform(0.0, 2e4, (4, 2))
+            rows[:, T] = rng.uniform(0.0, 600.0, 4)
+            engine = self._engine([Fingerprint(f"u{i}", rows[i : i + 1]) for i in range(4)])
+            assert engine._memo.entries() == (0, 0)
+            _, hits = self._check(
+                engine, probes, probes, np.full(4, np.inf), np.zeros(16, dtype=bool),
+                np.full(engine.store.capacity, np.inf),
+            )
+            assert hits[1] > 0
 
 
 MERGE_BINDINGS = []
@@ -1218,7 +1465,7 @@ class TestFallback:
             for name in (
                 "one_vs_all_arrays", "pairwise_matrix_arrays",
                 "bounded_many_vs_all_arrays", "bounded_many_vs_some_arrays",
-                "summarize_arrays", "merge_step",
+                "summarize_arrays", "merge_step", "absorb_memo",
             ):
                 assert not hasattr(kernels, name), name
             assert kernels.FALLBACK_REASON == "disabled by REPRO_CC_KERNEL=0"

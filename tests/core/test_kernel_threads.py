@@ -56,6 +56,52 @@ class TestThreadDeterminism:
             digests[nt] = _digest(result)
         assert digests[1] == digests[2] == digests[8]
 
+    def test_counters_identical_across_thread_counts(self, bench_dataset):
+        # Every walk counter is the unsplit call's.  The memo hits are a
+        # cost count: split calls cannot recall each other's entries of
+        # the same call, so they may read lower, never higher.
+        stats = {}
+        for nt in (1, 2, 8):
+            s = glove(
+                bench_dataset,
+                GloveConfig(k=2),
+                ComputeConfig(backend="compiled", kernel_threads=nt),
+            ).stats
+            stats[nt] = s
+        walk = {
+            nt: (s.n_merges, s.n_exact_evaluations, s.n_bound_pruned,
+                 s.n_lb1_evaluations, s.n_probe_dispatches, s.n_batched_probes)
+            for nt, s in stats.items()
+        }
+        assert walk[1] == walk[2] == walk[8]
+        for nt in (2, 8):
+            assert 0 < stats[nt].n_exact_memo_hits <= stats[1].n_exact_memo_hits
+            assert 0 < stats[nt].n_lb1_memo_hits <= stats[1].n_lb1_memo_hits
+
+    def test_split_calls_write_their_own_memo(self, small_civ):
+        # One call of the thread splitter reads the engine's memo and
+        # writes only its own, which is absorbed after the join.
+        fps = list(small_civ)[:10]
+        with StretchEngine(fps, compute=ComputeConfig(backend="compiled")) as engine:
+            resident, memo = engine._resident, engine._memo
+            args = engine.backend._args()
+            targets = np.arange(len(fps), dtype=np.int64)
+            inf = np.full(len(fps), np.inf)
+            kernels.bounded_many_vs_all_arrays(resident, targets[:3], targets, inf[:3], *args)
+            shared = memo.entries()
+            own = memo.spawn()
+            *_, hits = kernels.bounded_many_vs_all_arrays(
+                resident, targets[3:], targets, inf[3:], *args, own
+            )
+            assert memo.entries() == shared
+            assert hits[0] > 0 and own.entries()[1] > 0
+            kernels.absorb_memo(resident, own)
+            assert memo.entries() == tuple(a + b for a, b in zip(shared, own.entries()))
+            *_, hits = kernels.bounded_many_vs_all_arrays(
+                resident, targets[3:], targets, inf[3:], *args
+            )
+            assert hits[1] == own.entries()[1]
+
     def test_glove_matches_numpy_reference(self, bench_dataset):
         reference = glove(
             bench_dataset, GloveConfig(k=2), ComputeConfig(backend="numpy")

@@ -25,6 +25,8 @@ STREAM_COUNTERS = {
     "engine.batched_probes",
     "engine.bound_pruned",
     "engine.lb1_evaluations",
+    "engine.exact_memo_hits",
+    "engine.lb1_memo_hits",
 }
 STREAM_GAUGES = {
     "stream.events_per_sec",
@@ -61,6 +63,7 @@ class TestMetricsFlags:
         assert "stream.events" in out
         assert "engine.boundary_crossings" in out
         assert "engine.lb1_evaluations" in out
+        assert "engine.lb1_memo_hits" in out
         assert kernels.tier_line() in out.splitlines()
 
     def test_metrics_json_snapshot_has_acceptance_keys(self, raw_csv, tmp_path):
@@ -170,7 +173,10 @@ class TestMetricsOnEverySubcommand:
              "--metrics-json", str(snap2)]
         ) == 0
         cached = json.loads(snap2.read_text())
-        for name in ("engine.probe_dispatches", "engine.lb1_evaluations"):
+        for name in (
+            "engine.probe_dispatches", "engine.lb1_evaluations",
+            "engine.exact_memo_hits", "engine.lb1_memo_hits",
+        ):
             assert cached["counters"][name] == snapshot["counters"][name]
 
     def test_attack(self, raw_csv, tmp_path):

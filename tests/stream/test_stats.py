@@ -144,6 +144,8 @@ class TestInstrumentationParity:
         snap = registry.snapshot()
         assert snap["counters"]["engine.probe_dispatches"] == b.n_probe_dispatches
         assert snap["counters"]["engine.lb1_evaluations"] == b.n_lb1_evaluations
+        assert snap["counters"]["engine.exact_memo_hits"] == b.n_exact_memo_hits
+        assert snap["counters"]["engine.lb1_memo_hits"] == b.n_lb1_memo_hits
         assert snap["counters"]["stream.merges"] == b.n_merges
 
     def test_stream_run_harvests_dispatch_counters(self, small_civ):
@@ -160,3 +162,7 @@ class TestInstrumentationParity:
         assert result.stats.n_lb1_evaluations == sum(
             w.stats.n_lb1_evaluations for w in result.windows
         )
+        for name in ("n_exact_memo_hits", "n_lb1_memo_hits"):
+            assert getattr(result.stats, name) == sum(
+                getattr(w.stats, name) for w in result.windows
+            )
