@@ -122,9 +122,9 @@ class ComputeConfig:
         multi-core hosts without process-pool pickling.  ``"auto"``
         resolves to the machine's CPU count at backend construction —
         the safe default for portable configs, since oversubscribing a
-        small machine pessimizes (BENCH_glove.json's large_n sweep on a
-        2-CPU host: medians 3.394/4.393/5.421 s over 3 runs at 1/2/8
-        threads).  ``None``
+        small machine pessimizes (BENCH_glove.json's large_n
+        ``kernel_threads_sweep`` records the medians at 1/2/8 threads on
+        a 2-CPU host).  ``None``
         reads the ``REPRO_KERNEL_THREADS`` environment knob (integer or
         ``auto``, default 1).  Composes with shard-level ``workers``:
         each shard process splits its own probe batches.

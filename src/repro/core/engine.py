@@ -27,6 +27,7 @@ from __future__ import annotations
 import abc
 import os
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,9 +78,9 @@ def _effective_kernel_threads(compute: ComputeConfig) -> int:
     The explicit config field wins; otherwise the
     ``REPRO_KERNEL_THREADS`` environment knob applies (default 1).
     ``auto`` (flag or env) resolves to the machine's CPU count, so a
-    small host never oversubscribes — BENCH_glove.json's large_n sweep
-    on a 2-CPU host read medians of 3.394/4.393/5.421 s over 3 runs at
-    1/2/8 threads.
+    small host never oversubscribes: on a 2-CPU host the large_n
+    ``kernel_threads_sweep`` of BENCH_glove.json runs slowest at 8
+    threads (its per-count medians are in the record).
     The env knob degrades to 1 on other malformed values — only the
     config field / CLI flag validates strictly (DESIGN.md D6).
     """
@@ -264,13 +265,26 @@ class StretchBackend(abc.ABC):
         self.n_lb1_evaluations = 0
         #: Exact efforts and level-1 bounds of those pairs that the
         #: engine's pair memo served instead of the kernel (DESIGN.md
-        #: D13, "The pair memo"); 0 on the NumPy walk.
+        #: D13, "The pair memo").
         self.n_exact_memo_hits = 0
         self.n_lb1_memo_hits = 0
 
     def dispatch_counters(self) -> Tuple[int, ...]:
         """The :data:`DISPATCH_COUNTERS`, in order."""
         return tuple(getattr(self, name) for name in DISPATCH_COUNTERS)
+
+    def new_memo(self):
+        """A fresh pair memo for an engine on this backend, or ``None``.
+
+        The engine binds it through its Resident, and this backend's
+        bounded pair reads it there (DESIGN.md D13, "The pair memo").
+        """
+        return None
+
+    def _args(self) -> Tuple[float, float, float, float]:
+        """The stretch configuration as the kernels and memos take it."""
+        cfg = self.stretch
+        return cfg.w_sigma, cfg.w_tau, cfg.phi_max_sigma_m, cfg.phi_max_tau_min
 
     @abc.abstractmethod
     def one_vs_all(
@@ -330,14 +344,58 @@ class StretchBackend(abc.ABC):
         return False
 
 
-#: Candidates per exact round of the NumPy bounded walk.
+#: Candidates of the NumPy bounded walk's first exact round; each later
+#: round doubles them, up to :data:`_SCAN_BATCH` (4, 8, 16, 32, 32, ...).
+_FIRST_ROUND = 4
 _SCAN_BATCH = 32
+
+#: The two kinds of :class:`WalkMemo` entry, as the native memo numbers them.
+_EXACT, _LEVEL1 = 0, 1
+
+
+class WalkMemo:
+    """The NumPy walk's pair memo (DESIGN.md D13, "The pair memo").
+
+    The dict-backed counterpart of :class:`~repro.core.kernels.PairMemo`,
+    with its keys, budget and lifetime: exact efforts keyed by the
+    unordered slot pair, level-1 bounds by the ordered one (both as
+    ``a << 32 | b``), at most ``per_slot`` entries of each kind per slot
+    of store capacity, then no more inserts.  Its values belong to the
+    stretch configuration ``stretch_args``.  It has no native table
+    (``address`` is ``None``), so the native sweeps never read it.
+    """
+
+    address = None
+
+    def __init__(self, stretch_args, per_slot: int = kernels.MEMO_PER_SLOT):
+        self.stretch_args, self.per_slot = tuple(stretch_args), per_slot
+        self.tables: Tuple[Dict[int, float], Dict[int, float]] = ({}, {})
+
+    def entries(self) -> Tuple[int, int]:
+        """``(exact, level_1)``: the entries held of each kind."""
+        return len(self.tables[_EXACT]), len(self.tables[_LEVEL1])
+
+    def recall(self, kind: int, keys: List[int]) -> np.ndarray:
+        """The values held under ``keys``, NaN where there is none."""
+        table = self.tables[kind]
+        return np.fromiter(map(table.get, keys, repeat(np.nan)), np.float64, len(keys))
+
+    def record(self, kind: int, keys: List[int], vals: np.ndarray, cap: int) -> None:
+        """Hold ``vals`` under ``keys`` while the table is below its
+        budget for a store of ``cap`` slots."""
+        table = self.tables[kind]
+        room = self.per_slot * cap - len(table)
+        if room > 0:
+            table.update(zip(keys[:room], vals[:room].tolist()))
 
 
 class NumpyBackend(StretchBackend):
     """Single-process chunked-broadcasting backend (the reference tier)."""
 
     name = "numpy"
+
+    def new_memo(self) -> WalkMemo:
+        return WalkMemo(self._args())
 
     def one_vs_all(self, probe_data, probe_count, packed, targets):
         self.n_boundary_crossings += 1
@@ -386,17 +444,22 @@ class NumpyBackend(StretchBackend):
         """The vectorized bounded walk (DESIGN.md D13).
 
         Each probe visits its targets in stable level-0 bound order, in
-        rounds of :data:`_SCAN_BATCH`.  Per round it keeps the
-        candidates whose level-0, then level-1 bound could still beat
-        its running best (or a reverse target's cached best), and all
-        probes' survivors go to one :meth:`many_vs_some` dispatch.  The
-        running best tightens per round rather than per candidate, so
-        the evaluated set is a superset of the native sweep's with the
-        same values.
+        rounds of 4, 8, 16 and then :data:`_SCAN_BATCH` candidates.  Per
+        round it keeps the candidates whose level-0, then level-1 bound
+        could still beat its running best (or a reverse target's cached
+        best); while that best is ``+inf`` no bound can prune, so the
+        level-1 bounds are skipped.  Exact efforts and level-1 bounds
+        the engine's :class:`WalkMemo` holds are recalled, and all
+        probes' other survivors go to one :meth:`many_vs_some` dispatch.
+        The running best tightens per round rather than per candidate,
+        so the evaluated set is a superset of the native sweep's with
+        the same values.
         """
         probe_slots = np.asarray(probe_slots, dtype=np.int64)
-        hull, bucket_hull, bucket_occ = bounds.hull, bounds.bucket_hull, bounds.bucket_occ
         cfg = self.stretch
+        memo = bounds.memo
+        if not (isinstance(memo, WalkMemo) and memo.stretch_args == self._args()):
+            memo = None
         t_lists = [np.asarray(t, dtype=np.int64) for t in targets_list]
         rows = [np.full(t.size, np.inf) for t in t_lists]
         best = np.array(thresholds, dtype=np.float64)
@@ -405,14 +468,14 @@ class NumpyBackend(StretchBackend):
         for p, (a, tgts, rev) in enumerate(zip(probe_slots, t_lists, reverse_list)):
             if tgts.size == 0:
                 continue
-            lb0 = hull_lower_bounds(hull, a, tgts, cfg)
+            lb0 = hull_lower_bounds(bounds.hull, a, tgts, cfg)
             # A pair may also run to update a reverse target's cached
             # best: ``lb < cap`` folds that test into one comparison.
             rev = np.asarray(rev, dtype=bool)
             cap = np.full(tgts.size, -np.inf)
             cap[rev] = best_vals[tgts[rev]]
             walks.append((p, a, tgts, lb0, np.argsort(lb0, kind="stable"), cap))
-        pos = 0
+        pos, size = 0, _FIRST_ROUND
         while walks:
             live, batch = [], []
             for walk in walks:
@@ -423,30 +486,72 @@ class NumpyBackend(StretchBackend):
                 if lb0[rest[0]] > best[p] and not (lb0[rest] < cap[rest]).any():
                     continue
                 live.append(walk)
-                sub = rest[:_SCAN_BATCH]
+                sub = rest[:size]
                 sub = sub[(lb0[sub] <= best[p]) | (lb0[sub] < cap[sub])]
-                if sub.size:
-                    self.n_lb1_evaluations += sub.size
-                    lb1 = bucket_lower_bounds(
-                        store, bucket_hull, bucket_occ, a, tgts[sub], cfg
-                    )
+                if sub.size == 0:
+                    continue
+                self.n_lb1_evaluations += sub.size
+                if best[p] < np.inf:
+                    lb1 = self._level1(memo, store, bounds, a, tgts[sub])
                     sub = sub[(lb1 <= best[p]) | (lb1 < cap[sub])]
+                pruned[p] -= sub.size
+                keys = None
+                if memo is not None and sub.size:
+                    sub, keys, recalled = self._recall_exact(memo, a, tgts[sub], sub, rows[p])
+                    best[p] = min(best[p], recalled)
                 if sub.size:
-                    batch.append((p, a, tgts, sub))
+                    batch.append((p, a, tgts, sub, keys))
             if batch:
                 vals = self.many_vs_some(
-                    [store.data[a, : store.lengths[a]] for _, a, _, _ in batch],
-                    [int(store.counts[a]) for _, a, _, _ in batch],
-                    store, [tgts[sub] for _, _, tgts, sub in batch],
+                    [store.data[a, : store.lengths[a]] for _, a, _, _, _ in batch],
+                    [int(store.counts[a]) for _, a, _, _, _ in batch],
+                    store, [tgts[sub] for _, _, tgts, sub, _ in batch],
                 )
-                for (p, _, _, sub), v in zip(batch, vals):
+                for (p, _, _, sub, keys), v in zip(batch, vals):
                     rows[p][sub] = v
-                    pruned[p] -= sub.size
                     best[p] = min(best[p], v.min())
+                    if keys is not None:
+                        memo.record(_EXACT, keys, v, bounds.cap)
             walks = live
-            pos += _SCAN_BATCH
+            pos += size
+            size = min(2 * size, _SCAN_BATCH)
         self.n_bound_pruned += int(pruned.sum())
         return rows, pruned
+
+    def _level1(self, memo, store, bounds, a, t) -> np.ndarray:
+        """Level-1 bounds of probe ``a`` against targets ``t``, recalled
+        from the memo under ordered keys or computed and recorded."""
+        if memo is None:
+            return bucket_lower_bounds(
+                store, bounds.bucket_hull, bounds.bucket_occ, a, t, self.stretch
+            )
+        keys = ((a << 32) | t).tolist()
+        lb1 = memo.recall(_LEVEL1, keys)
+        miss = np.flatnonzero(np.isnan(lb1))
+        self.n_lb1_memo_hits += t.size - miss.size
+        if miss.size:
+            lb1[miss] = vals = bucket_lower_bounds(
+                store, bounds.bucket_hull, bounds.bucket_occ, a, t[miss], self.stretch
+            )
+            memo.record(_LEVEL1, [keys[i] for i in miss.tolist()], vals, bounds.cap)
+        return lb1
+
+    def _recall_exact(self, memo, a, t, sub, row):
+        """Fill ``row`` at the positions ``sub`` (targets ``t``) whose
+        exact effort the memo holds under unordered keys.  Returns the
+        other positions and their keys, for the kernel to run, and the
+        least value recalled (``+inf`` for none)."""
+        keys = np.where(t < a, (t << 32) | a, (a << 32) | t).tolist()
+        v = memo.recall(_EXACT, keys)
+        miss = np.isnan(v)
+        n_hit = sub.size - int(np.count_nonzero(miss))
+        if n_hit == 0:
+            return sub, keys, np.inf
+        self.n_exact_memo_hits += n_hit
+        hit = ~miss
+        row[sub[hit]] = v[hit]
+        keys = [k for k, m in zip(keys, miss.tolist()) if m]
+        return sub[miss], keys, v[hit].min()
 
     def pairwise_matrix(self, packed):
         n = len(packed)
@@ -486,9 +591,8 @@ class CompiledBackend(StretchBackend):
         self.kernel_threads = _effective_kernel_threads(compute)
         self._threads: Optional[ThreadPoolExecutor] = None
 
-    def _args(self):
-        cfg = self.stretch
-        return cfg.w_sigma, cfg.w_tau, cfg.phi_max_sigma_m, cfg.phi_max_tau_min
+    def new_memo(self) -> kernels.PairMemo:
+        return kernels.PairMemo(self._args())
 
     def _thread_pool(self) -> ThreadPoolExecutor:
         if self._threads is None:
@@ -775,12 +879,14 @@ class StretchEngine:
     The store's arrays and the summaries are the engine's *resident*
     arrays: a :class:`~repro.core.kernels.Resident` validates them at
     construction and after every growth, and the native entries read
-    them by its address (DESIGN.md D9, "Binding by address").  On a
-    bound kernel tier the engine also owns a
-    :class:`~repro.core.kernels.PairMemo`, bound through each Resident
-    it builds, so the native sweeps never compute a slot pair's exact
-    effort or level-1 bound twice (DESIGN.md D13, "The pair memo");
-    :meth:`close` releases it.
+    them by its address (DESIGN.md D9, "Binding by address").  The engine
+    also owns the pair memo its backend makes
+    (:meth:`StretchBackend.new_memo`: a
+    :class:`~repro.core.kernels.PairMemo` on the compiled tier, a
+    :class:`WalkMemo` on the NumPy walk), bound through each Resident
+    it builds, so the bounded pair computes a slot pair's exact effort
+    or level-1 bound once and recalls it after (DESIGN.md D13, "The
+    pair memo"); :meth:`close` releases it.
     """
 
     def __init__(
@@ -794,11 +900,7 @@ class StretchEngine:
         self.store = SlotStore(fingerprints)
         self.backend = create_backend(self.compute, stretch)
         self.pruning = self.compute.pruning
-        self._memo = (
-            kernels.PairMemo((stretch.w_sigma, stretch.w_tau,
-                              stretch.phi_max_sigma_m, stretch.phi_max_tau_min))
-            if kernels.COMPILED_AVAILABLE else None
-        )
+        self._memo = self.backend.new_memo()
         self._init_bounds()
 
     # -- slot lifecycle -------------------------------------------------

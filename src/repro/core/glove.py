@@ -109,8 +109,7 @@ class GloveStats:
         Exact efforts and level-1 bounds of those pairs that the
         engine's pair memo served instead of the kernel (DESIGN.md D13,
         "The pair memo"): the exact kernel ran ``n_exact_evaluations -
-        n_exact_memo_hits`` times in the bounded pair.  0 on the NumPy
-        walk.
+        n_exact_memo_hits`` times in the bounded pair.
     suppression:
         Sample-suppression statistics (zero counts when disabled).
     """

@@ -132,7 +132,10 @@ class Resident:
     as it lives, so its addresses cannot dangle; the engine builds one at
     construction and a fresh one after every growth, and the old one
     lets go of the retired arrays with it.  ``memo`` is the engine's
-    :class:`PairMemo`; a Resident over other summaries carries none.
+    pair memo: a :class:`PairMemo`, whose table the block points to, or
+    the NumPy walk's dict memo, whose ``address`` is ``None``, so the
+    native entries read no memo through it.  A Resident over other
+    summaries carries none.
     """
 
     def __init__(self, store, hull, bucket_hull, bucket_occ, edges, memo=None):

@@ -332,19 +332,18 @@ class TestEngineLifecycle:
 class TestPairMemoLifecycle:
     """An engine's pair memo lives as long as the engine (DESIGN.md D13).
 
-    Its native table is freed when the engine is closed or dropped, and
-    a closed engine keeps working without one.
+    The engine takes it from its backend: a native table on the compiled
+    tier, a dict memo on the NumPy walk.  It is freed when the engine is
+    closed or dropped, and a closed engine keeps working without one.
     """
 
-    @pytest.fixture(autouse=True)
-    def _bound_tier(self):
+    @staticmethod
+    def _filled(small_civ, backend="compiled"):
         from repro.core import kernels
 
-        if not kernels.COMPILED_AVAILABLE:
+        if backend == "compiled" and not kernels.COMPILED_AVAILABLE:
             pytest.skip("no accelerated kernel binding")
-
-    def _filled(self, small_civ):
-        engine = StretchEngine(list(small_civ)[:8], compute=ComputeConfig(backend="compiled"))
+        engine = StretchEngine(list(small_civ)[:8], compute=ComputeConfig(backend=backend))
         engine.bounded_argmin(np.arange(4), np.arange(8))
         engine.bounded_argmin(np.arange(4, 8), np.arange(8))
         assert engine._memo.entries()[1] > 0
@@ -372,9 +371,36 @@ class TestPairMemoLifecycle:
             np.testing.assert_array_equal(got, ref)
         assert engine.backend.n_lb1_memo_hits > 0
 
-    def test_numpy_walk_reads_no_memo(self, small_civ):
-        result = glove(small_civ, GloveConfig(k=2), ComputeConfig(backend="numpy"))
-        assert result.stats.n_exact_memo_hits == result.stats.n_lb1_memo_hits == 0
+    def test_numpy_walk_memo_serves_hits_until_closed(self, small_civ, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.core.artifacts import dataset_digest
+        from repro.core.engine import WalkMemo
+
+        config, compute = GloveConfig(k=2), ComputeConfig(backend="numpy")
+        with_memo = glove(small_civ, config, compute)
+        with monkeypatch.context() as m:
+            m.setattr(NumpyBackend, "new_memo", lambda self: None)
+            without = glove(small_civ, config, compute)
+        assert dataset_digest(with_memo.dataset) == dataset_digest(without.dataset)
+        stats, ref = with_memo.stats, without.stats
+        assert stats.n_exact_memo_hits > 0 and stats.n_lb1_memo_hits > 0
+        assert ref.n_exact_memo_hits == ref.n_lb1_memo_hits == 0
+        # The memo serves values; it moves no prune decision.
+        for name in ("n_exact_evaluations", "n_bound_pruned", "n_lb1_evaluations"):
+            assert getattr(stats, name) == getattr(ref, name), name
+
+        engine = self._filled(small_civ, backend="numpy")
+        memo = weakref.ref(engine._memo)
+        assert isinstance(memo(), WalkMemo) and engine._resident.memo is memo()
+        before = engine.bounded_argmin(np.arange(8), np.arange(8))
+        engine.close()
+        gc.collect()
+        assert memo() is None and engine._resident.memo is None
+        after = engine.bounded_argmin(np.arange(8), np.arange(8))
+        for got, ref_arr in zip(after, before):
+            np.testing.assert_array_equal(got, ref_arr)
 
 
 class TestDispatchCounters:
@@ -390,8 +416,10 @@ class TestDispatchCounters:
         return StretchEngine(list(small_civ)[:8], compute=ComputeConfig(**compute))
 
     def test_numpy_many_vs_all_counts_per_probe(self, small_civ):
-        # The NumPy walk crosses once per probe and exact round; eight
-        # targets fit one round.
+        # The NumPy walk crosses once per probe and exact round.  Here
+        # each probe's first round of 4 candidates settles it: the
+        # bounds prune its other 3, so no round runs a second crossing
+        # and no pair repeats for the memo to serve.
         engine = self._engine(small_civ, backend="numpy")
         targets = np.arange(8, dtype=np.int64)
         _, _, pruned = engine.bounded_argmin(np.arange(4), targets)
@@ -400,7 +428,6 @@ class TestDispatchCounters:
         assert counters == [4, 4, 0, bound_pruned]
         # 4 probes x 7 other targets: the evaluated ones reached level 1.
         assert 28 - bound_pruned <= lb1 <= 28
-        # The NumPy walk has no pair memo.
         assert exact_hits == lb1_hits == 0
         engine.row(0, targets)
         assert engine.backend.dispatch_counters() == (5, 5, 0, bound_pruned, lb1, 0, 0)
@@ -526,6 +553,9 @@ class TestPruneAccounting:
         assert full.n_lb1_evaluations == full.n_exact_evaluations
 
     def test_numpy_walk_counts_its_level1_candidates(self, small_civ, monkeypatch):
+        # A pair reaching level 1 has its bound computed or recalled from
+        # the memo; while its probe's best is still +inf, no bound can
+        # prune, so the walk computes none and still counts the pair.
         from repro.core import engine as engine_mod
 
         passed = []
@@ -536,5 +566,29 @@ class TestPruneAccounting:
             return bound(store, bucket_hull, bucket_occ, slot, targets, config)
 
         monkeypatch.setattr(engine_mod, "bucket_lower_bounds", counting)
+        engine = StretchEngine(list(small_civ)[:24], compute=ComputeConfig(backend="numpy"))
+        backend = engine.backend
+        slots = np.arange(24)
+        # Every threshold finite: twice, so the second pass recalls.
+        for _ in range(2):
+            for tau in (1.0, 0.2, 0.05):
+                engine.bounded_argmin(slots, slots, np.full(24, tau))
+                engine.bounded_rows_some(
+                    slots, [slots[slots != s] for s in slots],
+                    [np.ones(23, dtype=bool)] * 24, np.full(48, 0.1), np.full(24, tau),
+                )
+        assert backend.n_lb1_memo_hits > 0
+        assert backend.n_lb1_evaluations == sum(passed) + backend.n_lb1_memo_hits
+
+        # A lone probe at +inf: its first round of 4 passes no pair to the
+        # level-1 bound, yet its level-0 survivors (all 4) count.
+        fresh = StretchEngine(list(small_civ)[:24], compute=ComputeConfig(backend="numpy"))
+        passed.clear()
+        fresh.bounded_argmin([0], np.arange(1, 5))
+        assert passed == [] and fresh.backend.n_lb1_evaluations == 4
+        fresh.bounded_argmin([5], np.arange(6, 24))
+        assert fresh.backend.n_lb1_evaluations == 4 + 4 + sum(passed)
+
+        passed.clear()
         stats = glove(small_civ, GloveConfig(k=2), ComputeConfig(backend="numpy")).stats
-        assert stats.n_lb1_evaluations == sum(passed) > 0
+        assert 0 < sum(passed) + stats.n_lb1_memo_hits < stats.n_lb1_evaluations

@@ -24,7 +24,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
@@ -277,6 +277,16 @@ def _csr(t_lists):
     return flat, offsets
 
 
+#: Populations of the bounded parity tests: 3–6 fingerprints, or 30–40.
+WIDE_OR_SMALL = st.one_of(collections(min_n=3, max_n=6), collections(min_n=30, max_n=40))
+
+
+def _wide_min(n, wide, small=0):
+    """Least target count drawn from a population of ``n``: ``wide`` for
+    a wide one (past the NumPy walk's first three rounds), else ``small``."""
+    return wide if n >= 30 else small
+
+
 @pytest.mark.parametrize(
     "tier,bmva,bmvs", BOUNDED_BINDINGS, ids=[b[0] for b in BOUNDED_BINDINGS]
 )
@@ -293,13 +303,12 @@ class TestBoundedParity:
     argmin mode returns exactly the exhaustive lowest-id argmin whenever
     the true minimum is strictly below the probe's threshold, and
     ``(threshold, -1)`` otherwise, for arbitrary admissible thresholds
-    including both infinities.
+    including both infinities.  Wide populations give a probe more than
+    the 28 candidates of the NumPy walk's first three rounds (4 + 8 +
+    16), so its walks reach the 32-candidate cap.
     """
 
-    @given(
-        fps=collections(min_n=3, max_n=6),
-        data=st.data(),
-    )
+    @given(fps=WIDE_OR_SMALL, data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_row_mode_tiers_agree_and_match_unbounded(self, tier, bmva, bmvs, fps, data):
         engine = _bounded_engine(fps)
@@ -316,9 +325,11 @@ class TestBoundedParity:
             np.array(
                 data.draw(
                     st.lists(
-                        st.integers(min_value=0, max_value=n - 1),
-                        min_size=0, max_size=n, unique=True,
-                    ).filter(lambda t, p=p: p not in t)
+                        st.integers(min_value=0, max_value=n - 1).filter(
+                            lambda t, p=p: t != p
+                        ),
+                        min_size=_wide_min(n, 29), max_size=n - 1, unique=True,
+                    )
                 ),
                 dtype=np.int64,
             )
@@ -370,7 +381,7 @@ class TestBoundedParity:
             must_eval = rev_p & (exact < best_vals[tgts])
             assert bool(ev[must_eval].all())
 
-    @given(fps=collections(min_n=3, max_n=6), data=st.data())
+    @given(fps=WIDE_OR_SMALL, data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_argmin_mode_matches_exhaustive(self, tier, bmva, bmvs, fps, data):
         engine = _bounded_engine(fps)
@@ -387,7 +398,7 @@ class TestBoundedParity:
             data.draw(
                 st.lists(
                     st.integers(min_value=0, max_value=n - 1),
-                    min_size=1, max_size=n, unique=True,
+                    min_size=_wide_min(n, 30, 1), max_size=n, unique=True,
                 )
             ),
             dtype=np.int64,
@@ -477,7 +488,7 @@ class TestBoundedParity:
                 assert pruned[0] == ref_pruned
 
 
-def _one_ulp_engine():
+def _one_ulp_engine(backend="numpy"):
     """A level-1 bound above the exact effort it should bound.
 
     The probe's 27 zero-extent points, one per 120-min slot, face a
@@ -495,10 +506,10 @@ def _one_ulp_engine():
     target[0, [X, Y, T]] = (1e4, 1e4, 1500.0)
     long = np.zeros((50, 6))
     long[:, T] = 60.0 * np.arange(50)
-    return _bounded_engine([
+    return StretchEngine([
         Fingerprint("probe", probe), Fingerprint("target", target),
         Fingerprint("long", long), Fingerprint("copy", target),
-    ])
+    ], compute=ComputeConfig(backend=backend))
 
 
 _ONE_ULP = (
@@ -689,35 +700,72 @@ def _memo_less(engine):
     )
 
 
-def _both_sweeps(resident, probes, targets, thresholds, reverse, best_vals, cfg_args):
-    """Both native sweeps of ``probes`` against ``targets`` (each probe's
-    own slot left out of its row): their outputs and summed memo hits."""
-    best, idx, pruned, lb1, hits = kernels.bounded_many_vs_all_arrays(
-        resident, probes, targets, thresholds, *cfg_args
-    )
-    flat, offsets = _csr([targets[targets != p] for p in probes])
-    out, row_pruned, row_lb1, row_hits = kernels.bounded_many_vs_some_arrays(
-        resident, probes, flat, offsets, thresholds, reverse[: flat.size], best_vals,
-        *cfg_args,
-    )
-    return (best, idx, pruned, lb1, out, row_pruned, row_lb1), hits + row_hits
+def _both_sweeps(tier, engine, resident, stretch, probes, targets, thresholds, reverse,
+                 best_vals):
+    """Both bounded sweeps of ``tier`` over the engine's store, reading
+    ``resident``: ``probes`` against ``targets``, each probe's own slot
+    left out of its row.  Returns their outputs and summed memo hits.
+
+    The native entries count the pairs reaching level 1 per probe; the
+    NumPy walk's totals stand in as one-entry arrays.
+    """
+    t_lists = [targets[targets != p] for p in probes]
+    flat, offsets = _csr(t_lists)
+    reverse = reverse[: flat.size]
+    if tier == "numpy":
+        from repro.core.engine import NumpyBackend
+
+        backend = NumpyBackend(ComputeConfig(backend="numpy"), stretch)
+        best, idx, pruned = backend.bounded_many_vs_all(
+            probes, engine.store, resident, targets, thresholds
+        )
+        lb1 = np.array([backend.n_lb1_evaluations])
+        rows, row_pruned = backend.bounded_many_vs_some(
+            probes, engine.store, resident, t_lists, thresholds,
+            [reverse[offsets[p] : offsets[p + 1]] for p in range(len(probes))], best_vals,
+        )
+        out = np.concatenate(rows) if rows else np.empty(0)
+        row_lb1 = np.array([backend.n_lb1_evaluations]) - lb1
+        hits = np.array([backend.n_exact_memo_hits, backend.n_lb1_memo_hits])
+    else:
+        cfg_args = _config_args(stretch)
+        best, idx, pruned, lb1, hits = kernels.bounded_many_vs_all_arrays(
+            resident, probes, targets, thresholds, *cfg_args
+        )
+        out, row_pruned, row_lb1, row_hits = kernels.bounded_many_vs_some_arrays(
+            resident, probes, flat, offsets, thresholds, reverse, best_vals, *cfg_args,
+        )
+        hits = hits + row_hits
+    return (best, idx, pruned, lb1, out, row_pruned, row_lb1), hits
 
 
-@pytest.mark.skipif(not kernels.COMPILED_AVAILABLE, reason="no accelerated kernel binding")
+#: :class:`TestWalkPairMemo` runs :class:`TestPairMemo`'s ``@given``
+#: bodies from a second class, which hypothesis reports unless told the
+#: sharing is meant.
+_TWO_TIERS = [HealthCheck.differing_executors]
+
+
 class TestPairMemo:
     """The pair memo changes no output bit (DESIGN.md D13, "The pair memo").
 
-    Each case runs both native sweeps through the engine's Resident,
-    which carries its memo, and the same calls through a memo-less
-    Resident over the same arrays, which runs every kernel: rows,
-    ``+inf`` sentinels, best/best_idx, pruned and level-1 counts must
-    match bit for bit.  Exact efforts are keyed by the unordered pair,
-    level-1 bounds by the ordered one.
+    Each case runs both bounded sweeps of the tier (the native ones
+    here, the NumPy walk's in :class:`TestWalkPairMemo`) through the
+    engine's Resident, which carries its memo, and the same calls
+    through a memo-less Resident over the same arrays, which runs every
+    kernel: rows, ``+inf`` sentinels, best/best_idx, pruned and level-1
+    counts must match bit for bit.  Exact efforts are keyed by the
+    unordered pair, level-1 bounds by the ordered one.
     """
 
-    @staticmethod
-    def _engine(fps, pruning=True):
-        return StretchEngine(fps, compute=ComputeConfig(backend="compiled", pruning=pruning))
+    tier, backend = kernels.COMPILED_TIER, "compiled"
+
+    @pytest.fixture(autouse=True)
+    def _bound_tier(self):
+        if self.tier is None:
+            pytest.skip("no accelerated kernel binding")
+
+    def _engine(self, fps, pruning=True):
+        return StretchEngine(fps, compute=ComputeConfig(backend=self.backend, pruning=pruning))
 
     @staticmethod
     def _inputs(data, engine, n_probes):
@@ -736,12 +784,10 @@ class TestPairMemo:
 
     def _check(self, engine, probes, targets, thresholds, reverse, best_vals):
         """The sweeps' outputs, bitwise the memo-less ones; the memo hits."""
-        cfg_args = _config_args(engine.stretch)
-        got, hits = _both_sweeps(
-            engine._resident, probes, targets, thresholds, reverse, best_vals, cfg_args
-        )
+        args = (probes, targets, thresholds, reverse, best_vals)
+        got, hits = _both_sweeps(self.tier, engine, engine._resident, engine.stretch, *args)
         ref, ref_hits = _both_sweeps(
-            _memo_less(engine), probes, targets, thresholds, reverse, best_vals, cfg_args
+            self.tier, engine, _memo_less(engine), engine.stretch, *args
         )
         assert ref_hits.tolist() == [0, 0]
         for g, r in zip(got, ref):
@@ -753,7 +799,7 @@ class TestPairMemo:
         fps=st.one_of(collections(min_n=3, max_n=6), level1_populations(8)),
         data=st.data(),
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, suppress_health_check=_TWO_TIERS)
     def test_repeated_calls(self, pruning, fps, data):
         engine = self._engine(fps, pruning)
         n = len(fps)
@@ -761,21 +807,28 @@ class TestPairMemo:
         for _ in range(2):
             inputs = self._inputs(data, engine, n)
             self._check(engine, probes, targets, *inputs)
+            entries = engine._memo.entries()
             # The same call again walks the same pairs: the memo now holds
-            # every level-1 bound and exact effort it reaches.
+            # every level-1 bound and exact effort it reaches, so it
+            # records nothing new and serves every exact evaluation.
             got, hits = self._check(engine, probes, targets, *inputs)
-            _, _, _, lb1, out, _, row_lb1 = got
-            evaluated = int(np.count_nonzero(out < np.inf))
-            assert hits[1] == int(lb1.sum() + row_lb1.sum())
-            assert evaluated <= hits[0] <= int(lb1.sum() + row_lb1.sum())
+            _, _, pruned, lb1, out, _, row_lb1 = got
+            evaluated = n * (n - 1) - int(pruned.sum()) + int(np.count_nonzero(out < np.inf))
+            assert engine._memo.entries() == entries
+            assert hits[0] == evaluated
+            if self.tier == "numpy":
+                assert hits[1] <= int(lb1.sum() + row_lb1.sum())
+            else:
+                assert hits[1] == int(lb1.sum() + row_lb1.sum())
 
     @given(fps=collections(min_n=2, max_n=4))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, suppress_health_check=_TWO_TIERS)
     def test_swapped_roles(self, fps):
         # At a +inf threshold a lone pair is always evaluated.  Swapping
         # probe and target recalls the exact effort (unordered key) but
         # not the level-1 bound (ordered key); the original order then
-        # recalls both.
+        # recalls both.  The NumPy walk's lone pair never reaches a
+        # finite best before its exact round, so it consults no bound.
         engine = self._engine(fps)
         best_vals = np.full(engine.store.capacity, np.inf)
         no_reverse = np.zeros(1, dtype=bool)
@@ -788,12 +841,14 @@ class TestPairMemo:
             assert got[4][0] < np.inf
             return hits
 
+        expected = [[1, 1], [2, 1], [2, 2]]
+        if self.tier == "numpy":
+            expected = [[1, 0], [2, 0], [2, 0]]
         n = len(fps)
         for a in range(n):
             for c in range(a + 1, n):
-                assert lone(a, c) == [1, 1]  # the argmin sweep's values, recalled
-                assert lone(c, a) == [2, 1]
-                assert lone(a, c) == [2, 2]
+                # The argmin sweep's values, recalled by the row sweep.
+                assert [lone(a, c), lone(c, a), lone(a, c)] == expected
 
     def test_level1_keys_are_ordered(self):
         # D4's rounding case: the probe side means over its 27 samples,
@@ -801,16 +856,16 @@ class TestPairMemo:
         # directions of the level-1 bound differ in the last bit.  The
         # smaller one, recorded first, must not be recalled for the
         # other direction: one ulp below its own bound that pair prunes.
-        engine = _one_ulp_engine()
+        engine = _one_ulp_engine(self.backend)
         cfg = engine.stretch
         best_vals = np.full(engine.store.capacity, np.inf)
 
         def sweep(a, c, tau):
-            out, _, lb1, _ = kernels.bounded_many_vs_some_arrays(
-                engine._resident, np.array([a]), np.array([c]), np.array([0, 1]),
-                np.array([tau]), np.zeros(1, dtype=bool), best_vals, *_config_args(cfg),
+            got, hits = _both_sweeps(
+                self.tier, engine, engine._resident, cfg, np.array([a]), np.array([a, c]),
+                np.array([tau]), np.zeros(1, dtype=bool), best_vals,
             )
-            return bool(out[0] < np.inf), int(lb1[0])
+            return bool(got[4][0] < np.inf), int(got[6].sum())
 
         bound = {
             (a, c): bucket_lower_bounds(
@@ -824,7 +879,7 @@ class TestPairMemo:
         assert sweep(0, 1, bound[(0, 1)]) == (True, 1)
 
     @given(fps=collections(min_n=3, max_n=5), data=st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, suppress_health_check=_TWO_TIERS)
     def test_across_a_store_growth(self, fps, data):
         # Slots keep their ids and bytes when the store grows, so the
         # memo carries over into the rebuilt Resident.
@@ -839,30 +894,37 @@ class TestPairMemo:
         assert engine._resident.memo is engine._memo
         assert engine._memo.entries() == before
         targets = np.arange(engine.store.size, dtype=np.int64)
-        _, hits = self._check(engine, probes, targets, *self._inputs(data, engine, n))
+        self._check(engine, probes, targets, *self._inputs(data, engine, n))
         inputs = self._inputs(data, engine, targets.size)
         self._check(engine, targets, targets, *inputs)
+        entries = engine._memo.entries()
         _, again = self._check(engine, targets, targets, *inputs)
-        assert again[1] > 0
+        assert engine._memo.entries() == entries
+        # The NumPy walk may settle every probe before level 1 (D13).
+        assert again[1] > 0 if self.tier != "numpy" else sum(again) > 0
 
     @given(fps=collections(min_n=4, max_n=6), data=st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, suppress_health_check=_TWO_TIERS)
     def test_past_the_cap(self, fps, data):
         # One entry of each kind per slot of capacity: the memo fills
-        # and stops inserting, and nothing else changes.
+        # and stops inserting, and nothing else changes.  Thresholds of
+        # at most 2.0 prune nothing here (no pruning, efforts <= 1) but
+        # give the NumPy walk a finite best, so it consults every
+        # level-1 bound too.
         engine = self._engine(fps, pruning=False)
-        engine._memo = kernels.PairMemo(_config_args(engine.stretch), per_slot=1)
+        engine._memo = type(engine._memo)(_config_args(engine.stretch), per_slot=1)
         engine._bind()
         limit = engine.store.capacity
         probes = np.arange(len(fps), dtype=np.int64)
-        inputs = self._inputs(data, engine, probes.size)
+        thresholds, reverse, best_vals = self._inputs(data, engine, probes.size)
+        inputs = (np.minimum(thresholds, 2.0), reverse, best_vals)
         for _ in range(3):
             self._check(engine, probes, probes, *inputs)
         exact, level1 = engine._memo.entries()
         assert exact <= limit and level1 == min(limit, probes.size * (probes.size - 1))
 
     @given(fps=collections(min_n=3, max_n=6), data=st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, suppress_health_check=_TWO_TIERS)
     def test_other_summaries_never_read_the_memo(self, fps, data):
         # The bench's widened hulls: every bound reads 0, so a recalled
         # level-1 value of the engine's summaries would prune wrongly.
@@ -880,32 +942,28 @@ class TestPairMemo:
             engine.store, hull, bhull, engine._bucket_occ, engine._bucket_edges
         )
         assert wide.memo is None
-        best, idx, pruned, lb1, hits = kernels.bounded_many_vs_all_arrays(
-            wide, probes, probes, np.full(n, np.inf), *_config_args(engine.stretch)
+        (best, idx, pruned, lb1, *_), hits = _both_sweeps(
+            self.tier, engine, wide, engine.stretch, probes, probes, np.full(n, np.inf),
+            np.zeros(n * n, dtype=bool), np.full(engine.store.capacity, np.inf),
         )
         assert hits.tolist() == [0, 0] and engine._memo.entries() == entries
-        assert pruned.tolist() == [0] * n and lb1.tolist() == [n - 1] * n
+        assert pruned.tolist() == [0] * n and int(lb1.sum()) == n * (n - 1)
         for p in probes:
             others = probes[probes != p]
             row = engine.row(p, others)
             assert (best[p], idx[p]) == (row.min(), others[row == row.min()].min())
 
     @given(fps=collections(min_n=3, max_n=5), data=st.data())
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, suppress_health_check=_TWO_TIERS)
     def test_another_configuration_bypasses_the_memo(self, fps, data):
         engine = self._engine(fps)
         n = len(fps)
         probes = np.arange(n, dtype=np.int64)
-        thresholds, reverse, best_vals = self._inputs(data, engine, n)
-        self._check(engine, probes, probes, thresholds, reverse, best_vals)
+        inputs = (probes, probes) + self._inputs(data, engine, n)
+        self._check(engine, *inputs)
         entries = engine._memo.entries()
-        skewed = _config_args(SKEWED_STRETCH)
-        got, hits = _both_sweeps(
-            engine._resident, probes, probes, thresholds, reverse, best_vals, skewed
-        )
-        ref, _ = _both_sweeps(
-            _memo_less(engine), probes, probes, thresholds, reverse, best_vals, skewed
-        )
+        got, hits = _both_sweeps(self.tier, engine, engine._resident, SKEWED_STRETCH, *inputs)
+        ref, _ = _both_sweeps(self.tier, engine, _memo_less(engine), SKEWED_STRETCH, *inputs)
         assert hits.tolist() == [0, 0] and engine._memo.entries() == entries
         assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
 
@@ -924,7 +982,20 @@ class TestPairMemo:
                 engine, probes, probes, np.full(4, np.inf), np.zeros(16, dtype=bool),
                 np.full(engine.store.capacity, np.inf),
             )
-            assert hits[1] > 0
+            assert hits[0] > 0
+            if self.tier != "numpy":
+                assert hits[1] > 0
+
+
+class TestWalkPairMemo(TestPairMemo):
+    """:class:`TestPairMemo` on the NumPy walk's dict memo.
+
+    The walk consults level 1 only once a probe's running best is
+    finite, so the expected level-1 hits differ where a case keeps the
+    best at ``+inf`` (DESIGN.md D13, "The NumPy pair").
+    """
+
+    tier = backend = "numpy"
 
 
 MERGE_BINDINGS = []

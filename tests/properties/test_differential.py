@@ -27,6 +27,7 @@ weights are held to the seed path's bytes as well.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,10 +85,11 @@ def _fingerprint_rows(draw, regime, m):
 
 
 @st.composite
-def hostile_populations(draw):
-    """2..9 single-subscriber fingerprints drawn in one hostile regime."""
-    regime = draw(st.sampled_from(REGIMES))
-    n = draw(st.integers(min_value=2, max_value=9))
+def hostile_populations(draw, min_n=2, max_n=9, regimes=REGIMES):
+    """``min_n..max_n`` single-subscriber fingerprints drawn in one
+    hostile regime of ``regimes``."""
+    regime = draw(st.sampled_from(regimes))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     max_m = 1 if regime == "single-sample" else 5
     if regime == "duplicates":
         # Fewer distinct fingerprints than users: some are exact copies.
@@ -125,27 +127,42 @@ def _compute_paths():
 WHOLE_WINDOW = StreamConfig(window_min=1e9, carry_over=False)
 
 
+def _assert_every_path_publishes_the_seed_bytes(dataset):
+    for k in (2, 3):
+        if len(dataset) < k:
+            continue
+        config = GloveConfig(k=k)
+        reference = seed_glove(dataset, config).dataset
+        digests = {"seed": dataset_digest(reference)}
+        for name, compute in _compute_paths().items():
+            digests[name] = dataset_digest(glove(dataset, config, compute).dataset)
+        anchor = stream_glove(dataset, config, WHOLE_WINDOW, ComputeConfig())
+        assert len(anchor.emitted) == 1
+        digests["stream-anchor"] = dataset_digest(anchor.emitted[0].dataset)
+        assert set(digests.values()) == {digests["seed"]}, (k, digests)
+
+        assert assert_k_anonymous(reference, k) == set(dataset.uids)
+        group_of = {member: fp for fp in reference for member in fp.members}
+        for fp in dataset:
+            assert covers(group_of[fp.uid].data, fp.data), (k, fp.uid)
+
+
 class TestDifferentialOracle:
     @given(hostile_populations())
     @settings(max_examples=60, deadline=None)
     def test_every_path_publishes_the_seed_bytes(self, dataset):
-        for k in (2, 3):
-            if len(dataset) < k:
-                continue
-            config = GloveConfig(k=k)
-            reference = seed_glove(dataset, config).dataset
-            digests = {"seed": dataset_digest(reference)}
-            for name, compute in _compute_paths().items():
-                digests[name] = dataset_digest(glove(dataset, config, compute).dataset)
-            anchor = stream_glove(dataset, config, WHOLE_WINDOW, ComputeConfig())
-            assert len(anchor.emitted) == 1
-            digests["stream-anchor"] = dataset_digest(anchor.emitted[0].dataset)
-            assert set(digests.values()) == {digests["seed"]}, (k, digests)
+        _assert_every_path_publishes_the_seed_bytes(dataset)
 
-            assert assert_k_anonymous(reference, k) == set(dataset.uids)
-            group_of = {member: fp for fp in reference for member in fp.members}
-            for fp in dataset:
-                assert covers(group_of[fp.uid].data, fp.data), (k, fp.uid)
+    @pytest.mark.parametrize("regime", REGIMES)
+    @given(data=st.data())
+    @settings(max_examples=5, deadline=None)
+    def test_every_path_publishes_the_seed_bytes_at_scale(self, regime, data):
+        # 30-40 users per regime: a probe's bounded walk runs past the
+        # NumPy walk's first three rounds (4 + 8 + 16 candidates), and
+        # duplicates make the pair memo recall tie-broken values.
+        _assert_every_path_publishes_the_seed_bytes(
+            data.draw(hostile_populations(30, 40, regimes=(regime,)))
+        )
 
 
 def _inside(row, original, atol=1e-9):
