@@ -729,7 +729,7 @@ def _run_cache_concurrent_bench() -> dict:
     for backend in ("disk", "sqlite"):
         store_dir = tempfile.mkdtemp(prefix=f"repro-conc-{backend}-")
         try:
-            barrier = ctx.Barrier(workers)
+            barrier = ctx.Barrier(workers, timeout=120)
             out_q = ctx.Queue()
             procs = [
                 ctx.Process(

@@ -473,19 +473,44 @@ class SQLiteArtifactBackend(ArtifactBackend):
         self.busy_timeout_s = float(busy_timeout_s)
         self._runtime = runtime_tag()
         self.root.mkdir(parents=True, exist_ok=True)
-        with self._tx() as conn:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS artifacts ("
-                " runtime TEXT NOT NULL, stage TEXT NOT NULL, key TEXT NOT NULL,"
-                " payload BLOB NOT NULL, size INTEGER NOT NULL, atime REAL NOT NULL,"
-                " PRIMARY KEY (runtime, stage, key))"
-            )
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS flights ("
-                " runtime TEXT NOT NULL, stage TEXT NOT NULL, key TEXT NOT NULL,"
-                " owner TEXT NOT NULL, claimed_at REAL NOT NULL,"
-                " PRIMARY KEY (runtime, stage, key))"
-            )
+        self._create_schema()
+
+    def _create_schema(self) -> None:
+        """Switch a fresh file to WAL and create the tables.
+
+        Switching journal mode needs an exclusive lock, and SQLite
+        reports a concurrent switch by another connection as busy at
+        once, without waiting out ``busy_timeout``.  Stores opened
+        together over a fresh root therefore retry here until the
+        timeout runs out, instead of failing all but one opener.
+        """
+        import sqlite3
+
+        deadline = time.monotonic() + self.busy_timeout_s
+        while True:
+            try:
+                with self._tx() as conn:
+                    conn.execute(
+                        "CREATE TABLE IF NOT EXISTS artifacts ("
+                        " runtime TEXT NOT NULL, stage TEXT NOT NULL,"
+                        " key TEXT NOT NULL, payload BLOB NOT NULL,"
+                        " size INTEGER NOT NULL, atime REAL NOT NULL,"
+                        " PRIMARY KEY (runtime, stage, key))"
+                    )
+                    conn.execute(
+                        "CREATE TABLE IF NOT EXISTS flights ("
+                        " runtime TEXT NOT NULL, stage TEXT NOT NULL,"
+                        " key TEXT NOT NULL, owner TEXT NOT NULL,"
+                        " claimed_at REAL NOT NULL,"
+                        " PRIMARY KEY (runtime, stage, key))"
+                    )
+                return
+            except sqlite3.OperationalError as exc:
+                # SQLITE_BUSY reads "database is locked"; any other
+                # error (unreadable root, ...) is not worth a retry.
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(_POLL_S)
 
     @contextmanager
     def _tx(self):

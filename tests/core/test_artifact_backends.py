@@ -109,33 +109,68 @@ class TestSQLiteBackend:
         assert store.get("s", "k") is MISS
         assert store.fetch("s", "k", lambda: "recomputed")[1] == "computed"
 
+    def test_concurrent_open_of_a_fresh_root(self, tmp_path):
+        # Only one connection can switch a fresh file to WAL; SQLite
+        # reports the others busy at once, not after busy_timeout.
+        # Openers racing on a new root must all come up regardless.
+        n = 6
+        errors = []
+        for round_ in range(50):
+            root = tmp_path / f"r{round_}"
+            barrier = threading.Barrier(n, timeout=30)
+
+            def opener():
+                try:
+                    barrier.wait()
+                    SQLiteArtifactBackend(root=root, max_bytes=1 << 20)
+                except Exception as exc:
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=opener, daemon=True) for _ in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
 
 @pytest.mark.parametrize("backend", ["disk", "sqlite"])
 class TestThreadSingleFlight:
     def test_concurrent_cold_fetch_computes_once(self, tmp_path, backend):
         n = 6
         computes = []
-        barrier = threading.Barrier(n)
+        errors = []
+        barrier = threading.Barrier(n, timeout=30)
         results = [None] * n
 
         def worker(i):
-            # Each thread builds its own store over the shared root so
-            # the in-process memo cannot mask the backend-level lock.
-            store = ArtifactStore(root=tmp_path, backend=backend)
-            barrier.wait()
-
             def compute():
                 computes.append(i)
                 time.sleep(0.05)  # widen the race window
                 return {"value": 42}
 
-            results[i] = store.fetch("stage", "cold-key", compute)
+            try:
+                # Each thread builds its own store over the shared root
+                # so the in-process memo cannot mask the backend lock.
+                store = ArtifactStore(root=tmp_path, backend=backend)
+                barrier.wait()
+                results[i] = store.fetch("stage", "cold-key", compute)
+            except Exception as exc:
+                # Release the others: a worker that dies before the
+                # barrier must fail the test, not wedge its threads.
+                errors.append(repr(exc))
+                barrier.abort()
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+        threads = [
+            threading.Thread(target=worker, args=(i,), daemon=True) for i in range(n)
+        ]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
         assert len(computes) == 1
         assert all(value == {"value": 42} for value, _ in results)
         origins = sorted(origin for _, origin in results)

@@ -62,7 +62,7 @@ def test_eight_process_cold_fetch_computes_exactly_once(tmp_path, backend):
     """The acceptance criterion: N=8 processes, 1 compute, identical bytes."""
     n = 8
     counter = tmp_path / "computes.log"
-    barrier = _CTX.Barrier(n)
+    barrier = _CTX.Barrier(n, timeout=60)
     out_q = _CTX.Queue()
     procs = [
         _CTX.Process(
@@ -114,7 +114,7 @@ def _stress_worker(backend, root, max_bytes, seed, barrier, out_q):
 @pytest.mark.parametrize("backend", ["disk", "sqlite"])
 def test_multiprocess_stress_never_tears_and_stays_bounded(tmp_path, backend):
     workers, max_bytes = 4, 32_000
-    barrier = _CTX.Barrier(workers)
+    barrier = _CTX.Barrier(workers, timeout=60)
     out_q = _CTX.Queue()
     procs = [
         _CTX.Process(
@@ -148,7 +148,7 @@ def _crashing_owner(backend, root, barrier):
 
 @pytest.mark.parametrize("backend", ["disk", "sqlite"])
 def test_killed_owner_never_wedges_waiters(tmp_path, backend):
-    barrier = _CTX.Barrier(2)
+    barrier = _CTX.Barrier(2, timeout=60)
     owner = _CTX.Process(
         target=_crashing_owner, args=(backend, str(tmp_path / "store"), barrier)
     )
