@@ -317,7 +317,7 @@ def _run_kernel_bench() -> dict:
     Times ``one_vs_all`` at a small and a large target count on the
     glove-500 population — the dispatch-overhead claim behind Issue 6:
     the greedy loop issues thousands of tiny calls, where the NumPy
-    broadcast kernel's per-call fixed cost dominates the arithmetic.
+    kernel's per-call fixed cost dominates the arithmetic.
     Also cross-checks that every timed call is bitwise equal across the
     tiers, so the microbenchmark doubles as a parity probe.
     """

@@ -16,8 +16,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-#: Fingerprints per broadcast chunk in the bulk stretch kernels; bounds
-#: the peak memory of a kernel invocation.  Single source of truth —
+#: Targets per block in the bulk stretch kernels; with the kernels' cell
+#: cap it bounds the peak memory of a kernel invocation.  Single source of truth —
 #: :mod:`repro.core.pairwise` and :class:`ComputeConfig` both read it.
 DEFAULT_CHUNK = 256
 
@@ -77,7 +77,7 @@ class ComputeConfig:
     ----------
     backend:
         Name of a registered compute backend: ``"numpy"`` (single
-        process, chunked broadcasting), ``"compiled"`` (C scalar
+        process, blocked NumPy kernels), ``"compiled"`` (C scalar
         kernels over the same padded layout; requires a system C
         compiler), ``"auto"`` (``compiled`` when a
         binding is bound, ``numpy`` otherwise), or ``"sharded"``
@@ -86,7 +86,7 @@ class ComputeConfig:
         D9).  Extensible through
         :func:`repro.core.engine.register_backend`.
     chunk:
-        Fingerprints per broadcast chunk in the bulk kernels.
+        Targets per block in the bulk kernels.
     workers:
         Shard-level process-pool size of the ``sharded`` backend;
         ``None`` means ``min(cpu_count, 8)``.  Ignored by the other
@@ -205,7 +205,7 @@ def add_compute_arguments(parser, pruning: bool = False) -> None:
         "(default: min(CPU count, 8))",
     )
     parser.add_argument(
-        "--chunk", type=int, default=None, help="fingerprints per broadcast chunk"
+        "--chunk", type=int, default=None, help="targets per block"
     )
     parser.add_argument(
         "--shards",

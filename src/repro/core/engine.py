@@ -8,7 +8,7 @@ algorithm:
 * :class:`SlotStore` owns the padded fingerprint tensors and the slot
   lifecycle (append/retire) shared by every backend;
 * :class:`StretchBackend` implementations execute the bulk Eq. 10
-  kernels — ``numpy`` (chunked broadcasting) and ``compiled``
+  kernels — ``numpy`` (blocked NumPy kernels) and ``compiled``
   (system-cc scalar kernels); ``auto`` picks the
   compiled tier when a binding is bound and ``numpy`` otherwise; new
   tiers (sharded, GPU) register through :func:`register_backend`;
@@ -42,6 +42,7 @@ from repro.core.pairwise import (
     hull_lower_bounds,
     many_vs_some,
     one_vs_all,
+    sample_columns,
 )
 from repro.core.reshape import ATOL, reshape_fingerprint
 from repro.core.sample import DT, DX, DY, NCOLS, T, X, Y
@@ -390,7 +391,7 @@ class WalkMemo:
 
 
 class NumpyBackend(StretchBackend):
-    """Single-process chunked-broadcasting backend (the reference tier)."""
+    """Single-process NumPy backend (the reference tier)."""
 
     name = "numpy"
 
@@ -448,7 +449,8 @@ class NumpyBackend(StretchBackend):
         round it keeps the candidates whose level-0, then level-1 bound
         could still beat its running best (or a reverse target's cached
         best); while that best is ``+inf`` no bound can prune, so the
-        level-1 bounds are skipped.  Exact efforts and level-1 bounds
+        level-1 bounds are skipped.  A probe's sample columns are built
+        once per walk, at its first level-1 bound.  Exact efforts and level-1 bounds
         the engine's :class:`WalkMemo` holds are recalled, and all
         probes' other survivors go to one :meth:`many_vs_some` dispatch.
         The running best tightens per round rather than per candidate,
@@ -464,7 +466,7 @@ class NumpyBackend(StretchBackend):
         rows = [np.full(t.size, np.inf) for t in t_lists]
         best = np.array(thresholds, dtype=np.float64)
         pruned = np.array([t.size for t in t_lists], dtype=np.int64)
-        walks = []
+        walks, cols = [], {}
         for p, (a, tgts, rev) in enumerate(zip(probe_slots, t_lists, reverse_list)):
             if tgts.size == 0:
                 continue
@@ -492,7 +494,9 @@ class NumpyBackend(StretchBackend):
                     continue
                 self.n_lb1_evaluations += sub.size
                 if best[p] < np.inf:
-                    lb1 = self._level1(memo, store, bounds, a, tgts[sub])
+                    if p not in cols:
+                        cols[p] = sample_columns(store.data[a, : store.lengths[a]])
+                    lb1 = self._level1(memo, store, bounds, a, tgts[sub], cols[p])
                     sub = sub[(lb1 <= best[p]) | (lb1 < cap[sub])]
                 pruned[p] -= sub.size
                 keys = None
@@ -518,12 +522,13 @@ class NumpyBackend(StretchBackend):
         self.n_bound_pruned += int(pruned.sum())
         return rows, pruned
 
-    def _level1(self, memo, store, bounds, a, t) -> np.ndarray:
-        """Level-1 bounds of probe ``a`` against targets ``t``, recalled
-        from the memo under ordered keys or computed and recorded."""
+    def _level1(self, memo, store, bounds, a, t, cols) -> np.ndarray:
+        """Level-1 bounds of probe ``a`` (sample columns ``cols``) against
+        targets ``t``, recalled from the memo under ordered keys or
+        computed and recorded."""
         if memo is None:
             return bucket_lower_bounds(
-                store, bounds.bucket_hull, bounds.bucket_occ, a, t, self.stretch
+                store, bounds.bucket_hull, bounds.bucket_occ, a, t, self.stretch, cols
             )
         keys = ((a << 32) | t).tolist()
         lb1 = memo.recall(_LEVEL1, keys)
@@ -531,7 +536,7 @@ class NumpyBackend(StretchBackend):
         self.n_lb1_memo_hits += t.size - miss.size
         if miss.size:
             lb1[miss] = vals = bucket_lower_bounds(
-                store, bounds.bucket_hull, bounds.bucket_occ, a, t[miss], self.stretch
+                store, bounds.bucket_hull, bounds.bucket_occ, a, t[miss], self.stretch, cols
             )
             memo.record(_LEVEL1, [keys[i] for i in miss.tolist()], vals, bounds.cap)
         return lb1
@@ -573,7 +578,7 @@ class CompiledBackend(StretchBackend):
     shared library built with the system C compiler (the ``cc`` tier,
     see :mod:`repro.core._ckernel`).  Byte-identical to the NumPy
     reference by construction — the scalar kernel replicates the
-    broadcast kernel's operation order including NumPy's pairwise
+    NumPy kernel's operation order including NumPy's pairwise
     summation (DESIGN.md D9) — so selecting it changes wall time only,
     never a single output bit.
     """

@@ -4,8 +4,8 @@ The paper's CUDA offload (Section 6.3) maps here to native scalar
 kernels operating directly on the ``(N, m_max, 6)`` padded tensors of
 :class:`repro.core.pairwise.PaddedFingerprints` /
 :class:`repro.core.engine.SlotStore`.  Native calls remove the per-call
-dispatch and broadcast-temporaries overhead of the NumPy reference at
-small target counts (the GLOVE hot loop's regime).
+dispatch overhead of the NumPy reference's few dozen array operations
+per probe at small target counts (the GLOVE hot loop's regime).
 
 **One definition (DESIGN.md D9).**  The kernels are written once, as C
 text in :mod:`repro.core._ckernel`, built with the system compiler on

@@ -3,10 +3,12 @@
 The paper offloads the O(|M|^2) evaluations of Eq. 10 to a CUDA GPU
 (Section 6.3).  This module is the reproduction's equivalent substrate:
 fingerprints are packed into a padded ``(N, m_max, 6)`` tensor with a
-validity mask, and one-vs-all stretch efforts are computed with NumPy
-broadcasting, chunked to bound peak memory.  The two lower bounds that
-let the GLOVE search prune exact evaluations live here too, as plain
-functions over the same packed arrays.
+validity mask, and one-vs-all stretch efforts are computed per probe
+over blocks of targets whose valid samples are laid end to end, so
+every elementwise step runs over unpadded rows with the samples axis
+innermost.  The two lower bounds that let the GLOVE search prune exact
+evaluations live here too, as plain functions over the same packed
+arrays.
 """
 
 from __future__ import annotations
@@ -57,108 +59,128 @@ class PaddedFingerprints:
         return self.data.shape[0]
 
 
-class _ProbeViews:
-    """Broadcast-ready views of one probe fingerprint, built once per call."""
-
-    __slots__ = ("ma", "n_a", "ax", "adx", "ay", "ady", "at", "adt", "a_ext_s")
-
-    def __init__(self, a_data: np.ndarray, n_a: int):
-        if a_data.shape[0] == 0:
-            raise ValueError("probe fingerprint has no samples")
-        self.ma = a_data.shape[0]
-        self.n_a = n_a
-        self.ax = a_data[:, X][None, :, None]
-        self.adx = a_data[:, DX][None, :, None]
-        self.ay = a_data[:, Y][None, :, None]
-        self.ady = a_data[:, DY][None, :, None]
-        self.at = a_data[:, T][None, :, None]
-        self.adt = a_data[:, DT][None, :, None]
-        self.a_ext_s = self.adx + self.ady
+#: Cells of one kernel plane: an exact-kernel ``(ma, T)`` buffer or a
+#: level-1 fold block holds at most this many values (but a block is at
+#: least one target wide), which bounds a call's peak memory whatever the
+#: store's longest fingerprint.
+_BLOCK_CELLS = 1 << 18
 
 
-def _chunk_efforts(
-    probe: _ProbeViews,
-    b: np.ndarray,
-    mask: np.ndarray,
-    len_b: np.ndarray,
-    n_b: np.ndarray,
-    pad_width: int,
+def _blocks(lengths: np.ndarray, max_targets: int, max_cells: int) -> List[tuple]:
+    """``(start, stop, n_samples)`` runs of consecutive targets, each of
+    at most ``max_targets`` targets and ``max_cells`` samples (but at
+    least one target), in order."""
+    ends = np.cumsum(lengths)
+    if lengths.size <= max_targets and ends[-1] <= max_cells:
+        return [(0, lengths.size, int(ends[-1]))]
+    runs, start, base = [], 0, 0
+    while start < lengths.size:
+        stop = min(
+            start + max_targets,
+            max(start + 1, int(np.searchsorted(ends, base + max_cells, side="right"))),
+        )
+        runs.append((start, stop, int(ends[stop - 1]) - base))
+        start, base = stop, int(ends[stop - 1])
+    return runs
+
+
+def _ragged(packed, sel: np.ndarray, lengths: np.ndarray):
+    """The valid samples of targets ``sel`` laid end to end.
+
+    Returns their component-major ``(6, T)`` columns, the segment
+    starts and, per column, its target's position in ``sel`` and its
+    sample index (the scatter map back to padded rows).
+    """
+    starts = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(sel.size), lengths)
+    within = np.arange(owner.size) - starts[owner]
+    cols = np.ascontiguousarray(packed.data[sel[owner], within].T)
+    return cols, starts, owner, within
+
+
+def _probe_efforts(
+    a: np.ndarray,
+    n_a,
+    packed,
+    targets: np.ndarray,
     config: StretchConfig,
+    chunk: int,
 ) -> np.ndarray:
-    """Eq. 10 efforts of one probe against one gathered target chunk.
+    """Eq. 10 efforts of one probe against ``targets`` (the exact kernel).
 
-    ``b``/``mask`` may be sliced to the chunk's own maximum sample count:
-    every per-pair value is an elementwise function of valid cells only,
-    and both directional means are summed over a zero-padded
-    ``(C, pad_width)`` array whose width is fixed by the *store* (not the
-    chunk), so results are bitwise independent of chunk composition.
-    ``pad_width`` must be ``max(ma, m_max)`` of the packed store;
-    NumPy's pairwise summation groups operands by array length, so the
-    shared width keeps the kernel bitwise symmetric under a probe/target
-    role swap.
+    Each block of at most ``chunk`` targets lays its targets' valid
+    samples end to end, and Eq. 10 runs over unpadded ``(ma, T)``
+    planes with the samples axis innermost.  Per-probe-sample minima
+    are reduced over each target's segment, per-target-sample minima
+    over the probe's samples; both are exact.  Both directional means
+    sum a zero-padded width-``pad_width`` row whose width is fixed by
+    the *store* (``max(ma, m_max)``), not the block, so every value is
+    bitwise independent of the block composition and the target order.
+    NumPy's pairwise summation groups operands by row length, so the
+    shared width also keeps the kernel bitwise symmetric under a
+    probe/target role swap.
     """
-    ma = probe.ma
-    w_a = (probe.n_a / (probe.n_a + n_b))[:, None, None]
-    w_b = (n_b / (probe.n_a + n_b))[:, None, None]
+    ma = a.shape[0]
+    if ma == 0:
+        raise ValueError("probe fingerprint has no samples")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
+    out = np.empty(targets.size, dtype=np.float64)
+    if targets.size == 0:
+        return out
+    pad_width = max(ma, packed.data.shape[1])
+    lengths = packed.lengths[targets]
+    n_b = packed.counts[targets].astype(np.float64)
+    w_a = n_a / (n_a + n_b)
+    w_b = n_b / (n_a + n_b)
+    ax, ay, at = a[:, X, None], a[:, Y, None], a[:, T, None]
+    ahx, ahy, aht = ax + a[:, DX, None], ay + a[:, DY, None], at + a[:, DT, None]
+    a_ext = a[:, DX, None] + a[:, DY, None]
+    adt = a[:, DT, None]
 
-    bx = b[:, :, X][:, None, :]
-    bdx = b[:, :, DX][:, None, :]
-    by = b[:, :, Y][:, None, :]
-    bdy = b[:, :, DY][:, None, :]
-    bt = b[:, :, T][:, None, :]
-    bdt = b[:, :, DT][:, None, :]
+    blocks = _blocks(lengths, chunk, max(1, _BLOCK_CELLS // ma))
+    bufs = np.empty((3, ma * max(n for _, _, n in blocks)))
+    for start, stop, n_cols in blocks:
+        L = lengths[start:stop]
+        b, starts, owner, within = _ragged(packed, targets[start:stop], L)
+        u, v, s = (buf[: ma * n_cols].reshape(ma, n_cols) for buf in bufs)
+        bx, by, bt = b[X], b[Y], b[T]
+        wa, wb = w_a[start:stop][owner], w_b[start:stop][owner]
 
-    ux = np.maximum(probe.ax + probe.adx, bx + bdx) - np.minimum(probe.ax, bx)
-    uy = np.maximum(probe.ay + probe.ady, by + bdy) - np.minimum(probe.ay, by)
-    ut = np.maximum(probe.at + probe.adt, bt + bdt) - np.minimum(probe.at, bt)
+        # Union extents; the weighted own-extent terms are summed before
+        # subtracting so the expression is bitwise symmetric under a
+        # probe/target role swap (addition commutes exactly; chained
+        # subtraction doesn't).  Clamped at zero against cancellation.
+        np.subtract(np.maximum(ahx, bx + b[DX], out=u), np.minimum(ax, bx, out=s), out=u)
+        np.subtract(np.maximum(ahy, by + b[DY], out=v), np.minimum(ay, by, out=s), out=v)
+        np.add(u, v, out=u)
+        np.add(np.multiply(wa, a_ext, out=v), wb * (b[DX] + b[DY]), out=v)
+        np.maximum(np.subtract(u, v, out=u), 0.0, out=u)
+        np.minimum(np.divide(u, config.phi_max_sigma_m, out=u), 1.0, out=u)
+        np.multiply(config.w_sigma, u, out=u)
 
-    # Clamped at zero against floating-point cancellation noise.
-    # The weighted own-extent terms are summed before subtracting so
-    # the expression is bitwise symmetric under a probe/target role
-    # swap (addition commutes exactly; chained subtraction doesn't).
-    raw_s = np.maximum((ux + uy) - (w_a * probe.a_ext_s + w_b * (bdx + bdy)), 0.0)
-    raw_t = np.maximum(ut - (w_a * probe.adt + w_b * bdt), 0.0)
+        np.subtract(np.maximum(aht, bt + b[DT], out=v), np.minimum(at, bt, out=s), out=v)
+        np.add(np.multiply(wa, adt, out=s), wb * b[DT], out=s)
+        np.maximum(np.subtract(v, s, out=v), 0.0, out=v)
+        np.minimum(np.divide(v, config.phi_max_tau_min, out=v), 1.0, out=v)
+        delta = np.add(u, np.multiply(config.w_tau, v, out=v), out=u)
 
-    delta = config.w_sigma * np.minimum(raw_s / config.phi_max_sigma_m, 1.0)
-    delta += config.w_tau * np.minimum(raw_t / config.phi_max_tau_min, 1.0)
-
-    # Mask out padding: invalid target samples must never be matched.
-    delta = np.where(mask[:, None, :], delta, np.inf)
-
-    # Case ma > mb: for each probe sample, nearest target sample.
-    per_a = delta.min(axis=2)  # (C, ma)
-    padded = np.zeros((per_a.shape[0], pad_width), dtype=per_a.dtype)
-    padded[:, : per_a.shape[1]] = per_a
-    mean_long_a = padded.sum(axis=1) / ma
-
-    # Case mb > ma: for each *valid* target sample, nearest probe sample.
-    per_b = delta.min(axis=1)  # (C, W)
-    per_b = np.where(mask, per_b, 0.0)
-    padded = np.zeros((per_b.shape[0], pad_width), dtype=per_b.dtype)
-    padded[:, : per_b.shape[1]] = per_b
-    mean_long_b = padded.sum(axis=1) / len_b
-
-    # Equal lengths: average both directions (symmetric tie rule,
-    # see repro.core.stretch.fingerprint_stretch).
-    return np.where(
-        ma > len_b,
-        mean_long_a,
-        np.where(len_b > ma, mean_long_b, (mean_long_a + mean_long_b) / 2.0),
-    )
-
-
-def _length_sorted(packed: PaddedFingerprints, indices: np.ndarray) -> np.ndarray:
-    """Positions of ``indices`` in ascending target-length order.
-
-    Grouping similar-length targets into the same chunk lets the bulk
-    kernel slice its broadcast tensors to each chunk's own maximum
-    length instead of the store-wide padding, without changing a single
-    output bit (per-pair values are chunk-independent, see
-    :func:`_chunk_efforts`).
-    """
-    if indices.shape[0] <= 1:
-        return np.arange(indices.shape[0])
-    return np.argsort(packed.lengths[indices], kind="stable")
+        per = np.zeros((2, stop - start, pad_width))
+        # Case ma > mb: for each probe sample, nearest target sample.
+        per[0, :, :ma] = np.minimum.reduceat(delta, starts, axis=1).T
+        # Case mb > ma: for each target sample, nearest probe sample.
+        per[1, owner, within] = delta.min(axis=0)
+        mean_long_a, mean_long_b = per.sum(axis=2)
+        mean_long_a /= ma
+        mean_long_b /= L
+        # Equal lengths: average both directions (symmetric tie rule,
+        # see repro.core.stretch.fingerprint_stretch).
+        out[start:stop] = np.where(
+            ma > L,
+            mean_long_a,
+            np.where(L > ma, mean_long_b, (mean_long_a + mean_long_b) / 2.0),
+        )
+    return out
 
 
 def one_vs_all(
@@ -182,30 +204,16 @@ def one_vs_all(
     indices:
         Optional subset of target indices to evaluate; defaults to all.
     chunk:
-        Targets per broadcast chunk.
+        Targets per block.
 
     Returns
     -------
     Float64 array of ``Delta_ab`` values, aligned with ``indices``.
     """
-    probe = _ProbeViews(a_data, n_a)
     if indices is None:
         indices = np.arange(len(packed))
     indices = np.asarray(indices, dtype=np.int64)
-    out = np.empty(indices.shape[0], dtype=np.float64)
-    pad_width = max(probe.ma, packed.data.shape[1])
-
-    order = _length_sorted(packed, indices)
-    for start in range(0, indices.shape[0], chunk):
-        pos = order[start : start + chunk]
-        sel = indices[pos]
-        len_b = packed.lengths[sel]
-        width = int(len_b.max())
-        b = packed.data[sel, :width]
-        mask = packed.mask[sel, :width]
-        n_b = packed.counts[sel].astype(np.float64)
-        out[pos] = _chunk_efforts(probe, b, mask, len_b, n_b, pad_width, config)
-    return out
+    return _probe_efforts(a_data, n_a, packed, indices, config, chunk)
 
 
 def many_vs_some(
@@ -218,51 +226,20 @@ def many_vs_some(
 ) -> List[np.ndarray]:
     """Ragged multi-probe dispatch: probe ``p`` vs its own target subset.
 
-    The union of all subsets is gathered from the padded store once;
-    each probe then addresses its own targets inside that (much
-    smaller) snapshot.  Entry ``p`` of the result is bitwise equal to
+    Entry ``p`` of the result is bitwise equal to
     ``one_vs_all(probes[p], ..., indices=targets_list[p])`` — per-pair
-    values are chunk- and batch-composition-independent (see
-    :func:`_chunk_efforts`).
+    values are block-composition-independent (see
+    :func:`_probe_efforts`).
     """
     if len(probes) != len(probe_counts) or len(probes) != len(targets_list):
         raise ValueError("probes, probe_counts and targets_list must align")
-    targets_list = [np.asarray(t, dtype=np.int64) for t in targets_list]
-    nonempty = [t for t in targets_list if t.size]
-    if not nonempty:
-        return [np.empty(0, dtype=np.float64) for _ in targets_list]
-    union = np.unique(np.concatenate(nonempty))
-    w_u = int(packed.lengths[union].max())
-    b_u = packed.data[union, :w_u]
-    mask_u = packed.mask[union, :w_u]
-    len_u = packed.lengths[union]
-    n_u = packed.counts[union].astype(np.float64)
-    m_max = packed.data.shape[1]
-
     outs = []
     for p_data, p_count, targets in zip(probes, probe_counts, targets_list):
+        targets = np.asarray(targets, dtype=np.int64)
         if targets.size == 0:
             outs.append(np.empty(0, dtype=np.float64))
             continue
-        probe = _ProbeViews(p_data, int(p_count))
-        pad_width = max(probe.ma, m_max)
-        pos_u = np.searchsorted(union, targets)
-        out = np.empty(targets.shape[0], dtype=np.float64)
-        order = (
-            np.argsort(len_u[pos_u], kind="stable")
-            if targets.shape[0] > 1
-            else np.arange(targets.shape[0])
-        )
-        for start in range(0, targets.shape[0], chunk):
-            pos = order[start : start + chunk]
-            sel = pos_u[pos]
-            len_b = len_u[sel]
-            width = int(len_b.max())
-            out[pos] = _chunk_efforts(
-                probe, b_u[sel, :width], mask_u[sel, :width],
-                len_b, n_u[sel], pad_width, config,
-            )
-        outs.append(out)
+        outs.append(_probe_efforts(p_data, int(p_count), packed, targets, config, chunk))
     return outs
 
 
@@ -299,6 +276,14 @@ def hull_lower_bounds(
     )
 
 
+def sample_columns(d: np.ndarray) -> np.ndarray:
+    """The ``(6, m)`` columns x, x+dx, y, y+dy, t, t+dt of ``(m, 6)`` samples."""
+    cols = np.empty((NCOLS, d.shape[0]))
+    cols[0::2] = d.T[0::2]
+    np.add(d.T[0::2], d.T[1::2], out=cols[1::2])
+    return cols
+
+
 def bucket_lower_bounds(
     packed,
     bucket_hull: np.ndarray,
@@ -306,100 +291,100 @@ def bucket_lower_bounds(
     slot: int,
     targets: np.ndarray,
     config: StretchConfig,
+    cols: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Level-1 bound: samples vs per-time-bucket hulls, O(m·B)/pair.
 
     Follows Eq. 10's direction rule: the mean runs over the longer
     fingerprint's samples (both directions averaged on equal lengths),
     so each direction is bounded with the corresponding side's samples
-    against the other side's bucket hulls.
+    against the other side's bucket hulls.  ``cols`` are the probe's
+    :func:`sample_columns`, built here when not given.
     """
     targets = np.asarray(targets, dtype=np.int64)
     ma = int(packed.lengths[slot])
+    if cols is None:
+        cols = sample_columns(packed.data[slot, :ma])
     len_t = packed.lengths[targets]
     a_side = ma >= len_t  # probe is the longer (or equal) side
     b_side = len_t >= ma  # target is the longer (or equal) side
     la = np.zeros(targets.size)
     lb = np.zeros(targets.size)
     if a_side.any():
-        la[a_side] = _lb_probe_samples(
-            packed, bucket_hull, bucket_occ, slot, targets[a_side], config
-        )
+        la[a_side] = _lb_probe_samples(cols, bucket_hull, bucket_occ, targets[a_side], config)
     if b_side.any():
-        lb[b_side] = _lb_target_samples(
-            packed, bucket_hull, bucket_occ, slot, targets[b_side], config
-        )
+        hulls = bucket_hull[slot][bucket_occ[slot]]
+        lb[b_side] = _lb_target_samples(packed, hulls, targets[b_side], config)
     return np.where(ma > len_t, la, np.where(len_t > ma, lb, (la + lb) / 2.0))
 
 
-def _sample_bucket_lb(s_lo, s_hi, hulls, occ, config: StretchConfig):
-    """Per-(sample, bucket) bound; ``inf`` on unoccupied buckets.
+def _fold_buckets(s, h, config: StretchConfig) -> np.ndarray:
+    """The sample/bucket-hull gap efforts of one level-1 block.
 
-    ``s_lo``/``s_hi`` are ``(..., 3)`` interval bounds (x, y, t) and
-    ``hulls`` is ``(..., B, 6)``; broadcasting aligns the rest.
+    ``s`` and ``h`` are component-major (x, x+dx, y, y+dy, t, t+dt)
+    stacks of sample columns and bucket hulls whose trailing axes
+    broadcast to the block; the x, y and t gaps run stacked.  Every
+    cell is :func:`_gap_effort` of its :func:`_interval_gap` triple,
+    and the callers fold the bucket axis with exact minima, so the
+    block's layout cannot change a bit (the NumPy image of the C tier's
+    ``fold_buckets``).
     """
-    lb = _gap_effort(
-        _interval_gap(s_lo[..., 0], s_hi[..., 0], hulls[..., 0], hulls[..., 1]),
-        _interval_gap(s_lo[..., 1], s_hi[..., 1], hulls[..., 2], hulls[..., 3]),
-        _interval_gap(s_lo[..., 2], s_hi[..., 2], hulls[..., 4], hulls[..., 5]),
-        config,
-    )
-    return np.where(occ, lb, np.inf)
+    g = np.subtract(s[0::2], h[1::2])
+    np.maximum(g, np.subtract(h[0::2], s[1::2]), out=g)
+    np.maximum(0.0, g, out=g)
+    np.add(g[0], g[1], out=g[1])
+    s_term, t_term = g[1], g[2]
+    np.divide(s_term, config.phi_max_sigma_m, out=s_term)
+    np.divide(t_term, config.phi_max_tau_min, out=t_term)
+    np.minimum(g[1:], 1.0, out=g[1:])
+    np.multiply(config.w_sigma, s_term, out=s_term)
+    np.multiply(config.w_tau, t_term, out=t_term)
+    return np.add(s_term, t_term, out=s_term)
 
 
-def _sample_intervals(d: np.ndarray):
-    """``(lo, hi)`` stacks of the (x, y, t) sample intervals of ``d``."""
-    lo = np.stack([d[..., X], d[..., Y], d[..., T]], axis=-1)
-    hi = np.stack(
-        [d[..., X] + d[..., DX], d[..., Y] + d[..., DY], d[..., T] + d[..., DT]], axis=-1
-    )
-    return lo, hi
+def _lb_probe_samples(cols, bucket_hull, bucket_occ, targets, config):
+    """Mean over probe samples of the min bound to target buckets.
 
-
-def _lb_probe_samples(packed, bucket_hull, bucket_occ, slot, targets, config):
-    """Mean over probe samples of the min bound to target buckets."""
-    d = packed.data[slot, : packed.lengths[slot]]
-    s_lo, s_hi = _sample_intervals(d)
-    ma = d.shape[0]
-    n_buckets = bucket_hull.shape[1]
+    One ``(ma, B, C)`` block per run of targets folds the probe's
+    sample columns against the targets' bucket hulls, taken
+    component-major; unoccupied buckets read ``+inf``, as in the C
+    tier's skip.
+    """
+    ma = cols.shape[1]
     out = np.empty(targets.size)
-    block = max(1, (1 << 21) // max(ma * n_buckets, 1))
+    block = max(1, _BLOCK_CELLS // (ma * bucket_hull.shape[1]))
     for start in range(0, targets.size, block):
         sel = targets[start : start + block]
-        hulls = bucket_hull[sel][:, None, :, :]  # (C, 1, B, 6)
-        occ = bucket_occ[sel][:, None, :]  # (C, 1, B)
-        lb = _sample_bucket_lb(
-            s_lo[None, :, None, :], s_hi[None, :, None, :], hulls, occ, config
-        )  # (C, ma, B)
-        out[start : start + sel.size] = lb.min(axis=2).mean(axis=1)
+        h = np.ascontiguousarray(bucket_hull[sel].T)  # (6, B, C)
+        lb = _fold_buckets(cols[:, :, None, None], h[:, None], config)
+        lb[:, ~bucket_occ[sel].T] = np.inf
+        mins = np.ascontiguousarray(lb.min(axis=1).T)  # (C, ma)
+        out[start : start + sel.size] = mins.sum(axis=1) / ma
     return out
 
 
-def _lb_target_samples(packed, bucket_hull, bucket_occ, slot, targets, config):
-    """Masked mean over target samples of the min bound to probe buckets.
+def _lb_target_samples(packed, hulls, targets, config):
+    """Mean over target samples of the min bound to the probe's
+    occupied bucket ``hulls``.
 
-    Targets are grouped by length so the broadcast work is sliced to
-    each block's own maximum sample count; the final mean still sums a
-    zero-padded width-``m_max`` array, so every bound value is bitwise
-    independent of the block composition (same argument as
-    :func:`_chunk_efforts`).
+    Each run of targets lays its valid samples end to end against the
+    probe's buckets; the mean still sums a zero-padded width-``m_max``
+    row per target, so every bound value is bitwise independent of the
+    block composition (same argument as :func:`_probe_efforts`).
     """
-    hulls = bucket_hull[slot][bucket_occ[slot]]  # (Bo, 6)
+    h = hulls.T[:, :, None]  # (6, Bo, 1)
     m_max = packed.data.shape[1]
     out = np.empty(targets.size)
-    order = _length_sorted(packed, targets)
-    block = max(1, (1 << 21) // max(m_max * hulls.shape[0], 1))
+    block = max(1, _BLOCK_CELLS // max(m_max * h.shape[1], 1))
     for start in range(0, targets.size, block):
-        pos = order[start : start + block]
-        sel = targets[pos]
-        width = int(packed.lengths[sel].max())
-        s_lo, s_hi = _sample_intervals(packed.data[sel, :width])  # (C, W, 3)
-        lb = _sample_bucket_lb(
-            s_lo[:, :, None, :], s_hi[:, :, None, :], hulls[None, None, :, :], True, config
-        )  # (C, W, Bo)
-        per_sample = np.zeros((sel.size, m_max), dtype=np.float64)
-        per_sample[:, :width] = np.where(packed.mask[sel, :width], lb.min(axis=2), 0.0)
-        out[pos] = per_sample.sum(axis=1) / packed.lengths[sel]
+        sel = targets[start : start + block]
+        lengths = packed.lengths[sel]
+        b, _, owner, within = _ragged(packed, sel, lengths)
+        per_sample = np.zeros((sel.size, m_max))
+        per_sample[owner, within] = _fold_buckets(
+            sample_columns(b.T)[:, None, :], h, config
+        ).min(axis=0)
+        out[start : start + sel.size] = per_sample.sum(axis=1) / lengths
     return out
 
 

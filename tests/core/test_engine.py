@@ -561,9 +561,9 @@ class TestPruneAccounting:
         passed = []
         bound = engine_mod.bucket_lower_bounds
 
-        def counting(store, bucket_hull, bucket_occ, slot, targets, config):
+        def counting(store, bucket_hull, bucket_occ, slot, targets, config, *cols):
             passed.append(len(targets))
-            return bound(store, bucket_hull, bucket_occ, slot, targets, config)
+            return bound(store, bucket_hull, bucket_occ, slot, targets, config, *cols)
 
         monkeypatch.setattr(engine_mod, "bucket_lower_bounds", counting)
         engine = StretchEngine(list(small_civ)[:24], compute=ComputeConfig(backend="numpy"))

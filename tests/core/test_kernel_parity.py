@@ -72,9 +72,30 @@ def fingerprints(draw, uid, max_m=7):
 
 
 @st.composite
-def collections(draw, min_n=2, max_n=6):
+def collections(draw, min_n=2, max_n=6, max_m=7):
     n = draw(st.integers(min_value=min_n, max_value=max_n))
-    return [draw(fingerprints(f"u{i}")) for i in range(n)]
+    return [draw(fingerprints(f"u{i}", max_m=max_m)) for i in range(n)]
+
+
+#: Samples per fingerprint in the exact-kernel parity draws: past 8,
+#: where NumPy's pairwise summation leaves its sequential loop, so the
+#: zero-padded means run the 8-accumulator tree.
+WIDE_M = 40
+
+
+def _wide_fingerprint(rng, uid, m, count=1):
+    """``m`` seeded samples spread over both saturation thresholds."""
+    data = np.column_stack(
+        [
+            rng.uniform(-3e4, 3e4, m),
+            rng.uniform(0, 2e3, m) * (rng.random(m) < 0.7),
+            rng.uniform(-3e4, 3e4, m),
+            rng.uniform(0, 2e3, m) * (rng.random(m) < 0.7),
+            rng.uniform(0, 2.9e3, m),
+            rng.uniform(0, 600, m) * (rng.random(m) < 0.5),
+        ]
+    )
+    return Fingerprint(uid, data, count=count, members=[f"{uid}-{i}" for i in range(count)])
 
 
 def _config_args(config):
@@ -95,8 +116,15 @@ if kernels.COMPILED_AVAILABLE:
 
 @pytest.mark.parametrize("tier,ova,pm", BINDINGS, ids=[b[0] for b in BINDINGS])
 class TestKernelParity:
-    @given(probe=fingerprints("probe"), fps=collections(), data=st.data())
-    @settings(max_examples=60, deadline=None)
+    @given(
+        probe=fingerprints("probe", max_m=WIDE_M),
+        fps=collections(max_m=WIDE_M),
+        data=st.data(),
+    )
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow],
+    )
     def test_one_vs_all_bitwise(self, tier, ova, pm, probe, fps, data):
         packed = PaddedFingerprints(fps)
         config = StretchConfig()
@@ -123,14 +151,65 @@ class TestKernelParity:
         # reference's operation order including pairwise summation.
         np.testing.assert_array_equal(got, reference)
 
-    @given(fps=collections())
-    @settings(max_examples=40, deadline=None)
+    @given(fps=collections(max_m=WIDE_M))
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.data_too_large, HealthCheck.too_slow],
+    )
     def test_pairwise_matrix_bitwise(self, tier, ova, pm, fps):
         packed = PaddedFingerprints(fps)
         config = StretchConfig()
         reference = pairwise_matrix(fps, config)
         got = pm(packed.data, packed.lengths, packed.counts, *_config_args(config))
         np.testing.assert_array_equal(got, reference)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 256])
+    def test_store_wider_than_128_samples(self, tier, ova, pm, chunk):
+        # m_max > 128: the zero-padded means recurse past NumPy's
+        # 128-element summation block, on both directions of Eq. 10.
+        rng = np.random.default_rng(11)
+        fps = [
+            _wide_fingerprint(rng, f"u{i}", m, count=1 + i % 4)
+            for i, m in enumerate([150, 3, 129, 64, 9, 1, 140, 128])
+        ]
+        packed = PaddedFingerprints(fps)
+        config = StretchConfig()
+        targets = np.arange(len(fps), dtype=np.int64)
+        for probe in fps:
+            reference = one_vs_all(
+                probe.data, probe.count, packed, config, indices=targets, chunk=chunk
+            )
+            got = ova(
+                np.ascontiguousarray(probe.data), float(probe.count), packed.data,
+                packed.lengths, packed.counts, targets, *_config_args(config),
+            )
+            np.testing.assert_array_equal(got, reference)
+        reference = pairwise_matrix(fps, config, chunk=chunk)
+        got = pm(packed.data, packed.lengths, packed.counts, *_config_args(config))
+        np.testing.assert_array_equal(got, reference)
+
+    @pytest.mark.parametrize("m_probe,m_store", [(40, 12), (140, 20), (260, 150)])
+    def test_probe_longer_than_store(self, tier, ova, pm, m_probe, m_store):
+        # ma > m_max, so pad_width = ma: the probe's length, not the
+        # store's, sets the summation width of both means.
+        rng = np.random.default_rng(m_probe)
+        fps = [
+            _wide_fingerprint(rng, f"u{i}", m, count=1 + i % 3)
+            for i, m in enumerate([m_store, 1, m_store // 2, 9, m_store - 1])
+        ]
+        probe = _wide_fingerprint(rng, "probe", m_probe, count=2)
+        packed = PaddedFingerprints(fps)
+        config = StretchConfig()
+        targets = np.array([4, 0, 2, 1, 3], dtype=np.int64)
+        for chunk in (1, 3, 256):
+            reference = one_vs_all(
+                probe.data, probe.count, packed, config, indices=targets, chunk=chunk
+            )
+            got = ova(
+                np.ascontiguousarray(probe.data), float(probe.count), packed.data,
+                packed.lengths, packed.counts, targets, *_config_args(config),
+            )
+            np.testing.assert_array_equal(got, reference)
 
     def test_saturation_edges(self, tier, ova, pm):
         # One pair far beyond both saturation thresholds (delta == 1)

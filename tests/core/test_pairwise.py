@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core.pairwise import PaddedFingerprints, k_nearest, one_vs_all, pairwise_matrix
+from repro.core.fingerprint import Fingerprint
+from repro.core.pairwise import (
+    PaddedFingerprints,
+    k_nearest,
+    many_vs_some,
+    one_vs_all,
+    pairwise_matrix,
+)
 from repro.core.stretch import fingerprint_stretch
 from tests.conftest import make_fp
+
+#: Block sizes for the invariance tests: one target a block, a few
+#: (blocks cut mid-collection) and the default (one block).
+CHUNKS = (1, 3, 256)
 
 
 @pytest.fixture
@@ -18,6 +29,28 @@ def ragged_fps(rng):
             for _ in range(m)
         ]
         fps.append(make_fp(f"u{i}", rows))
+    return fps
+
+
+@pytest.fixture
+def long_fps(rng):
+    """Fingerprints of 1–40 samples with extents and count weights, so
+    the zero-padded means run NumPy's 8-way pairwise tree."""
+    fps = []
+    for i, m in enumerate([40, 1, 9, 23, 8, 31, 2, 17, 40, 12]):
+        data = np.column_stack(
+            [
+                rng.uniform(0, 5e4, m),
+                rng.uniform(0, 3e3, m),
+                rng.uniform(0, 5e4, m),
+                rng.uniform(0, 3e3, m),
+                rng.uniform(0, 2.9e3, m),
+                rng.uniform(0, 120, m),
+            ]
+        )
+        count = 1 + i % 3
+        fps.append(Fingerprint(f"u{i}", data, count=count,
+                               members=[f"u{i}-{j}" for j in range(count)]))
     return fps
 
 
@@ -57,17 +90,53 @@ class TestOneVsAll:
         vals = one_vs_all(ragged_fps[1].data, 1, packed)
         assert vals[1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_subset_indices(self, ragged_fps):
-        packed = PaddedFingerprints(ragged_fps)
-        all_vals = one_vs_all(ragged_fps[0].data, 1, packed)
-        sub = one_vs_all(ragged_fps[0].data, 1, packed, indices=np.array([2, 4]))
-        np.testing.assert_allclose(sub, all_vals[[2, 4]])
+    def test_subset_indices(self, ragged_fps, long_fps):
+        # Bitwise (DESIGN.md D4): a target's value does not depend on
+        # which other targets share its call, nor on their order.
+        for fps in (ragged_fps, long_fps):
+            packed = PaddedFingerprints(fps)
+            for probe in (fps[0], fps[1], fps[2]):
+                all_vals = one_vs_all(probe.data, probe.count, packed)
+                for subset in ([2, 4], [4, 2], [1], [3, 0, 1]):
+                    for chunk in CHUNKS:
+                        sub = one_vs_all(
+                            probe.data, probe.count, packed,
+                            indices=np.array(subset), chunk=chunk,
+                        )
+                        np.testing.assert_array_equal(sub, all_vals[subset])
 
-    def test_chunking_invariant(self, ragged_fps):
-        packed = PaddedFingerprints(ragged_fps)
-        v1 = one_vs_all(ragged_fps[0].data, 1, packed, chunk=1)
-        v2 = one_vs_all(ragged_fps[0].data, 1, packed, chunk=256)
-        np.testing.assert_allclose(v1, v2)
+    def test_chunking_invariant(self, ragged_fps, long_fps):
+        # Bitwise, on every probe: blocks of 1 and 3 targets cut the
+        # collection mid-way, 256 keeps it whole.
+        for fps in (ragged_fps, long_fps):
+            packed = PaddedFingerprints(fps)
+            for probe in fps:
+                v = [one_vs_all(probe.data, probe.count, packed, chunk=c) for c in CHUNKS]
+                np.testing.assert_array_equal(v[0], v[2])
+                np.testing.assert_array_equal(v[1], v[2])
+
+    def test_many_vs_some_matches_one_vs_all(self, long_fps):
+        # Ragged target lists, empty and one-target ones included: each
+        # row is its probe's one_vs_all, bit for bit, at every chunk.
+        packed = PaddedFingerprints(long_fps)
+        probes = [long_fps[i] for i in (0, 1, 2, 5, 8)]
+        targets_list = [
+            np.array([], dtype=np.int64),
+            np.array([3]),
+            np.array([9, 0, 4, 7, 1]),
+            np.array([], dtype=np.int64),
+            np.arange(len(long_fps))[::-1],
+        ]
+        for chunk in CHUNKS:
+            rows = many_vs_some(
+                [p.data for p in probes], [p.count for p in probes], packed,
+                targets_list, chunk=chunk,
+            )
+            assert len(rows) == len(probes)
+            for probe, targets, row in zip(probes, targets_list, rows):
+                assert row.shape == targets.shape
+                expected = one_vs_all(probe.data, probe.count, packed, indices=targets)
+                np.testing.assert_array_equal(row, expected)
 
     def test_count_weights_respected(self, ragged_fps):
         from repro.core.fingerprint import Fingerprint
