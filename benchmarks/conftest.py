@@ -19,7 +19,7 @@ compute backend against the pre-engine dense-matrix baseline
 per-call ``one_vs_all`` dispatch cost (numpy vs compiled tier, small
 and large target counts) plus the bounded row entry across prune
 rates, a 10k+-fingerprint sharded-tier audit with dispatch
-counters and a ``kernel_threads`` byte-identity sweep,
+counters and the spread of its repeated runs,
 a ``suite_cached`` record timing a repeated experiment-suite run cold
 vs warm through the artifact pipeline, a ``stream`` record with the
 streaming tier's throughput and per-window latency on the stream-500
@@ -196,9 +196,9 @@ def _spread(times) -> dict:
 def _run_glove_bench() -> dict:
     """Time a seeded GLOVE run on the baseline and on every backend.
 
-    The thread-splitter rows (``compiled-t2``/``-t8``) repeat their run
-    :data:`SPREAD_RUNS` times and record the spread, ``wall_s`` being
-    its median; every other row times one run.
+    The ``compiled`` row repeats its run :data:`SPREAD_RUNS` times and
+    records the spread, ``wall_s`` being its median; every other row
+    times one run.
     """
     import numpy as np
 
@@ -228,7 +228,7 @@ def _run_glove_bench() -> dict:
         "days": GLOVE_SCENARIO.days,
         "seed": GLOVE_SCENARIO.seed,
         "k": config.k,
-        # Timed rows read against the CPUs they ran on (kernel_threads).
+        # Timed rows read against the CPUs they ran on.
         "host_cpus": os.cpu_count(),
         "seed_path_s": round(seed_s, 3),
         "seed_path_exact_evaluations": baseline.stats.n_exact_evaluations,
@@ -244,17 +244,9 @@ def _run_glove_bench() -> dict:
     record["kernel_tier"] = kernels.COMPILED_TIER
     if kernels.COMPILED_AVAILABLE:
         compute_by_backend["compiled"] = ComputeConfig(backend="compiled")
-        # Thread-splitter rows: identical bytes are part of the record
-        # (byte-identity at any kernel_threads, DESIGN.md D11).
-        compute_by_backend["compiled-t2"] = ComputeConfig(
-            backend="compiled", kernel_threads=2
-        )
-        compute_by_backend["compiled-t8"] = ComputeConfig(
-            backend="compiled", kernel_threads=8
-        )
     for backend, compute in compute_by_backend.items():
         times = []
-        for _ in range(SPREAD_RUNS if compute.kernel_threads is not None else 1):
+        for _ in range(SPREAD_RUNS if backend == "compiled" else 1):
             t0 = time.time()
             result = glove(dataset, config, compute)
             times.append(time.time() - t0)
@@ -281,8 +273,7 @@ def _run_glove_bench() -> dict:
             ),
             "identical_to_seed_path": consistent,
         }
-        if compute.kernel_threads is not None:
-            record["backends"][backend]["kernel_threads"] = compute.kernel_threads
+        if len(times) > 1:
             record["backends"][backend]["spread"] = _spread(times)
 
     # The sharded tier on the same scenario: output is k-anonymous but
@@ -461,15 +452,11 @@ def _run_shard_bench() -> dict:
     """Sharded GLOVE on a 10k+-fingerprint population, audited for
     k-anonymity with the reusable test-harness checker.
 
-    Also sweeps the compiled tier's ``kernel_threads`` splitter over the
-    same workload: every thread count must produce byte-identical output
-    (the record stores the digests' agreement, not just wall time).  The
-    sweep interleaves :data:`SPREAD_RUNS` rounds of 1, 2 and 8 threads
-    (the first 1-thread run is the audited one) and records each count's
-    spread and memo hits; split calls cannot recall each other's entries
-    of one call, so the hits depend on the thread count.
+    The run repeats :data:`SPREAD_RUNS` times: the first is audited and
+    counted, and ``wall_s`` is the median of all of them, recorded with
+    their ``spread``.
     """
-    from repro.core.artifacts import dataset_digest
+    from repro.core import kernels
     from repro.core.config import ComputeConfig, GloveConfig
     from repro.core.glove import glove
 
@@ -482,7 +469,11 @@ def _run_shard_bench() -> dict:
     compute = ComputeConfig(backend="sharded")
     t0 = time.time()
     result = glove(dataset, config, compute)
-    elapsed = time.time() - t0
+    times = [time.time() - t0]
+    for _ in range(SPREAD_RUNS - 1):
+        t0 = time.time()
+        glove(dataset, config, compute)
+        times.append(time.time() - t0)
     # Record the *computed* audit results: a raise here would leave the
     # previous (green) BENCH_glove.json on disk, hiding the regression.
     try:
@@ -494,7 +485,7 @@ def _run_shard_bench() -> dict:
     # record attributes a regression to the right invariant.
     covered = {member for fp in result.dataset for member in fp.members}
     stats = result.stats
-    record = {
+    return {
         "n_fingerprints": len(dataset),
         "n_users": SHARD_SCENARIO.n_users,
         "days": SHARD_SCENARIO.days,
@@ -505,7 +496,8 @@ def _run_shard_bench() -> dict:
         "shards_used": stats.shards_used,
         "shard_strategy": compute.shard_strategy,
         "boundary_repaired": stats.boundary_repaired,
-        "wall_s": round(elapsed, 3),
+        "wall_s": round(statistics.median(times), 3),
+        "spread": _spread(times),
         "n_merges": stats.n_merges,
         "n_output_groups": len(result.dataset),
         "exact_evaluations": stats.n_exact_evaluations,
@@ -521,33 +513,8 @@ def _run_shard_bench() -> dict:
         ),
         "k_anonymous": k_anonymous,
         "covers_all_users": covered == set(dataset.uids),
+        "kernel_tier": kernels.COMPILED_TIER,
     }
-    from repro.core import kernels
-
-    record["kernel_tier"] = kernels.COMPILED_TIER
-    if kernels.COMPILED_AVAILABLE:
-        digests = {dataset_digest(result.dataset)}
-        times = {1: [elapsed], 2: [], 8: []}
-        last = {1: stats}
-        for r in range(SPREAD_RUNS):
-            for nt in (1, 2, 8) if r else (2, 8):
-                t0 = time.time()
-                swept = glove(
-                    dataset, config, ComputeConfig(backend="sharded", kernel_threads=nt)
-                )
-                times[nt].append(time.time() - t0)
-                digests.add(dataset_digest(swept.dataset))
-                last[nt] = swept.stats
-        record["kernel_threads_sweep"] = {
-            str(nt): {
-                **_spread(runs),
-                "exact_memo_hits": last[nt].n_exact_memo_hits,
-                "lb1_memo_hits": last[nt].n_lb1_memo_hits,
-            }
-            for nt, runs in times.items()
-        }
-        record["identical_across_thread_counts"] = len(digests) == 1
-    return record
 
 
 def _run_suite_bench() -> dict:
@@ -876,7 +843,7 @@ def pytest_sessionfinish(session, exitstatus):
     )
     origins.add(origin)
     if SHARD_BENCH_USERS > 0:
-        # Tier-keyed like the kernel row: the thread sweep and dispatch
+        # Tier-keyed like the kernel row: the timings and dispatch
         # counters describe the resolved compiled tier.
         record["large_n"], origin = _STORE.fetch(
             "bench",

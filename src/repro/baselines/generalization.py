@@ -10,6 +10,7 @@ per-sample specialized generalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -36,8 +37,11 @@ class GeneralizationLevel:
     temporal_min: float
 
     def __post_init__(self) -> None:
-        if self.spatial_m <= 0 or self.temporal_min <= 0:
-            raise ValueError("generalization bins must be positive")
+        if not (0 < self.spatial_m < math.inf and 0 < self.temporal_min < math.inf):
+            raise ValueError(
+                "generalization bins must be positive and finite, got "
+                f"spatial_m={self.spatial_m}, temporal_min={self.temporal_min}"
+            )
 
     @property
     def label(self) -> str:

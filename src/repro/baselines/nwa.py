@@ -22,6 +22,7 @@ Pipeline:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -58,10 +59,12 @@ class NWAConfig:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        if self.delta_m <= 0:
-            raise ValueError("delta_m must be positive")
-        if self.period_min <= 0:
-            raise ValueError("period_min must be positive")
+        if not 0 < self.delta_m < math.inf:
+            raise ValueError(f"delta_m must be positive and finite, got {self.delta_m}")
+        if not 0 < self.period_min < math.inf:
+            raise ValueError(
+                f"period_min must be positive and finite, got {self.period_min}"
+            )
         if not 0.0 <= self.trash_fraction < 1.0:
             raise ValueError("trash_fraction must be in [0, 1)")
 

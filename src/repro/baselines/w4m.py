@@ -34,6 +34,7 @@ the whole time translation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -85,8 +86,8 @@ class W4MConfig:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        if self.delta_m <= 0:
-            raise ValueError("delta_m must be positive")
+        if not 0 < self.delta_m < math.inf:
+            raise ValueError(f"delta_m must be positive and finite, got {self.delta_m}")
         if not 0.0 <= self.trash_fraction < 1.0:
             raise ValueError("trash_fraction must be in [0, 1)")
         if self.chunk_size < 2:

@@ -295,7 +295,7 @@ def cmd_anonymize(args) -> int:
 def cmd_stream(args) -> int:
     dataset = _read_any(args.dataset)
     stream_cfg = stream_config_from_args(args)
-    config = _glove_config_from_args(args)
+    config = _method_config_from_args(args, "glove")
     pipeline = pipeline_from_args(args)
     try:
         result = pipeline.stream(

@@ -504,70 +504,44 @@ int64_t glove_memo_entries(const memo_t *m, int64_t kind)
     return m->table[kind].used;
 }
 
-/* Insert the entries of one thread-split call's own memo into the
- * engine's, serially after the join (D11). */
-void glove_memo_absorb(const resident_t *r, const memo_t *own)
-{
-    memo_t *m = r->memo;
-    if (m == NULL)
-        return;
-    for (int kind = 0; kind < 2; kind++) {
-        const memo_table_t *t = &own->table[kind];
-        for (int64_t i = 0; i < t->size; i++) {
-            uint64_t key = t->cells[i].key;
-            if (key == MEMO_EMPTY)
-                continue;
-            memo_cell_t *cell = memo_cell(&m->table[kind], key);
-            if (cell == NULL || cell->key != key)
-                memo_fill(&m->table[kind], cell, key, t->cells[i].val,
-                          m->per_slot * r->cap);
-        }
-    }
-}
-
 /* Scratch of one bounded sweep: the exact kernel's sa/sb/tb, the
  * level-1 per-sample minima, the probe's and a target's sample columns,
  * and the level-0 bounds with their sort permutation for n_max
  * candidates; sweep_alloc returns -1 when an allocation fails.  Also
- * the memo the sweep reads and writes: the engine's, or for one call of
- * the thread splitter the engine's to read (`shared`) and the call's
- * own to read and write (`own`, D11); `own` is NULL when the resident
- * carries no memo or the call runs another configuration.  hits counts
- * the exact and the level-1 values the memo served. */
+ * the engine's memo the sweep reads and writes, NULL when the resident
+ * carries none or the call runs another configuration; hits counts the
+ * exact and the level-1 values the memo served. */
 typedef struct {
     double *sa, *sb, *tb, *lbbuf, *acols, *ccols, *lb0;
     int64_t *order, *tmp;
-    memo_t *shared, *own;
+    memo_t *memo;
     int64_t limit;
     int64_t *hits;
 } sweep_t;
 
-static void sweep_memo(sweep_t *w, const resident_t *r, memo_t *own, int64_t *hits,
+static void sweep_memo(sweep_t *w, const resident_t *r, int64_t *hits,
                        double w_sigma, double w_tau, double phi_sigma, double phi_tau)
 {
     double cfg[4] = {w_sigma, w_tau, phi_sigma, phi_tau};
     memo_t *m = r->memo;
-    w->shared = w->own = NULL;
+    w->memo = NULL;
     w->hits = hits;
     if (m == NULL || memcmp(m->cfg, cfg, sizeof cfg) != 0)
         return;
-    w->shared = m;
-    w->own = own != NULL ? own : m;
+    w->memo = m;
     w->limit = m->per_slot * r->cap;
 }
 
-/* 1 and the value in *val when the memo holds key: the engine's
- * table, then a split call's own.  On a miss *cell is the own table's
- * empty cell for key, for sweep_record (NULL without a memo). */
+/* 1 and the value in *val when the memo holds key.  On a miss *cell is
+ * the table's empty cell for key, for sweep_record (NULL without a
+ * memo). */
 static int sweep_recall(const sweep_t *w, int kind, uint64_t key, double *val,
                         memo_cell_t **cell)
 {
     *cell = NULL;
-    if (w->own == NULL)
+    if (w->memo == NULL)
         return 0;
-    memo_cell_t *c = memo_cell(&w->shared->table[kind], key);
-    if (w->own != w->shared && (c == NULL || c->key != key))
-        c = memo_cell(&w->own->table[kind], key);
+    memo_cell_t *c = memo_cell(&w->memo->table[kind], key);
     if (c != NULL && c->key == key) {
         *val = c->val;
         w->hits[kind]++;
@@ -580,8 +554,8 @@ static int sweep_recall(const sweep_t *w, int kind, uint64_t key, double *val,
 static void sweep_record(const sweep_t *w, int kind, memo_cell_t *cell, uint64_t key,
                          double val)
 {
-    if (w->own != NULL)
-        memo_fill(&w->own->table[kind], cell, key, val, w->limit);
+    if (w->memo != NULL)
+        memo_fill(&w->memo->table[kind], cell, key, val, w->limit);
 }
 
 static void sweep_free(sweep_t *w)
@@ -658,8 +632,7 @@ int glove_bounded_many_vs_some(
     const int64_t *flat_targets, const int64_t *offsets,
     const double *thresholds, const uint8_t *reverse, const double *best_vals,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau,
-    double *out, int64_t *pruned, int64_t *lb1_evals,
-    memo_t *own, int64_t *hits)
+    double *out, int64_t *pruned, int64_t *lb1_evals, int64_t *hits)
 {
     const double *hull = r->hull;
     int64_t m_max = r->m_max, hull_cap = r->cap;
@@ -672,7 +645,7 @@ int glove_bounded_many_vs_some(
     sweep_t w;
     if (sweep_alloc(&w, m_max, n_max) != 0)
         return -1;
-    sweep_memo(&w, r, own, hits, w_sigma, w_tau, phi_sigma, phi_tau);
+    sweep_memo(&w, r, hits, w_sigma, w_tau, phi_sigma, phi_tau);
     for (int64_t p = 0; p < n_probes; p++) {
         int64_t a = probe_slots[p];
         int64_t off = offsets[p];
@@ -726,14 +699,14 @@ int glove_bounded_many_vs_all(
     const double *thresholds,
     double w_sigma, double w_tau, double phi_sigma, double phi_tau,
     double *best_out, int64_t *best_idx_out, int64_t *pruned, int64_t *lb1_evals,
-    memo_t *own, int64_t *hits)
+    int64_t *hits)
 {
     const double *hull = r->hull;
     int64_t m_max = r->m_max, hull_cap = r->cap;
     sweep_t w;
     if (sweep_alloc(&w, m_max, n_targets > 1 ? n_targets : 1) != 0)
         return -1;
-    sweep_memo(&w, r, own, hits, w_sigma, w_tau, phi_sigma, phi_tau);
+    sweep_memo(&w, r, hits, w_sigma, w_tau, phi_sigma, phi_tau);
     for (int64_t p = 0; p < n_probes; p++) {
         int64_t a = probe_slots[p];
         sample_columns(r->data + a * m_max * NCOLS, r->lengths[a], m_max, w.acols);
@@ -1208,8 +1181,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr, c_i64,                        # probe_slots, n_probes
         ptr, ptr,                          # flat_targets, offsets
         ptr, ptr, ptr,                     # thresholds, reverse, best_vals
-        *cfg, ptr, ptr, ptr,               # out, pruned, lb1_evals
-        ptr, ptr,                          # own memo, memo hits
+        *cfg, ptr, ptr, ptr, ptr,          # out, pruned, lb1_evals, memo hits
     ]
     lib.glove_bounded_many_vs_all.restype = ctypes.c_int
     lib.glove_bounded_many_vs_all.argtypes = [
@@ -1218,7 +1190,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr, c_i64,                        # targets, n_targets
         ptr,                               # thresholds
         *cfg, ptr, ptr, ptr, ptr,          # best, best_idx, pruned, lb1_evals
-        ptr, ptr,                          # own memo, memo hits
+        ptr,                               # memo hits
     ]
     lib.glove_memo_new.restype = ptr
     lib.glove_memo_new.argtypes = [c_i64, *cfg]  # per_slot
@@ -1226,8 +1198,6 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.glove_memo_free.argtypes = [ptr]
     lib.glove_memo_entries.restype = c_i64
     lib.glove_memo_entries.argtypes = [ptr, c_i64]  # memo, kind
-    lib.glove_memo_absorb.restype = None
-    lib.glove_memo_absorb.argtypes = [ptr, ptr]  # resident block, own memo
     lib.glove_summarize.restype = None
     lib.glove_summarize.argtypes = [ptr, ptr, c_i64]  # resident block, slots, n_slots
     lib.glove_merge_step.restype = c_i64

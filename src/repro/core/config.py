@@ -11,6 +11,7 @@ of ~15 min.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -28,21 +29,25 @@ def env_float(name: str, default: Union[int, float]) -> float:
     Tuning knobs read from the environment (cache bounds, benchmark
     scales) must not crash a CLI on a typo: a malformed value falls
     back to the documented default with a one-line warning (the
-    DESIGN.md D6 contract).  Flags that *select semantics* still
-    validate strictly — this helper is for knobs only.
+    DESIGN.md D6 contract).  A non-finite value (``nan``, ``inf``,
+    ``1e400``) counts as malformed.  Flags that *select semantics*
+    still validate strictly — this helper is for knobs only.
     """
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return float(default)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        print(
-            f"warning: ignoring malformed {name}={raw!r}; "
-            f"using default {default:g}",
-            file=sys.stderr,
-        )
-        return float(default)
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    print(
+        f"warning: ignoring malformed {name}={raw!r}; "
+        f"using default {default:g}",
+        file=sys.stderr,
+    )
+    return float(default)
 
 
 def env_int(name: str, default: int) -> int:
@@ -114,20 +119,6 @@ class ComputeConfig:
     lb_max_buckets:
         Cap on the number of time buckets per slot (bucket width is
         stretched when the recording period is long).
-    kernel_threads:
-        Worker threads splitting a batched multi-probe kernel call in
-        the ``compiled`` backend.  Probes are independent, so the split
-        is byte-identical by construction at any thread count (DESIGN.md
-        D11); the native kernels release the GIL, so threads scale on
-        multi-core hosts without process-pool pickling.  ``"auto"``
-        resolves to the machine's CPU count at backend construction —
-        the safe default for portable configs, since oversubscribing a
-        small machine pessimizes (BENCH_glove.json's large_n
-        ``kernel_threads_sweep`` records the medians at 1/2/8 threads on
-        a 2-CPU host).  ``None``
-        reads the ``REPRO_KERNEL_THREADS`` environment knob (integer or
-        ``auto``, default 1).  Composes with shard-level ``workers``:
-        each shard process splits its own probe batches.
     """
 
     backend: str = "auto"
@@ -138,48 +129,23 @@ class ComputeConfig:
     pruning: bool = True
     lb_bucket_minutes: float = 360.0
     lb_max_buckets: int = 48
-    kernel_threads: Optional[Union[int, str]] = None
 
     def __post_init__(self) -> None:
         if self.chunk < 1:
             raise ValueError(f"chunk must be at least 1, got {self.chunk}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be at least 1 or None, got {self.workers}")
-        if self.kernel_threads is not None and self.kernel_threads != "auto":
-            if not isinstance(self.kernel_threads, int) or self.kernel_threads < 1:
-                raise ValueError(
-                    "kernel_threads must be a positive integer, 'auto' or "
-                    f"None, got {self.kernel_threads!r}"
-                )
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be at least 1 or None, got {self.shards}")
         if self.shard_strategy not in ("time", "hash"):
             raise ValueError(
                 f"shard_strategy must be 'time' or 'hash', got {self.shard_strategy!r}"
             )
-        if self.lb_bucket_minutes <= 0:
-            raise ValueError("lb_bucket_minutes must be positive")
+        # Chained comparisons reject NaN, which fails every one of them.
+        if not 0 < self.lb_bucket_minutes < math.inf:
+            raise ValueError("lb_bucket_minutes must be positive and finite")
         if self.lb_max_buckets < 1:
             raise ValueError("lb_max_buckets must be at least 1")
-
-
-def kernel_threads_arg(value: str) -> Union[int, str]:
-    """Argparse type for ``--kernel-threads``: an integer or ``auto``.
-
-    Any other string is a hard usage error (exit 2), matching the
-    strict CLI validation policy — only the environment knob degrades
-    silently (DESIGN.md D6).
-    """
-    import argparse
-
-    if value.strip().lower() == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}"
-        )
 
 
 def add_compute_arguments(parser, pruning: bool = False) -> None:
@@ -221,15 +187,6 @@ def add_compute_arguments(parser, pruning: bool = False) -> None:
         help="sharded backend partitioning rule (default: time = "
         "activity-midpoint locality; hash = deterministic uid hash)",
     )
-    parser.add_argument(
-        "--kernel-threads",
-        type=kernel_threads_arg,
-        default=None,
-        help="worker threads per batched compiled-kernel call: an integer "
-        "or 'auto' (= CPU count; a 1-CPU host never splits) (default: "
-        "REPRO_KERNEL_THREADS or 1; results are byte-identical at any "
-        "thread count)",
-    )
     if pruning:
         parser.add_argument(
             "--no-prune",
@@ -256,8 +213,6 @@ def compute_config_from_args(args) -> "ComputeConfig":
         kwargs["shards"] = args.shards
     if getattr(args, "shard_strategy", None) is not None:
         kwargs["shard_strategy"] = args.shard_strategy
-    if getattr(args, "kernel_threads", None) is not None:
-        kwargs["kernel_threads"] = args.kernel_threads
     if getattr(args, "no_prune", False):
         kwargs["pruning"] = False
     try:
@@ -290,11 +245,11 @@ class StretchConfig:
     w_tau: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.phi_max_sigma_m <= 0:
-            raise ValueError("phi_max_sigma_m must be positive")
-        if self.phi_max_tau_min <= 0:
-            raise ValueError("phi_max_tau_min must be positive")
-        if self.w_sigma < 0 or self.w_tau < 0:
+        if not 0 < self.phi_max_sigma_m < math.inf:
+            raise ValueError("phi_max_sigma_m must be positive and finite")
+        if not 0 < self.phi_max_tau_min < math.inf:
+            raise ValueError("phi_max_tau_min must be positive and finite")
+        if not (self.w_sigma >= 0 and self.w_tau >= 0):
             raise ValueError("weights must be non-negative")
         if abs(self.w_sigma + self.w_tau - 1.0) > 1e-9:
             raise ValueError("w_sigma + w_tau must equal 1 so delta lies in [0, 1]")
@@ -322,10 +277,12 @@ class SuppressionConfig:
     keep_at_least_one: bool = True
 
     def __post_init__(self) -> None:
-        if self.spatial_threshold_m is not None and self.spatial_threshold_m <= 0:
-            raise ValueError("spatial_threshold_m must be positive or None")
-        if self.temporal_threshold_min is not None and self.temporal_threshold_min <= 0:
-            raise ValueError("temporal_threshold_min must be positive or None")
+        for name in ("spatial_threshold_m", "temporal_threshold_min"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite or None, got {value}"
+                )
 
     @property
     def enabled(self) -> bool:

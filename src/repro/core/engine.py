@@ -18,22 +18,20 @@ algorithm:
   beat a current best.
 
 All backends run the identical kernel per (probe, target) pair, so
-results are byte-identical regardless of backend, chunking or thread
-count; see DESIGN.md for the invariants.
+results are byte-identical regardless of backend or chunking; see
+DESIGN.md for the invariants.
 """
 
 from __future__ import annotations
 
 import abc
-import os
-from concurrent.futures import ThreadPoolExecutor
 from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import kernels
-from repro.core.config import ComputeConfig, StretchConfig, env_int
+from repro.core.config import ComputeConfig, StretchConfig
 from repro.core.fingerprint import Fingerprint
 from repro.core.merge import merge_fingerprints
 from repro.core.pairwise import (
@@ -71,27 +69,6 @@ def set_default_compute(compute: ComputeConfig) -> ComputeConfig:
     old = _default_compute
     _default_compute = compute
     return old
-
-
-def _effective_kernel_threads(compute: ComputeConfig) -> int:
-    """Resolved intra-batch thread count of the compiled tier.
-
-    The explicit config field wins; otherwise the
-    ``REPRO_KERNEL_THREADS`` environment knob applies (default 1).
-    ``auto`` (flag or env) resolves to the machine's CPU count, so a
-    small host never oversubscribes: on a 2-CPU host the large_n
-    ``kernel_threads_sweep`` of BENCH_glove.json runs slowest at 8
-    threads (its per-count medians are in the record).
-    The env knob degrades to 1 on other malformed values — only the
-    config field / CLI flag validates strictly (DESIGN.md D6).
-    """
-    if compute.kernel_threads == "auto":
-        return max(1, os.cpu_count() or 1)
-    if compute.kernel_threads is not None:
-        return int(compute.kernel_threads)
-    if os.environ.get("REPRO_KERNEL_THREADS", "").strip().lower() == "auto":
-        return max(1, os.cpu_count() or 1)
-    return max(1, env_int("REPRO_KERNEL_THREADS", 1))
 
 
 def grow_array(arr: np.ndarray, capacity: int, fill=0) -> np.ndarray:
@@ -593,54 +570,19 @@ class CompiledBackend(StretchBackend):
                 f"({kernels.FALLBACK_REASON}); select the 'numpy' / 'auto' "
                 "backend instead"
             )
-        self.kernel_threads = _effective_kernel_threads(compute)
-        self._threads: Optional[ThreadPoolExecutor] = None
 
     def new_memo(self) -> kernels.PairMemo:
         return kernels.PairMemo(self._args())
 
-    def _thread_pool(self) -> ThreadPoolExecutor:
-        if self._threads is None:
-            self._threads = ThreadPoolExecutor(max_workers=self.kernel_threads)
-        return self._threads
-
-    def _probe_slices(self, n_probes: int) -> List[Tuple[int, int]]:
-        """Contiguous ``[start, end)`` sub-batches for the thread splitter.
-
-        Probes are mutually independent in the batched kernels (each
-        (probe, target) pair re-zeroes its scratch; see DESIGN.md D11),
-        so splitting a batch into contiguous slices — whatever the
-        count — reproduces the unsplit call bit for bit.  The split
-        only decides which GIL-released native call computes each row.
-        """
-        nt = min(self.kernel_threads, n_probes)
-        if nt <= 1:
-            return [(0, n_probes)]
-        step = -(-n_probes // nt)
-        return [(s, min(s + step, n_probes)) for s in range(0, n_probes, step)]
-
-    def _run_slices(self, bounds, slices, run) -> list:
-        """``run(start, end, own)`` per slice: inline for one slice, on
-        the thread pool for several.  Concurrent calls never write the
-        engine's pair memo: each writes its own, and those are absorbed
-        into the engine's in slice order after the join (DESIGN.md D11).
-        Adds the calls' memo hits to the counters."""
-        if len(slices) == 1:
-            results = [run(*slices[0], None)]
-            hits = results[0][-1]
-        else:
-            owns = [None if bounds.memo is None else bounds.memo.spawn() for _ in slices]
-            pool = self._thread_pool()
-            futures = [pool.submit(run, s, e, own) for (s, e), own in zip(slices, owns)]
-            results = [fut.result() for fut in futures]
-            for own in owns:
-                if own is not None:
-                    kernels.absorb_memo(bounds, own)
-            hits = sum(r[-1] for r in results)
-        exact, lb1 = hits.tolist()
-        self.n_exact_memo_hits += exact
-        self.n_lb1_memo_hits += lb1
-        return results
+    def _count(self, pruned, lb1, hits) -> None:
+        """Add one native sweep's pruned, level-1 and memo-hit counts."""
+        # Summed as lists: a NumPy reduce costs ~1.5 µs a call on these
+        # few-probe arrays, and the stream runs thousands of calls.
+        self.n_bound_pruned += sum(pruned.tolist())
+        self.n_lb1_evaluations += sum(lb1.tolist())
+        exact_hits, lb1_hits = hits.tolist()
+        self.n_exact_memo_hits += exact_hits
+        self.n_lb1_memo_hits += lb1_hits
 
     def one_vs_all(self, probe_data, probe_count, packed, targets):
         targets = np.asarray(targets, dtype=np.int64)
@@ -662,11 +604,8 @@ class CompiledBackend(StretchBackend):
         """Native argmin sweep: bounds, sort and walk in one call.
 
         The running best tightens per candidate (DESIGN.md D13).
-        Probes are independent, so the thread splitter applies
-        unchanged.
         """
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
-        targets = np.ascontiguousarray(targets, dtype=np.int64)
         P = probe_slots.shape[0]
         if P == 0:
             return (
@@ -674,83 +613,40 @@ class CompiledBackend(StretchBackend):
                 np.empty(0, dtype=np.int64),
                 np.zeros(0, dtype=np.int64),
             )
-        thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
-        slices = self._probe_slices(P)
-        self.n_boundary_crossings += len(slices)
+        self.n_boundary_crossings += 1
         self.n_probe_dispatches += P
         self.n_batched_probes += P
-        args = self._args()
-
-        def run(s: int, e: int, own):
-            return kernels.bounded_many_vs_all_arrays(
-                bounds, probe_slots[s:e], targets, thresholds[s:e], *args, own
-            )
-
-        results = self._run_slices(bounds, slices, run)
-        if len(results) == 1:
-            best, best_idx, pruned, lb1, _ = results[0]
-        else:
-            best, best_idx, pruned, lb1 = (
-                np.concatenate([r[c] for r in results]) for c in range(4)
-            )
-        # Summed as lists: a NumPy reduce costs ~1.5 µs a call on these
-        # few-probe arrays, and the stream runs thousands of calls.
-        self.n_bound_pruned += sum(pruned.tolist())
-        self.n_lb1_evaluations += sum(lb1.tolist())
+        best, best_idx, pruned, lb1, hits = kernels.bounded_many_vs_all_arrays(
+            bounds, probe_slots, targets, thresholds, *self._args()
+        )
+        self._count(pruned, lb1, hits)
         return best, best_idx, pruned
 
     def bounded_many_vs_some(
         self, probe_slots, store, bounds, targets_list, thresholds,
         reverse_list, best_vals,
     ):
-        """Native ragged row sweep, thread-split and CSR-flattened."""
+        """Native ragged row sweep over the CSR-flattened target lists."""
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
         pruned = np.zeros(P, dtype=np.int64)
         if P == 0:
             return [], pruned
-        lb1 = np.zeros(P, dtype=np.int64)
         t_arrays = [np.asarray(t, dtype=np.int64) for t in targets_list]
         offsets = np.zeros(P + 1, dtype=np.int64)
         np.cumsum([t.size for t in t_arrays], out=offsets[1:])
-        total = int(offsets[-1])
-        flat_out = np.empty(total, dtype=np.float64)
-        if total:
-            flat_targets = np.concatenate(t_arrays)
-            flat_reverse = np.concatenate(
-                [np.asarray(r, dtype=bool) for r in reverse_list]
+        flat_out = np.empty(int(offsets[-1]), dtype=np.float64)
+        if flat_out.size:
+            self.n_boundary_crossings += 1
+            flat_out, pruned, lb1, hits = kernels.bounded_many_vs_some_arrays(
+                bounds, probe_slots, np.concatenate(t_arrays), offsets, thresholds,
+                np.concatenate([np.asarray(r, dtype=bool) for r in reverse_list]),
+                best_vals, *self._args(),
             )
-            thresholds = np.ascontiguousarray(thresholds, dtype=np.float64)
-            best_vals = np.ascontiguousarray(best_vals, dtype=np.float64)
-            slices = [
-                (s, e) for s, e in self._probe_slices(P) if offsets[e] > offsets[s]
-            ]
-            self.n_boundary_crossings += len(slices)
-            args = self._args()
-
-            def run(s: int, e: int, own):
-                return kernels.bounded_many_vs_some_arrays(
-                    bounds, probe_slots[s:e],
-                    flat_targets[offsets[s] : offsets[e]],
-                    np.ascontiguousarray(offsets[s : e + 1] - offsets[s]),
-                    thresholds[s:e],
-                    flat_reverse[offsets[s] : offsets[e]],
-                    best_vals, *args, own,
-                )
-
-            results = self._run_slices(bounds, slices, run)
-            for (s, e), (out, pr, l1, _) in zip(slices, results):
-                flat_out[offsets[s] : offsets[e]], pruned[s:e], lb1[s:e] = out, pr, l1
+            self._count(pruned, lb1, hits)
         self.n_probe_dispatches += P
         self.n_batched_probes += P
-        self.n_bound_pruned += sum(pruned.tolist())
-        self.n_lb1_evaluations += sum(lb1.tolist())
         return [flat_out[offsets[p] : offsets[p + 1]] for p in range(P)], pruned
-
-    def close(self) -> None:
-        if self._threads is not None:
-            self._threads.shutdown()
-            self._threads = None
 
 
 def auto_backend(compute: ComputeConfig, stretch: StretchConfig) -> StretchBackend:

@@ -109,11 +109,6 @@ class PairMemo:
             raise MemoryError("pair memo allocation failed")
         self._free = weakref.finalize(self, lib.glove_memo_free, self.address)
 
-    def spawn(self) -> "PairMemo":
-        """An empty memo of the same configuration and budget: the one a
-        thread-split call writes (DESIGN.md D11)."""
-        return PairMemo(self.stretch_args, self.per_slot)
-
     def entries(self):
         """``(exact, level_1)``: the entries held of each kind."""
         return tuple(_ckernel.LIB.glove_memo_entries(self.address, k) for k in (0, 1))
@@ -243,11 +238,10 @@ def _bind_cc():
     # The bounded entries read the store, the summaries and the pair
     # memo through the engine's Resident; only their per-call arrays are
     # taken here.  Each also returns, per probe, the pairs that reached
-    # the level-1 bound, and the call's (exact, level-1) memo hits.  A
-    # thread-split call passes its own memo to write (DESIGN.md D11).
+    # the level-1 bound, and the call's (exact, level-1) memo hits.
     def bounded_many_vs_all_cc(
         resident, probe_slots, targets, thresholds,
-        w_sigma, w_tau, phi_sigma, phi_tau, own=None,
+        w_sigma, w_tau, phi_sigma, phi_tau,
     ):
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
@@ -264,8 +258,7 @@ def _bind_cc():
             resident.address, _ptr(probe_slots), P,
             _ptr(targets), targets.shape[0], _ptr(thresholds),
             w_sigma, w_tau, phi_sigma, phi_tau,
-            _ptr(best), _ptr(best_idx), _ptr(pruned), _ptr(lb1),
-            None if own is None else own.address, _ptr(hits),
+            _ptr(best), _ptr(best_idx), _ptr(pruned), _ptr(lb1), _ptr(hits),
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
@@ -273,7 +266,7 @@ def _bind_cc():
 
     def bounded_many_vs_some_cc(
         resident, probe_slots, flat_targets, offsets, thresholds, reverse, best_vals,
-        w_sigma, w_tau, phi_sigma, phi_tau, own=None,
+        w_sigma, w_tau, phi_sigma, phi_tau,
     ):
         probe_slots = np.ascontiguousarray(probe_slots, dtype=np.int64)
         P = probe_slots.shape[0]
@@ -295,15 +288,11 @@ def _bind_cc():
             _ptr(flat_targets), _ptr(offsets),
             _ptr(thresholds), _ptr(reverse), _ptr(best_vals),
             w_sigma, w_tau, phi_sigma, phi_tau,
-            _ptr(out), _ptr(pruned), _ptr(lb1),
-            None if own is None else own.address, _ptr(hits),
+            _ptr(out), _ptr(pruned), _ptr(lb1), _ptr(hits),
         )
         if rc != 0:
             raise MemoryError("stretch kernel scratch allocation failed")
         return out, pruned, lb1, hits
-
-    def absorb_memo_cc(resident, own):
-        lib.glove_memo_absorb(resident.address, own.address)
 
     def summarize_arrays_cc(resident, slots):
         # The summaries are written in place through the resident block,
@@ -335,7 +324,6 @@ def _bind_cc():
         bounded_many_vs_some_cc,
         summarize_arrays_cc,
         merge_step_cc,
-        absorb_memo_cc,
     ), None
 
 
@@ -349,7 +337,6 @@ if _cc is not None:
         bounded_many_vs_some_arrays,
         summarize_arrays,
         merge_step,
-        absorb_memo,
     ) = _cc
 
 #: True when the ``cc`` binding backs the ``compiled`` backend.

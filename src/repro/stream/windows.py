@@ -33,7 +33,7 @@ stream length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import floor
+from math import floor, inf
 from typing import Dict, List, Optional
 
 from repro.core.fingerprint import Fingerprint
@@ -78,17 +78,20 @@ class StreamConfig:
     late_policy: str = "redirect"
 
     def __post_init__(self) -> None:
-        if self.window_min <= 0:
-            raise ValueError(f"window must be positive, got {self.window_min}")
-        if self.slide_min is not None and self.slide_min <= 0:
-            raise ValueError(f"slide must be positive, got {self.slide_min}")
+        # Chained comparisons reject NaN, which fails every one of them.
+        if not 0 < self.window_min < inf:
+            raise ValueError(f"window must be positive and finite, got {self.window_min}")
+        if self.slide_min is not None and not 0 < self.slide_min < inf:
+            raise ValueError(f"slide must be positive and finite, got {self.slide_min}")
         if self.slide_min is not None and self.slide_min > self.window_min:
             raise ValueError(
                 f"slide must not exceed window, got slide={self.slide_min} "
                 f"> window={self.window_min}"
             )
-        if self.max_lag_min < 0:
-            raise ValueError(f"max-lag must be non-negative, got {self.max_lag_min}")
+        if not 0 <= self.max_lag_min < inf:
+            raise ValueError(
+                f"max-lag must be non-negative and finite, got {self.max_lag_min}"
+            )
         if self.late_policy not in LATE_POLICIES:
             raise ValueError(
                 f"late_policy must be one of {LATE_POLICIES}, got {self.late_policy!r}"
@@ -164,15 +167,18 @@ def stream_config_from_args(args) -> StreamConfig:
     """Build a :class:`StreamConfig` from parsed windowing flags.
 
     Invalid values (non-positive ``--window``/``--slide``, ``--slide``
-    exceeding ``--window``, negative ``--max-lag``) exit with status 2
-    and an ``error:`` line, matching the ``--workers``/``--shards``
-    validation convention of the compute flags.
+    exceeding ``--window``, negative ``--max-lag``, NaN or infinity
+    anywhere) exit with status 2 and an ``error:`` line, matching the
+    ``--workers``/``--shards`` validation convention of the compute
+    flags.
     """
     import sys
 
     try:
-        if getattr(args, "feed_jitter", 0.0) < 0:
-            raise ValueError(f"feed-jitter must be non-negative, got {args.feed_jitter}")
+        if not 0 <= getattr(args, "feed_jitter", 0.0) < inf:
+            raise ValueError(
+                f"feed-jitter must be non-negative and finite, got {args.feed_jitter}"
+            )
         return StreamConfig(
             window_min=args.window,
             slide_min=args.slide,

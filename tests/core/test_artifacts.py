@@ -233,6 +233,23 @@ class TestFromEnvDegradation:
         assert "REPRO_CACHE_MAX_MB" in err
         assert "REPRO_CACHE_MAX_ARTIFACT_MB" in err
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "1e400"])
+    def test_non_finite_knobs_fall_back_with_warning(
+        self, monkeypatch, tmp_path, capsys, raw
+    ):
+        # float() parses these; a byte budget or a timeout cannot use them.
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        for name in (
+            "REPRO_CACHE_MAX_MB", "REPRO_CACHE_MAX_ARTIFACT_MB", "REPRO_CACHE_STALE_LOCK_S"
+        ):
+            monkeypatch.setenv(name, raw)
+        store = ArtifactStore.from_env(root=tmp_path)  # must not raise
+        assert store.max_bytes == 512 * 1024 * 1024
+        assert store.max_artifact_bytes == 64 * 1024 * 1024
+        assert store.stale_lock_timeout == 300.0
+        err = capsys.readouterr().err
+        assert err.count("warning: ignoring malformed") == 3
+
     def test_malformed_stale_lock_knob_falls_back(
         self, monkeypatch, tmp_path, capsys
     ):

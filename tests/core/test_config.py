@@ -26,10 +26,17 @@ class TestStretchConfig:
             StretchConfig(phi_max_sigma_m=0.0)
         with pytest.raises(ValueError):
             StretchConfig(phi_max_tau_min=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                StretchConfig(phi_max_sigma_m=bad)
+            with pytest.raises(ValueError):
+                StretchConfig(phi_max_tau_min=bad)
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             StretchConfig(w_sigma=-0.5, w_tau=1.5)
+        with pytest.raises(ValueError):
+            StretchConfig(w_sigma=float("nan"))
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

@@ -289,6 +289,7 @@ class TestComputeConfig:
             {"shard_strategy": "geo"},
             {"lb_bucket_minutes": -1.0},
             {"lb_max_buckets": 0},
+            {"lb_bucket_minutes": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -438,7 +439,7 @@ class TestDispatchCounters:
         if not kernels.COMPILED_AVAILABLE:
             pytest.skip("no accelerated kernel binding")
         targets = np.arange(8, dtype=np.int64)
-        with self._engine(small_civ, backend="compiled", kernel_threads=1) as engine:
+        with self._engine(small_civ, backend="compiled") as engine:
             _, _, a = engine.bounded_argmin(np.arange(4), targets)
             *counters, lb1_a, exact_hits_a, lb1_hits_a = engine.backend.dispatch_counters()
             assert counters == [1, 4, 4, int(a.sum())]

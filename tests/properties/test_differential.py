@@ -13,9 +13,8 @@ kernels, the bounds and the merge:
 * plain random inputs.
 
 Per example and per ``k`` the oracle compares ``dataset_digest`` across
-the seed path, numpy with pruning on and off, compiled at one and two
-kernel threads and with pruning off (when a binding is bound), auto,
-sharded with one shard, and the stream whole-window ``--no-carry-over``
+the seed path, numpy and compiled (when a binding is bound) with
+pruning on and off, auto, sharded with one shard, and the stream whole-window ``--no-carry-over``
 anchor; it also audits k-anonymity, full coverage and truthfulness
 (:func:`repro.core.merge.covers`) of the published groups.
 
@@ -115,11 +114,8 @@ def _compute_paths():
         "sharded-1": ComputeConfig(backend="sharded", shards=1, workers=1),
     }
     if kernels.COMPILED_AVAILABLE:
-        paths["compiled-t1"] = ComputeConfig(backend="compiled", kernel_threads=1)
-        paths["compiled-t2"] = ComputeConfig(backend="compiled", kernel_threads=2)
-        paths["compiled-no-prune"] = ComputeConfig(
-            backend="compiled", kernel_threads=1, pruning=False
-        )
+        paths["compiled"] = ComputeConfig(backend="compiled")
+        paths["compiled-no-prune"] = ComputeConfig(backend="compiled", pruning=False)
     return paths
 
 

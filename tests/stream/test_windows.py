@@ -31,6 +31,12 @@ class TestStreamConfig:
             (dict(window_min=10, slide_min=11), "slide must not exceed window"),
             (dict(window_min=10, max_lag_min=-1), "max-lag must be non-negative"),
             (dict(window_min=10, late_policy="teleport"), "late_policy"),
+            # NaN fails every comparison, so a `<= 0` check lets it by.
+            (dict(window_min=float("nan")), "window must be positive"),
+            (dict(window_min=float("inf")), "window must be positive"),
+            (dict(window_min=10, slide_min=float("nan")), "slide must be positive"),
+            (dict(window_min=10, max_lag_min=float("nan")), "max-lag must be non-negative"),
+            (dict(window_min=10, max_lag_min=float("inf")), "max-lag must be non-negative"),
         ],
     )
     def test_rejects_invalid(self, kwargs, match):
