@@ -1691,10 +1691,6 @@ class TestFallback:
             result = glove(dataset, GloveConfig(k=2), ComputeConfig(backend="auto"))
             assert result.dataset.is_k_anonymous(2)
             assert all(calls.values()), calls
-            # The NumPy walk moves no probe through a batched native
-            # entry, and its kernel calls are still counted.
-            assert result.stats.n_batched_probes == 0
-            assert result.stats.n_boundary_crossings > 0
             print("glove-ok", dataset_digest(result.dataset))
             """,
             {"REPRO_CC_KERNEL": "0"},
