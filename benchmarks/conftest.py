@@ -45,8 +45,8 @@ Scale/skip knobs:
   ``cache_concurrent`` record), ``REPRO_BENCH_CONCURRENT_USERS``
   (default 150) — the multi-process single-flight dedup record: M
   forked workers request the same cold dataset through a shared
-  artifact store (disk and SQLite backends) and the record asserts
-  exactly one compute with byte-identical results;
+  disk artifact store and the record asserts exactly one compute with
+  byte-identical results;
 * ``REPRO_BENCH_METRICS`` (default 1; ``0`` skips the
   ``metrics_overhead`` record) — the always-on-cheap guard: the
   glove-500 run and the stream-500 replay timed with the metrics
@@ -655,11 +655,11 @@ def _run_baselines_bench() -> dict:
     return record
 
 
-def _cache_concurrent_worker(backend, store_dir, scenario, barrier, out_q):
+def _cache_concurrent_worker(store_dir, scenario, barrier, out_q):
     """One contender of the cache_concurrent record (forked process)."""
     from repro.core.artifacts import ArtifactStore, dataset_digest
 
-    pipeline = Pipeline(ArtifactStore(root=store_dir, backend=backend))
+    pipeline = Pipeline(ArtifactStore(root=store_dir))
     barrier.wait()  # maximize contention: everyone requests at once
     dataset = scenario.synthesize(pipeline)
     out_q.put((pipeline.stats["dataset"].computed, dataset_digest(dataset)))
@@ -672,8 +672,7 @@ def _run_cache_concurrent_bench() -> dict:
     simultaneously request the same cold scenario dataset.  The seed
     store (per-process memo over an unlocked LRU) computed it M times;
     with single-flight locking exactly one worker computes and the
-    rest are served the stored bytes — the property the acceptance
-    criteria pin for both the disk and the SQLite backend.
+    rest are served the stored bytes.
     """
     import multiprocessing as mp
     import shutil
@@ -691,39 +690,37 @@ def _run_cache_concurrent_bench() -> dict:
         # What the pre-single-flight store did on this workload: every
         # worker missed and computed, so duplicate work scaled with M.
         "seed_duplicate_computes": workers,
-        "backends": {},
     }
-    for backend in ("disk", "sqlite"):
-        store_dir = tempfile.mkdtemp(prefix=f"repro-conc-{backend}-")
-        try:
-            barrier = ctx.Barrier(workers, timeout=120)
-            out_q = ctx.Queue()
-            procs = [
-                ctx.Process(
-                    target=_cache_concurrent_worker,
-                    args=(backend, store_dir, CONCURRENT_SCENARIO, barrier, out_q),
-                )
-                for _ in range(workers)
-            ]
-            t0 = time.time()
-            for p in procs:
-                p.start()
-            outs = [out_q.get(timeout=600) for _ in procs]
-            for p in procs:
-                p.join(timeout=60)
-            elapsed = time.time() - t0
-            computes = sum(c for c, _ in outs)
-            record["backends"][backend] = {
-                "wall_s": round(elapsed, 3),
-                "computes": computes,
-                "exactly_one_compute": computes == 1,
-                "byte_identical_results": len({d for _, d in outs}) == 1,
-                # 1.0 means no duplicated work; the seed behavior is
-                # `workers` (everyone recomputed the same artifact).
-                "duplicate_work_factor": computes,
-            }
-        finally:
-            shutil.rmtree(store_dir, ignore_errors=True)
+    store_dir = tempfile.mkdtemp(prefix="repro-conc-")
+    try:
+        barrier = ctx.Barrier(workers, timeout=120)
+        out_q = ctx.Queue()
+        procs = [
+            ctx.Process(
+                target=_cache_concurrent_worker,
+                args=(store_dir, CONCURRENT_SCENARIO, barrier, out_q),
+            )
+            for _ in range(workers)
+        ]
+        t0 = time.time()
+        for p in procs:
+            p.start()
+        outs = [out_q.get(timeout=600) for _ in procs]
+        for p in procs:
+            p.join(timeout=60)
+        elapsed = time.time() - t0
+    finally:
+        shutil.rmtree(store_dir, ignore_errors=True)
+    computes = sum(c for c, _ in outs)
+    record.update(
+        wall_s=round(elapsed, 3),
+        computes=computes,
+        exactly_one_compute=computes == 1,
+        byte_identical_results=len({d for _, d in outs}) == 1,
+        # 1 means no duplicated work; the seed behavior is `workers`
+        # (everyone recomputed the same artifact).
+        duplicate_work_factor=computes,
+    )
     return record
 
 
@@ -931,15 +928,12 @@ def pytest_sessionfinish(session, exitstatus):
                 f"; baselines n={base['n_fingerprints']} "
                 f"x{len(base['methods'])} methods ({audit})"
             )
-        if "cache_concurrent" in record and "backends" in record["cache_concurrent"]:
+        if "cache_concurrent" in record and "computes" in record["cache_concurrent"]:
             conc = record["cache_concurrent"]
-            deduped = all(
-                row["exactly_one_compute"] for row in conc["backends"].values()
-            )
-            audit = "1 compute" if deduped else "DUPLICATE COMPUTES"
+            audit = "1 compute" if conc["exactly_one_compute"] else "DUPLICATE COMPUTES"
             line += (
                 f"; cache_concurrent {conc['workers']} workers "
-                f"x{len(conc['backends'])} backends ({audit})"
+                f"{conc['wall_s']}s ({audit})"
             )
         if "stream" in record:
             stream = record["stream"]

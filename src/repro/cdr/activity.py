@@ -17,6 +17,7 @@ model reproduces the three well-documented ingredients:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -77,10 +78,10 @@ class ActivityConfig:
     week_start_day: int = 0
 
     def __post_init__(self) -> None:
-        if self.mean_sessions_per_day <= 0:
-            raise ValueError("mean_sessions_per_day must be positive")
-        if self.rate_sigma < 0:
-            raise ValueError("rate_sigma must be non-negative")
+        if not 0 < self.mean_sessions_per_day < math.inf:
+            raise ValueError("mean_sessions_per_day must be positive and finite")
+        if not 0 <= self.rate_sigma < math.inf:
+            raise ValueError("rate_sigma must be non-negative and finite")
         if not 0.0 <= self.burst_continuation < 1.0:
             raise ValueError("burst_continuation must be in [0, 1)")
         if self.max_session_events < 1:

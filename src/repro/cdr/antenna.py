@@ -12,6 +12,7 @@ at most one antenna.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,7 +56,7 @@ class AntennaNetworkConfig:
             raise ValueError("need at least one antenna per city")
         if not 0.0 <= self.rural_fraction < 1.0:
             raise ValueError("rural_fraction must be in [0, 1)")
-        if self.city_radius_min_m <= 0 or self.city_radius_max_m < self.city_radius_min_m:
+        if not 0 < self.city_radius_min_m <= self.city_radius_max_m < math.inf:
             raise ValueError("invalid city radius range")
 
 

@@ -19,6 +19,7 @@ handful of exactly repeated cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,8 +75,11 @@ class MobilityConfig:
         ):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must be in [0, 1]")
-        if self.exploration_scale_m <= 0 or self.exploration_truncation_m <= 0:
-            raise ValueError("exploration scales must be positive")
+        if not (
+            0 < self.exploration_scale_m < math.inf
+            and 0 < self.exploration_truncation_m < math.inf
+        ):
+            raise ValueError("exploration scales must be positive and finite")
 
 
 class MobilityModel:

@@ -17,6 +17,7 @@ frequency profile (Gonzalez et al., Nature 2008; Song et al., Science
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -50,10 +51,10 @@ class PopulationConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.commuter_fraction <= 1.0:
             raise ValueError("commuter_fraction must be in [0, 1]")
-        if self.mean_secondary_anchors < 0:
-            raise ValueError("mean_secondary_anchors must be non-negative")
-        if self.secondary_radius_m <= 0:
-            raise ValueError("secondary_radius_m must be positive")
+        if not 0 <= self.mean_secondary_anchors < math.inf:
+            raise ValueError("mean_secondary_anchors must be non-negative and finite")
+        if not 0 < self.secondary_radius_m < math.inf:
+            raise ValueError("secondary_radius_m must be positive and finite")
 
 
 @dataclass(frozen=True)

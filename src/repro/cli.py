@@ -31,14 +31,14 @@ concurrently and the shard boundaries repaired, see DESIGN.md D5.
 stages (synthesis, k-gap matrices, GLOVE runs) through the
 content-addressed artifact pipeline (:mod:`repro.core.pipeline`);
 repeating a command on unchanged inputs is served from the persistent
-store (``--no-cache`` recomputes, byte-identically).  The store's
-backend is pluggable (``--artifact-backend disk|sqlite``,
-DESIGN.md D10): concurrent ``glove`` invocations requesting the same
-cold artifact compute it exactly once under single-flight locking,
-whatever the backend.  ``generate`` also accepts registered scenario
-names (``glove generate smoke``).  A malformed input CSV exits with
-status 2 and an ``error:`` line naming the file (and the line of a bad
-row), never a traceback.
+store (``--no-cache`` recomputes, byte-identically).  The store is one
+file per artifact under ``--artifact-dir`` (DESIGN.md D10): concurrent
+``glove`` invocations requesting the same cold artifact compute it
+exactly once under its single-flight file locks.  ``generate`` also
+accepts registered scenario names (``glove generate smoke``).  A
+malformed input CSV exits with status 2 and an ``error:`` line naming
+the file (and the line of a bad row), never a traceback; so does an
+out-of-range setting, with a line naming the setting.
 """
 
 from __future__ import annotations
@@ -108,6 +108,20 @@ def _read_any(path: str):
     return dataset
 
 
+def _require_at_least(args, minimums) -> None:
+    """Exit 2 with an ``error:`` line for an integer flag below its minimum.
+
+    ``minimums`` maps argument names to their least valid value; unset
+    (``None``) flags are skipped.  Follows the ``_method_config_from_args``
+    convention for settings that no config object checks up front.
+    """
+    for name, least in minimums.items():
+        value = getattr(args, name)
+        if value is not None and value < least:
+            print(f"error: {name} must be at least {least}, got {value}", file=sys.stderr)
+            raise SystemExit(2)
+
+
 def _record_store_metrics(pipeline) -> None:
     """Gauge the artifact store's size into the registry (D12).
 
@@ -130,6 +144,7 @@ def _record_store_metrics(pipeline) -> None:
 # Subcommand implementations
 # ----------------------------------------------------------------------
 def cmd_generate(args) -> int:
+    _require_at_least(args, {"users": 1, "days": 1})
     if args.preset in PRESETS:
         preset, users, days, seed = args.preset, args.users, args.days, args.seed
     else:
@@ -150,6 +165,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    _require_at_least(args, {"k": 2})
     dataset = _read_any(args.dataset)
     if len(dataset) < args.k:
         print(
@@ -363,6 +379,7 @@ def cmd_stream(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    _require_at_least(args, {"locations": 1, "points": 1})
     original = _read_any(args.original)
     if args.published is not None and args.method is not None:
         print(

@@ -16,25 +16,22 @@ module provides the storage half of that discipline:
   depends on, folded into every key so editing the algorithms
   invalidates exactly the artifacts they produce (see DESIGN.md D6);
 * :class:`ArtifactStore` -- the two-layer store: a bounded in-process
-  memo (zero-copy hits within a run) over a pluggable persistent
-  backend (hits across runs and processes, DESIGN.md D10).
+  memo (zero-copy hits within a run) over a persistent disk layer
+  (hits across runs and processes, DESIGN.md D10).
 
-The persistent layer is an :class:`~repro.core.artifact_backends.
-ArtifactBackend` — local-disk LRU by default, SQLite by
-selection — and every cold ``fetch()`` runs under the backend's
-**single-flight** lock: N concurrent requests for the same missing
-key, across threads or processes, compute the value exactly once while
-the others block and are then served from the store.  A stale-lock
-timeout bounds the wait, so a crashed owner costs duplicate work, not
-a wedged pipeline.
+The persistent layer is the local-disk LRU of
+:class:`~repro.core.artifact_backends.DiskArtifactBackend`, and every
+cold ``fetch()`` runs under its **single-flight** lock: N concurrent
+requests for the same missing key, across threads or processes,
+compute the value exactly once while the others block and are then
+served from the store.  A stale-lock timeout bounds the wait, so a
+crashed owner costs duplicate work, not a wedged pipeline.
 
 Environment knobs (all read at store construction; malformed values
 degrade to the documented defaults with a warning, never an error):
 
 * ``REPRO_ARTIFACT_DIR`` -- persistent root (default
   ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``);
-* ``REPRO_ARTIFACT_BACKEND`` -- persistence backend, ``disk``
-  (default) or ``sqlite``;
 * ``REPRO_CACHE=0`` -- disable the persistent layer entirely;
 * ``REPRO_CACHE_MAX_MB`` -- LRU bound on the total stored size
   (default 512);
@@ -44,8 +41,9 @@ degrade to the documented defaults with a warning, never an error):
   (default 300).
 
 Artifacts are pickles segregated by interpreter and numpy version;
-any read failure (corruption, version skew, a backend error)
-degrades to a cache miss and the value is recomputed.
+any read failure (corruption, version skew, a disk error) degrades to
+a cache miss and the value is recomputed.  ``REPRO_ARTIFACT_BACKEND``
+is read only to warn that a value other than ``disk`` is ignored.
 """
 
 from __future__ import annotations
@@ -63,10 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.artifact_backends import (
     DEFAULT_STALE_LOCK_S,
     STORE_VERSION,
-    ArtifactBackend,
     DiskArtifactBackend,
-    available_artifact_backends,
-    create_artifact_backend,
 )
 from repro.core.config import env_float
 
@@ -74,7 +69,6 @@ __all__ = [
     "ArtifactStore",
     "MISS",
     "STORE_VERSION",
-    "available_artifact_backends",
     "canonical_key",
     "dataset_digest",
     "default_artifact_dir",
@@ -205,7 +199,7 @@ def default_artifact_dir() -> Path:
 
 
 class ArtifactStore:
-    """Two-layer content-addressed store: in-process memo over a backend.
+    """Two-layer content-addressed store: in-process memo over disk.
 
     Parameters
     ----------
@@ -222,9 +216,6 @@ class ArtifactStore:
         ~800 MB and must not wash the cache out.
     memo_entries:
         Bound on the in-process memo (plain LRU on entry count).
-    backend:
-        Name of the persistence backend (``disk`` or ``sqlite``; see
-        :mod:`repro.core.artifact_backends`).
     stale_lock_timeout:
         Upper bound, in seconds, that a cold ``fetch()`` waits on
         another worker's single-flight lock before computing anyway.
@@ -239,7 +230,6 @@ class ArtifactStore:
         max_bytes: int = 512 * 1024 * 1024,
         max_artifact_bytes: int = 64 * 1024 * 1024,
         memo_entries: int = 64,
-        backend: str = "disk",
         stale_lock_timeout: float = DEFAULT_STALE_LOCK_S,
     ):
         self.root = Path(root) if root is not None else None
@@ -248,13 +238,8 @@ class ArtifactStore:
         self.memo_entries = int(memo_entries)
         self.stale_lock_timeout = float(stale_lock_timeout)
         self._memo: "OrderedDict[str, Any]" = OrderedDict()
-        self._backend: Optional[ArtifactBackend] = (
-            create_artifact_backend(
-                backend,
-                root=self.root,
-                max_bytes=self.max_bytes,
-                stale_lock_timeout=self.stale_lock_timeout,
-            )
+        self._backend: Optional[DiskArtifactBackend] = (
+            DiskArtifactBackend(self.root, self.max_bytes, self.stale_lock_timeout)
             if self.root is not None
             else None
         )
@@ -264,36 +249,32 @@ class ArtifactStore:
         cls,
         root: Optional[os.PathLike] = None,
         enabled: Optional[bool] = None,
-        backend: Optional[str] = None,
     ) -> "ArtifactStore":
         """Build a store honouring the ``REPRO_CACHE*`` environment.
 
-        ``root``/``enabled``/``backend`` override the environment (CLI
-        flags use them); with the persistent layer gated off the store
-        is memo-only.  Env knobs degrade, never error (DESIGN.md D6):
-        malformed sizes fall back to the defaults with a warning, and
-        an unknown ``REPRO_ARTIFACT_BACKEND`` falls back to ``disk``.
+        ``root``/``enabled`` override the environment (CLI flags use
+        them); with the persistent layer gated off the store is
+        memo-only.  Env knobs degrade, never error (DESIGN.md D6):
+        malformed sizes fall back to the defaults with a warning, and a
+        ``REPRO_ARTIFACT_BACKEND`` other than ``disk`` (a retired
+        backend's name) is ignored with a warning.
         """
         if enabled is None:
             enabled = os.environ.get("REPRO_CACHE", "1") != "0"
         max_mb = env_float("REPRO_CACHE_MAX_MB", 512.0)
         max_artifact_mb = env_float("REPRO_CACHE_MAX_ARTIFACT_MB", 64.0)
         stale_s = env_float("REPRO_CACHE_STALE_LOCK_S", DEFAULT_STALE_LOCK_S)
-        if backend is None:
-            backend = os.environ.get("REPRO_ARTIFACT_BACKEND", "disk")
-            if backend not in available_artifact_backends():
-                print(
-                    f"warning: ignoring unknown REPRO_ARTIFACT_BACKEND="
-                    f"{backend!r}; using 'disk' "
-                    f"(available: {', '.join(available_artifact_backends())})",
-                    file=sys.stderr,
-                )
-                backend = "disk"
+        backend = os.environ.get("REPRO_ARTIFACT_BACKEND", "disk")
+        if backend != "disk":
+            print(
+                f"warning: ignoring REPRO_ARTIFACT_BACKEND={backend!r}; "
+                "the artifact store is 'disk' only",
+                file=sys.stderr,
+            )
         return cls(
             root=(Path(root) if root is not None else default_artifact_dir()) if enabled else None,
             max_bytes=int(max_mb * 1024 * 1024),
             max_artifact_bytes=int(max_artifact_mb * 1024 * 1024),
-            backend=backend,
             stale_lock_timeout=stale_s,
         )
 
@@ -301,15 +282,9 @@ class ArtifactStore:
     # Layout
     # ------------------------------------------------------------------
     @property
-    def backend(self) -> Optional[ArtifactBackend]:
-        """The persistent backend, or ``None`` for a memo-only store."""
+    def backend(self) -> Optional[DiskArtifactBackend]:
+        """The persistent disk layer, or ``None`` for a memo-only store."""
         return self._backend
-
-    def _path(self, stage: str, key: str) -> Path:
-        """On-disk location of one artifact (``disk`` backend only)."""
-        if not isinstance(self._backend, DiskArtifactBackend):
-            raise TypeError("artifact paths exist only on the 'disk' backend")
-        return self._backend.path(stage, key)
 
     @property
     def disk_enabled(self) -> bool:

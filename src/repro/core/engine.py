@@ -311,16 +311,6 @@ class StretchBackend(abc.ABC):
         that could update it.
         """
 
-    def close(self) -> None:
-        """Release pooled resources (idempotent)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
 
 #: Candidates of the NumPy bounded walk's first exact round; each later
 #: round doubles them, up to :data:`_SCAN_BATCH` (4, 8, 16, 32, 32, ...).
@@ -743,8 +733,7 @@ def compute_pairwise_matrix(
     """
     compute = compute if compute is not None else get_default_compute()
     packed = PaddedFingerprints(list(fingerprints))
-    with create_backend(compute, config) as backend:
-        return backend.pairwise_matrix(packed)
+    return create_backend(compute, config).pairwise_matrix(packed)
 
 
 # ----------------------------------------------------------------------
@@ -1002,12 +991,11 @@ class StretchEngine:
 
     # -- resource management -------------------------------------------
     def close(self) -> None:
-        """Release the backend's pooled resources and the pair memo.
+        """Release the pair memo.
 
         The engine stays usable, without a memo; a memo a caller still
         reaches through an older Resident lives as long as that one.
         """
-        self.backend.close()
         if self._memo is not None:
             self._memo = None
             self._bind()

@@ -513,20 +513,11 @@ def cached_stream(
 # ----------------------------------------------------------------------
 def add_pipeline_arguments(parser) -> None:
     """Attach the shared artifact-store flags to an argparse parser."""
-    from repro.core.artifacts import available_artifact_backends
-
     parser.add_argument(
         "--artifact-dir",
         default=None,
         help="artifact store directory (default: $REPRO_ARTIFACT_DIR or "
         "~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--artifact-backend",
-        choices=available_artifact_backends(),
-        default=None,
-        help="artifact persistence backend (default: $REPRO_ARTIFACT_BACKEND "
-        "or disk; sqlite is safest for many concurrent workers on one host)",
     )
     parser.add_argument(
         "--no-cache",
@@ -539,18 +530,13 @@ def add_pipeline_arguments(parser) -> None:
 def pipeline_from_args(args) -> Pipeline:
     """Build a :class:`Pipeline` from parsed ``add_pipeline_arguments`` flags.
 
-    Flags beat environment: ``--no-cache`` wins over everything, an
+    Flags beat environment: ``--no-cache`` wins over everything, and an
     explicit ``--artifact-dir`` enables the persistent layer even under
-    ``REPRO_CACHE=0``, and ``--artifact-backend`` beats
-    ``REPRO_ARTIFACT_BACKEND``.
+    ``REPRO_CACHE=0``.
     """
     if getattr(args, "no_cache", False):
         return Pipeline(ArtifactStore(root=None), enabled=False)
     root = getattr(args, "artifact_dir", None)
     return Pipeline(
-        ArtifactStore.from_env(
-            root=root,
-            enabled=True if root is not None else None,
-            backend=getattr(args, "artifact_backend", None),
-        )
+        ArtifactStore.from_env(root=root, enabled=True if root is not None else None)
     )

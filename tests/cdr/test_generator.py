@@ -6,6 +6,8 @@ import pytest
 from repro.cdr.activity import ActivityConfig
 from repro.cdr.antenna import AntennaNetworkConfig
 from repro.cdr.generator import CDRGenerator, GeneratorConfig, generate_dataset
+from repro.cdr.mobility import MobilityConfig
+from repro.cdr.population import PopulationConfig
 from repro.core.sample import DT, DX, DY, T, X, Y
 from repro.geo.region import Region
 
@@ -79,6 +81,19 @@ class TestGeneration:
         assert not same
 
 
+#: Each checked sub-config setting, and the start of its error message.
+_NON_FINITE_FIELDS = [
+    (PopulationConfig, "mean_secondary_anchors", "mean_secondary_anchors must be"),
+    (PopulationConfig, "secondary_radius_m", "secondary_radius_m must be"),
+    (ActivityConfig, "mean_sessions_per_day", "mean_sessions_per_day must be"),
+    (ActivityConfig, "rate_sigma", "rate_sigma must be"),
+    (MobilityConfig, "exploration_scale_m", "exploration scales must be"),
+    (MobilityConfig, "exploration_truncation_m", "exploration scales must be"),
+    (AntennaNetworkConfig, "city_radius_min_m", "invalid city radius range"),
+    (AntennaNetworkConfig, "city_radius_max_m", "invalid city radius range"),
+]
+
+
 class TestConfigValidation:
     def test_rejects_zero_users(self, config):
         with pytest.raises(ValueError):
@@ -91,3 +106,14 @@ class TestConfigValidation:
             GeneratorConfig(
                 name="bad", region=config.region, n_users=1, days=0
             )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "config_cls, field, message",
+        _NON_FINITE_FIELDS,
+        ids=[field for _, field, _ in _NON_FINITE_FIELDS],
+    )
+    def test_rejects_non_finite_settings(self, config_cls, field, message, value):
+        # NaN fails every comparison, so a `<= 0` check let it through.
+        with pytest.raises(ValueError, match=message):
+            config_cls(**{field: value})

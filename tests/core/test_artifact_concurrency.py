@@ -1,6 +1,6 @@
 """Multi-process contracts of the artifact store (DESIGN.md D10).
 
-Three guarantees, each parametrized over the disk and SQLite backends:
+Three guarantees of the disk store:
 
 * **single flight** — N concurrent cold ``fetch()`` calls for one key,
   from separate processes, compute exactly once; everyone receives
@@ -36,9 +36,9 @@ pytestmark = pytest.mark.skipif(
 _CTX = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else None
 
 
-def _single_flight_worker(backend, root, counter_path, barrier, out_q):
+def _single_flight_worker(root, counter_path, barrier, out_q):
     """One of N contenders for the same cold key."""
-    store = ArtifactStore(root=root, backend=backend)
+    store = ArtifactStore(root=root)
 
     def compute():
         # O_APPEND writes are atomic at this size: one line per compute,
@@ -57,8 +57,7 @@ def _single_flight_worker(backend, root, counter_path, barrier, out_q):
     out_q.put((origin, digest))
 
 
-@pytest.mark.parametrize("backend", ["disk", "sqlite"])
-def test_eight_process_cold_fetch_computes_exactly_once(tmp_path, backend):
+def test_eight_process_cold_fetch_computes_exactly_once(tmp_path):
     """The acceptance criterion: N=8 processes, 1 compute, identical bytes."""
     n = 8
     counter = tmp_path / "computes.log"
@@ -67,7 +66,7 @@ def test_eight_process_cold_fetch_computes_exactly_once(tmp_path, backend):
     procs = [
         _CTX.Process(
             target=_single_flight_worker,
-            args=(backend, str(tmp_path / "store"), str(counter), barrier, out_q),
+            args=(str(tmp_path / "store"), str(counter), barrier, out_q),
         )
         for _ in range(n)
     ]
@@ -84,9 +83,9 @@ def test_eight_process_cold_fetch_computes_exactly_once(tmp_path, backend):
     assert len({digest for _, digest in outs}) == 1  # byte-identical
 
 
-def _stress_worker(backend, root, max_bytes, seed, barrier, out_q):
+def _stress_worker(root, max_bytes, seed, barrier, out_q):
     """Random overlapping put/get/evict traffic against a shared store."""
-    store = ArtifactStore(root=root, backend=backend, max_bytes=max_bytes)
+    store = ArtifactStore(root=root, max_bytes=max_bytes)
     rng = random.Random(seed)
     keys = [f"key{i}" for i in range(8)]
     torn = errors = 0
@@ -111,15 +110,14 @@ def _stress_worker(backend, root, max_bytes, seed, barrier, out_q):
     out_q.put((errors, torn))
 
 
-@pytest.mark.parametrize("backend", ["disk", "sqlite"])
-def test_multiprocess_stress_never_tears_and_stays_bounded(tmp_path, backend):
+def test_multiprocess_stress_never_tears_and_stays_bounded(tmp_path):
     workers, max_bytes = 4, 32_000
     barrier = _CTX.Barrier(workers, timeout=60)
     out_q = _CTX.Queue()
     procs = [
         _CTX.Process(
             target=_stress_worker,
-            args=(backend, str(tmp_path / "store"), max_bytes, seed, barrier, out_q),
+            args=(str(tmp_path / "store"), max_bytes, seed, barrier, out_q),
         )
         for seed in range(workers)
     ]
@@ -133,34 +131,28 @@ def test_multiprocess_stress_never_tears_and_stays_bounded(tmp_path, backend):
     assert sum(torn for _, torn in outs) == 0
     # The bound is enforced on the *final* state (concurrent writers can
     # transiently overshoot between a put and its eviction pass).
-    store = ArtifactStore(root=tmp_path / "store", backend=backend, max_bytes=max_bytes)
+    store = ArtifactStore(root=tmp_path / "store", max_bytes=max_bytes)
     store.evict()
     assert store.disk_bytes() <= max_bytes
 
 
-def _crashing_owner(backend, root, barrier):
+def _crashing_owner(root, barrier):
     """Acquire the flight for a key, signal readiness, then die hard."""
-    store = ArtifactStore(root=root, backend=backend, stale_lock_timeout=60.0)
+    store = ArtifactStore(root=root, stale_lock_timeout=60.0)
     with store.backend.single_flight("stage", "key"):
         barrier.wait()
         time.sleep(60)  # never reached: killed while holding the lock
 
 
-@pytest.mark.parametrize("backend", ["disk", "sqlite"])
-def test_killed_owner_never_wedges_waiters(tmp_path, backend):
+def test_killed_owner_never_wedges_waiters(tmp_path):
     barrier = _CTX.Barrier(2, timeout=60)
-    owner = _CTX.Process(
-        target=_crashing_owner, args=(backend, str(tmp_path / "store"), barrier)
-    )
+    owner = _CTX.Process(target=_crashing_owner, args=(str(tmp_path / "store"), barrier))
     owner.start()
     barrier.wait(timeout=30)  # the owner holds the flight now
     os.kill(owner.pid, signal.SIGKILL)
     owner.join(timeout=30)
-    # Disk: the kernel releases a dead owner's flock immediately.
-    # SQLite: the claim row goes stale and is broken after the timeout.
-    store = ArtifactStore(
-        root=tmp_path / "store", backend=backend, stale_lock_timeout=1.0
-    )
+    # The kernel releases a dead owner's flock immediately.
+    store = ArtifactStore(root=tmp_path / "store", stale_lock_timeout=1.0)
     t0 = time.monotonic()
     value, origin = store.fetch("stage", "key", lambda: "recovered")
     waited = time.monotonic() - t0

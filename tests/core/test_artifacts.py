@@ -156,7 +156,7 @@ class TestArtifactStore:
         store.put("s", "a", payload)
         store.put("s", "b", payload)
         # Refresh 'a' so 'b' is the least recently used...
-        os.utime(store._path("s", "b"), (1, 1))
+        os.utime(store.backend.path("s", "b"), (1, 1))
         store.clear_memo()
         store.get("s", "a")
         # ...then push past the bound.
@@ -206,7 +206,7 @@ class TestArtifactStore:
     def test_stale_tmp_files_swept_on_eviction(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         store.put("s", "k", b"payload")
-        stage_dir = store._path("s", "k").parent
+        stage_dir = store.backend.path("s", "k").parent
         stale = stage_dir / "orphanAAAA.tmp"
         stale.write_bytes(b"half-written by a killed worker")
         os.utime(stale, (1, 1))  # ancient: well past the sweep age
@@ -263,23 +263,11 @@ class TestFromEnvDegradation:
         self, monkeypatch, tmp_path, capsys
     ):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        for name in ("etcd", "redis"):
+        for name in ("etcd", "redis", "sqlite"):
             monkeypatch.setenv("REPRO_ARTIFACT_BACKEND", name)
             store = ArtifactStore.from_env(root=tmp_path)
             assert store.backend.name == "disk"
             assert "REPRO_ARTIFACT_BACKEND" in capsys.readouterr().err
-
-    def test_env_backend_honoured(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_ARTIFACT_BACKEND", "sqlite")
-        store = ArtifactStore.from_env(root=tmp_path)
-        assert store.backend.name == "sqlite"
-
-    def test_explicit_backend_overrides_env(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_ARTIFACT_BACKEND", "sqlite")
-        store = ArtifactStore.from_env(root=tmp_path, backend="disk")
-        assert store.backend.name == "disk"
 
 
 class TestSourceDigestRelativePaths:

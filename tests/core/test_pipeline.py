@@ -303,46 +303,6 @@ class TestPipelineFromArgs:
         assert not pipeline.enabled
         assert not pipeline.store.disk_enabled
 
-    def test_artifact_backend_flag_selects_backend(self, tmp_path):
-        from types import SimpleNamespace
-
-        from repro.core.pipeline import pipeline_from_args
-
-        pipeline = pipeline_from_args(
-            SimpleNamespace(
-                no_cache=False,
-                artifact_dir=str(tmp_path / "s"),
-                artifact_backend="sqlite",
-            )
-        )
-        assert pipeline.store.backend.name == "sqlite"
-
-    def test_env_backend_reaches_the_store(self, monkeypatch, tmp_path):
-        from types import SimpleNamespace
-
-        from repro.core.pipeline import pipeline_from_args
-
-        monkeypatch.delenv("REPRO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_ARTIFACT_BACKEND", "sqlite")
-        pipeline = pipeline_from_args(
-            SimpleNamespace(no_cache=False, artifact_dir=str(tmp_path / "s"))
-        )
-        assert pipeline.store.backend.name == "sqlite"
-
-    def test_parser_offers_the_backend_choices(self):
-        import argparse
-
-        from repro.core.artifacts import available_artifact_backends
-        from repro.core.pipeline import add_pipeline_arguments
-
-        parser = argparse.ArgumentParser()
-        add_pipeline_arguments(parser)
-        args = parser.parse_args(["--artifact-backend", "sqlite"])
-        assert args.artifact_backend == "sqlite"
-        assert parser.parse_args([]).artifact_backend is None
-        for name in available_artifact_backends():
-            assert parser.parse_args(["--artifact-backend", name])
-
 
 class TestPipelineDisabled:
     def test_disabled_pipeline_always_computes(self, small_civ):

@@ -188,6 +188,36 @@ def test_non_finite_setting_exits_two_naming_it(raw_csv, tmp_path, capsys, case)
     assert str(raw_csv) not in err
 
 
+#: An integer setting below its range, and the name its error must give.
+_OUT_OF_RANGE = {
+    "measure-k-1": (["measure", "{raw}", "-k", "1"], "k"),
+    "measure-k-0": (["measure", "{raw}", "-k", "0"], "k"),
+    "attack-locations-0": (
+        ["attack", "{raw}", "--method", "glove", "-k", "2", "--locations", "0"],
+        "locations",
+    ),
+    "attack-points-negative": (
+        ["attack", "{raw}", "--method", "glove", "-k", "2", "--points", "-1"],
+        "points",
+    ),
+    "generate-users-0": (["generate", "synth-civ", "--users", "0", "-o", "{out}"], "users"),
+    "generate-days-0": (["generate", "synth-civ", "--days", "0", "-o", "{out}"], "days"),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+def test_out_of_range_integer_exits_two_naming_it(raw_csv, tmp_path, capsys, case):
+    argv, setting = _OUT_OF_RANGE[case]
+    out = tmp_path / "out.csv"
+    try:
+        code = main([arg.format(raw=raw_csv, out=out) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert f"error: {setting} must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
 #: Well-formed inputs for the byte-mutation fuzz: four users, and their
 #: k=2 publication.
 _FUZZ_EVENTS = (
@@ -302,12 +332,17 @@ class TestComputeFlags:
         out = capsys.readouterr().out
         assert "2-gap" in out
 
-    def test_retired_thread_flag_exits_2(self, raw_csv, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--kernel-threads", "2"), ("--artifact-backend", "sqlite")],
+        ids=["kernel-threads", "artifact-backend"],
+    )
+    def test_retired_flag_exits_2(self, raw_csv, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
-            main(["anonymize", str(raw_csv), "-k", "2", "--kernel-threads", "2",
+            main(["anonymize", str(raw_csv), "-k", "2", flag, value,
                   "-o", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --kernel-threads" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestShardedBackend:
@@ -408,30 +443,6 @@ class TestPipelineFlags:
              "--artifact-dir", str(tmp_path / "store")]
         ) == 0
         assert "2-gap" in capsys.readouterr().out
-
-    def test_anonymize_sqlite_backend_reuses_cache(self, raw_csv, tmp_path, capsys):
-        store = tmp_path / "store"
-        first = tmp_path / "pub1.csv"
-        second = tmp_path / "pub2.csv"
-        for out in (first, second):
-            assert main(
-                ["anonymize", str(raw_csv), "-k", "2",
-                 "--artifact-dir", str(store), "--artifact-backend", "sqlite",
-                 "-o", str(out)]
-            ) == 0
-        assert first.read_bytes() == second.read_bytes()
-        assert list(store.glob("artifacts-*.sqlite"))  # one database file
-        assert not list(store.rglob("*.pkl"))  # no per-artifact files
-
-    def test_unknown_artifact_backend_rejected(self, raw_csv, tmp_path, capsys):
-        for name in ("etcd", "redis"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(
-                    ["anonymize", str(raw_csv), "-k", "2",
-                     "--artifact-backend", name, "-o", str(tmp_path / "out.csv")]
-                )
-            assert excinfo.value.code == 2  # argparse choices
-            assert "sqlite" in capsys.readouterr().err
 
 
 class TestStream:
