@@ -19,7 +19,8 @@ compute backend against the pre-engine dense-matrix baseline
 per-call ``one_vs_all`` dispatch cost (numpy vs compiled tier, small
 and large target counts) plus the bounded row entry across prune
 rates, a 10k+-fingerprint sharded-tier audit with dispatch
-counters and the spread of its repeated runs,
+counters and the spread of its repeated runs, an ``ingest`` record
+reading that population back from an event CSV,
 a ``suite_cached`` record timing a repeated experiment-suite run cold
 vs warm through the artifact pipeline, a ``stream`` record with the
 streaming tier's throughput and per-window latency on the stream-500
@@ -33,7 +34,7 @@ Scale/skip knobs:
 * ``REPRO_BENCH_GLOVE_USERS`` (default 500), ``REPRO_BENCH_GLOVE_DAYS``
   (default 2) — scale of the timed run;
 * ``REPRO_BENCH_SHARD_USERS`` (default 10500; ``0`` skips the large-n
-  record), ``REPRO_BENCH_SHARD_DAYS`` (default 2);
+  and ingest records), ``REPRO_BENCH_SHARD_DAYS`` (default 2);
 * ``REPRO_BENCH_SUITE_USERS`` (default 60; ``0`` skips the
   suite_cached record);
 * ``REPRO_BENCH_STREAM_USERS`` (default 500; ``0`` skips the stream
@@ -517,6 +518,72 @@ def _run_shard_bench() -> dict:
     }
 
 
+def _run_ingest_bench() -> dict:
+    """Ingest: the large-n population read back from an event CSV.
+
+    ``read_s`` is the spread of :data:`SPREAD_RUNS` reads in this
+    process, ``import_cli_s`` the median wall time of as many fresh
+    ``python -c "import repro.cli"`` processes (interpreter start
+    included), and ``scipy_loaded`` whether a fresh process holds a
+    scipy module after importing the CLI and after reading the CSV.
+    """
+    import subprocess
+    import sys
+    import tempfile
+    import textwrap
+
+    from repro.cdr.io import read_events_csv, write_events_csv
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_REPO_ROOT / "src"), env.get("PYTHONPATH", "")) if p
+    )
+
+    def python(code: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        ).stdout
+
+    dataset = SHARD_SCENARIO.synthesize(_PIPELINE)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "large_n.csv"
+        rows = write_events_csv(dataset, path)
+        reads = []
+        for _ in range(SPREAD_RUNS):
+            t0 = time.perf_counter()
+            users = len(read_events_csv(path))
+            reads.append(time.perf_counter() - t0)
+        imports = []
+        for _ in range(SPREAD_RUNS):
+            t0 = time.perf_counter()
+            python("import repro.cli")
+            imports.append(time.perf_counter() - t0)
+        after_import, after_read = python(textwrap.dedent(f"""
+            import sys
+
+            import repro.cli
+            from repro.cdr.io import read_events_csv
+
+            def scipy_loaded():
+                return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+            after_import = scipy_loaded()
+            read_events_csv({str(path)!r})
+            print(after_import, scipy_loaded())
+        """)).split()
+    return {
+        "rows": rows,
+        "users": users,
+        "read_s": _spread(reads),
+        "import_cli_s": round(statistics.median(imports), 3),
+        "scipy_loaded": {
+            "after_import": after_import == "True",
+            "after_read": after_read == "True",
+        },
+        "host_cpus": os.cpu_count(),
+    }
+
+
 def _run_suite_bench() -> dict:
     """The repeated-suite scenario: cold vs warm through the pipeline.
 
@@ -848,6 +915,10 @@ def pytest_sessionfinish(session, exitstatus):
             _run_shard_bench,
         )
         origins.add(origin)
+        record["ingest"], origin = _STORE.fetch(
+            "bench", _bench_record_key("ingest", SHARD_SCENARIO), _run_ingest_bench
+        )
+        origins.add(origin)
     if SUITE_BENCH_USERS > 0:
         record["suite_cached"], origin = _STORE.fetch(
             "bench", _bench_record_key("suite_cached", SUITE_SCENARIO), _run_suite_bench
@@ -913,6 +984,12 @@ def pytest_sessionfinish(session, exitstatus):
             line += (
                 f"; sharded n={big['n_fingerprints']} in {big['wall_s']}s "
                 f"({big['shards_used']} shards, {audit})"
+            )
+        if "ingest" in record:
+            ingest = record["ingest"]
+            line += (
+                f"; ingest {ingest['rows']:,} rows in "
+                f"{ingest['read_s']['median_s']}s"
             )
         if "suite_cached" in record:
             suite = record["suite_cached"]

@@ -17,7 +17,6 @@ exponential-or-heavier tails.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 #: Upper-tail quantile used by the index.
 TAIL_Q = 0.99
@@ -27,6 +26,9 @@ BODY_Q = 0.75
 
 def gaussian_twi_norm(tail_q: float = TAIL_Q, body_q: float = BODY_Q) -> float:
     """Gaussian normalization constant of the quantile-ratio index."""
+    # Imported here, where it is used: importing repro.analysis loads no scipy.
+    from scipy.stats import norm
+
     return float((norm.ppf(tail_q) - norm.ppf(0.5)) / (norm.ppf(body_q) - norm.ppf(0.5)))
 
 
@@ -40,7 +42,9 @@ def tail_weight_index(
     Degenerate cases: with fewer than 4 observations, or when the body
     quantile spread ``Q(body) - Q(0.5)`` is zero (at least half the
     mass concentrated on one value), the index is defined as 0 — the
-    distribution has no measurable tail.
+    distribution has no measurable tail.  So is a positive spread whose
+    ratio is not finite: a subnormal spread overflows the ratio, and it
+    is a zero spread at float resolution.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
@@ -51,4 +55,8 @@ def tail_weight_index(
     body = qb - q50
     if body <= 0:
         return 0.0
-    return float((qt - q50) / body / gaussian_twi_norm(tail_q, body_q))
+    with np.errstate(over="ignore"):
+        ratio = (qt - q50) / body
+    if not np.isfinite(ratio):
+        return 0.0
+    return float(ratio / gaussian_twi_norm(tail_q, body_q))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.geo.grid import Grid
 from repro.geo.region import Region
@@ -86,6 +85,9 @@ class AntennaNetwork:
         rng: Optional[np.random.Generator] = None,
         grid: Optional[Grid] = None,
     ):
+        # Imported here, where it is used: a reader of CSVs never loads scipy.
+        from scipy.spatial import cKDTree
+
         if rng is None:
             rng = np.random.default_rng(0)
         self.region = region

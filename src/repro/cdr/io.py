@@ -17,6 +17,9 @@ a ``ValueError`` naming the file, and the line of a bad row:
 from __future__ import annotations
 
 import csv
+import itertools
+import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import Dict, List, Union
 
@@ -24,7 +27,9 @@ import numpy as np
 
 from repro.core.dataset import FingerprintDataset
 from repro.core.fingerprint import Fingerprint
-from repro.core.sample import DEFAULT_DT_MIN, DEFAULT_DX_M, DEFAULT_DY_M, NCOLS
+from repro.core.sample import (
+    DEFAULT_DT_MIN, DEFAULT_DX_M, DEFAULT_DY_M, DT, DX, DY, NCOLS, T, X, Y,
+)
 
 PathLike = Union[str, Path]
 
@@ -62,7 +67,8 @@ def _check_header(reader, expected: List[str], kind: str, path: PathLike) -> Non
         header = next(reader)
     except StopIteration:
         raise ValueError(f"{path}: empty file") from None
-    except UnicodeDecodeError as exc:  # decoding runs ahead of the rows
+    except (UnicodeDecodeError, csv.Error) as exc:
+        # Decoding runs ahead of the rows, and a csv.Error is no ValueError.
         raise ValueError(f"{path}: {exc}") from None
     if header != expected:
         raise ValueError(f"{path}: unexpected {kind} CSV header: {header}")
@@ -76,24 +82,98 @@ def _fingerprint(path: PathLike, uid: str, rows, **kwargs) -> Fingerprint:
         raise ValueError(f"{path}: user {uid}: {exc}") from None
 
 
+#: ``csv.reader`` rejects a NUL before Python 3.11; ``loadtxt`` keeps one
+#: inside a uid, so there a uid holding a NUL goes to the row loop.
+_CSV_READS_NUL = sys.version_info >= (3, 11)
+
+#: One event CSV row as ``np.loadtxt`` tokenizes it.  ``uid`` is an
+#: object field: a fixed-width ``U`` field would drop trailing NULs.
+_EVENT_DTYPE = np.dtype([("uid", object), ("t", "f8"), ("x", "f8"), ("y", "f8")])
+
+
 def read_events_csv(path: PathLike, name: str = None) -> FingerprintDataset:
-    """Read an event CSV back into a fingerprint dataset."""
-    by_user: Dict[str, List[List[float]]] = {}
+    """Read an event CSV back into a fingerprint dataset.
+
+    Users come in sorted-uid order, each user's rows in file order
+    before :class:`Fingerprint` sorts them by time.  The rows are
+    tokenized in one ``np.loadtxt`` pass; :func:`_event_rows`, the
+    ``csv.reader`` loop, runs only where that pass cannot give its
+    answer (DESIGN.md D14).
+    """
+    with open(path, newline="") as f:
+        _check_header(csv.reader(f), EVENT_HEADER, "event", path)
+        table = _tokenize_events(f)
+    if table is None:
+        uids, x, y, t = _event_rows(path)
+    else:
+        uids, x, y, t = table["uid"], table["x"], table["y"], table["t"]
+    dataset = FingerprintDataset(name=name or Path(path).stem)
+    n = len(uids)
+    if n == 0:
+        return dataset
+    # A user's rows mostly come in one run, so the sort for the sorted
+    # uid order runs over run heads only.
+    heads = np.flatnonzero(np.concatenate(([True], uids[1:] != uids[:-1])))
+    keys, run_key = np.unique(uids[heads], return_inverse=True)
+    key = np.repeat(run_key, np.diff(np.append(heads, n)))
+    order = np.argsort(key, kind="stable")
+    data = np.empty((n, NCOLS))
+    data[:, X], data[:, Y], data[:, T] = x[order], y[order], t[order]
+    data[:, DX], data[:, DY], data[:, DT] = DEFAULT_DX_M, DEFAULT_DY_M, DEFAULT_DT_MIN
+    stops = np.cumsum(np.bincount(key)).tolist()
+    for uid, start, stop in zip(keys.tolist(), [0] + stops, stops):
+        dataset.add(_fingerprint(path, uid, data[start:stop]))
+    return dataset
+
+
+def _tokenize_events(f):
+    """The rows after the header as one ``np.loadtxt`` table, or ``None``
+    where only the row loop gives the reader's answer.
+
+    That is a row NumPy rejects (a bad row, or a number only ``float()``
+    spells, such as ``1_000``), and a blank record, which ``loadtxt``
+    skips silently where the loop rejects it: the table must hold one
+    row per line read.  A quoted field across lines also falls back.
+    ``loadtxt`` has no field-size limit, so a field longer than
+    ``csv.field_size_limit()`` reads here where the loop rejects it.
+    """
+    first = next(f, "")
+    if not first.rstrip("\r\n"):  # no rows, or a blank first record
+        return None
+    lines = itertools.count()
+    try:
+        table = np.loadtxt(
+            map(itemgetter(0), zip(itertools.chain((first,), f), lines)),
+            dtype=_EVENT_DTYPE, delimiter=",", comments=None, quotechar='"', ndmin=1,
+        )
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if len(table) != next(lines):
+        return None
+    if not _CSV_READS_NUL and "\x00" in "".join(table["uid"].tolist()):
+        return None
+    return table
+
+
+def _event_rows(path: PathLike):
+    """The ``csv.reader`` loop: ``(uids, x, y, t)`` in file order.
+
+    A bad row raises ``<path>:<line>: <reason>``.  Fields convert x,
+    then y, then t, so a row's error names the first bad one of those.
+    """
+    uids, rows = [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         _check_header(reader, EVENT_HEADER, "event", path)
         try:
             for rec in reader:
                 uid, t, x, y = rec
-                by_user.setdefault(uid, []).append(
-                    [float(x), DEFAULT_DX_M, float(y), DEFAULT_DY_M, float(t), DEFAULT_DT_MIN]
-                )
-        except ValueError as exc:
+                rows.append((float(x), float(y), float(t)))
+                uids.append(uid)
+        except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    dataset = FingerprintDataset(name=name or Path(path).stem)
-    for uid in sorted(by_user):
-        dataset.add(_fingerprint(path, uid, by_user[uid]))
-    return dataset
+    xyt = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    return np.array(uids, dtype=object), xyt[:, 0], xyt[:, 1], xyt[:, 2]
 
 
 def write_fingerprints_csv(dataset: FingerprintDataset, path: PathLike) -> int:
@@ -134,7 +214,7 @@ def read_fingerprints_csv(path: PathLike, name: str = None) -> FingerprintDatase
                     [float(x), float(dx), float(y), float(dy), float(t), float(dt)]
                 )
                 counts[uid] = int(count)
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     dataset = FingerprintDataset(name=name or Path(path).stem)
     for uid in order:

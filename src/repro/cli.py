@@ -95,9 +95,13 @@ def _read_any(path: str):
     reader's ``<path>[:<line>]: <reason>`` and exits with status 2.
     """
     try:
-        # Undecodable bytes are left for the reader, which names the file.
+        # Undecodable bytes and csv errors are left for the reader,
+        # which names the file.
         with open(path, newline="", errors="replace") as f:
-            header = next(csv.reader(f), None)
+            try:
+                header = next(csv.reader(f), None)
+            except csv.Error:
+                header = None
         read = read_fingerprints_csv if header == FINGERPRINT_HEADER else read_events_csv
         dataset = read(path)
         if len(dataset) == 0:

@@ -68,6 +68,12 @@ class TestDegenerate:
         values = np.concatenate([np.zeros(80), np.ones(20)])
         assert tail_weight_index(values) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_body_spread(self):
+        # Q(0.75) - Q(0.5) = 5e-324 overflows the ratio: a zero spread at
+        # float resolution, so the index is 0 and nothing warns.
+        assert tail_weight_index(np.array([0.0, 0.0, 0.0, 5e-324, 1e6])) == 0.0
+
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             tail_weight_index(np.zeros((4, 4)))
