@@ -1,11 +1,12 @@
 """System-compiler binding of the stretch kernels (the ``cc`` tier).
 
 The C text below is the one accelerated definition of the scalar Eq. 10
-kernels and the merge product; :mod:`repro.core.kernels` wraps the
-shared library this module builds on demand with the system C compiler
-and calls through :mod:`ctypes`.  Each entry replicates its NumPy
+kernels, the merge product and the greedy loop; :mod:`repro.core.kernels`
+wraps the shared library this module builds on demand with the system C
+compiler and calls through :mod:`ctypes`.  Each entry replicates its
 reference body (:mod:`repro.core.pairwise`, ``merge_sample_arrays``,
-``reshape_sample_array``, ``StretchEngine._summarize``) in operation
+``reshape_sample_array``, ``StretchEngine._summarize``,
+``repro.core.glove._python_greedy_merge``) in operation
 order, tie rules and pairwise summation, and is compiled with
 ``-ffp-contract=off`` so no FMA contraction or reassociation can change
 a result bit.
@@ -1077,6 +1078,244 @@ int64_t glove_merge_step(
         summarize_slot(r, dst);
     return n;
 }
+
+/* ---- the greedy loop (DESIGN.md D9, "The loop") --------------------
+ * glove_greedy_merge runs repro.core.glove._python_greedy_merge for one
+ * engine: the same bounded sweeps with the same probes, targets,
+ * thresholds, reverse flags and cached bests in the same order, so
+ * every value, choice and counter is that loop's.  pending, best_val
+ * and best_idx (cap entries each) are the loop's state, updated in
+ * place; the products fill the slots from `size` on, which the caller
+ * made room for.  Each merge appends its (i, j, dst) row to merge_log;
+ * counts (zeroed by the caller) receives the (probe, target) pairs
+ * searched, the pairs a bound pruned, the pairs reaching the level-1
+ * bound, the exact and level-1 memo hits, and the probe rows
+ * dispatched.  Returns the number of merges, -1 when a scratch
+ * allocation fails, or -2 when a slot's cached neighbour is not a
+ * pending slot. */
+#define BUILD_BLOCK 8
+#define LOOP_PAIRS 0
+#define LOOP_PRUNED 1
+#define LOOP_LB1 2
+#define LOOP_HITS 3
+#define LOOP_PROBES 5
+
+/* The ascending ids of the pending slots into out; returns their number. */
+static int64_t pending_slots(const uint8_t *pending, int64_t cap, int64_t skip, int64_t *out)
+{
+    int64_t n = 0;
+    for (int64_t s = 0; s < cap; s++)
+        if (pending[s] && s != skip)
+            out[n++] = s;
+    return n;
+}
+
+/* Add one sweep's per-probe pruned and level-1 counts to counts. */
+static void count_sweep(int64_t *counts, const int64_t *pruned, const int64_t *lb1,
+                        int64_t n_probes)
+{
+    for (int64_t p = 0; p < n_probes; p++) {
+        counts[LOOP_PRUNED] += pruned[p];
+        counts[LOOP_LB1] += lb1[p];
+    }
+}
+
+/* The minimum of vals[0:n] and, in *idx, the lowest of the targets
+ * holding it (vals.min() and tgts[vals == vmin].min()). */
+static double row_min(const double *vals, const int64_t *tgts, int64_t n, int64_t *idx)
+{
+    double vmin = INFINITY;
+    for (int64_t i = 0; i < n; i++)
+        vmin = vals[i] < vmin ? vals[i] : vmin;
+    *idx = -1;
+    for (int64_t i = 0; i < n; i++)
+        if (vals[i] == vmin && (*idx < 0 || tgts[i] < *idx))
+            *idx = tgts[i];
+    return vmin;
+}
+
+int64_t glove_greedy_merge(
+    const resident_t *r, int64_t size, int64_t k,
+    uint8_t *pending, double *best_val, int64_t *best_idx,
+    int reshape, double atol, int summarize,
+    double w_sigma, double w_tau, double phi_sigma, double phi_tau,
+    int64_t *merge_log, int64_t *counts)
+{
+    int64_t cap = r->cap;
+    /* A build block's flat rows hold at most BUILD_BLOCK prefixes. */
+    int64_t n_flat = BUILD_BLOCK * cap;
+    int64_t *live = malloc((size_t)cap * sizeof(int64_t));
+    int64_t *targets = malloc((size_t)n_flat * sizeof(int64_t));
+    uint8_t *rev = malloc((size_t)n_flat);
+    double *out = malloc((size_t)n_flat * sizeof(double));
+    int64_t *inval = malloc((size_t)cap * sizeof(int64_t));
+    uint8_t *is_inval = calloc((size_t)cap, 1);
+    double *thr = malloc((size_t)cap * sizeof(double));
+    double *bval = malloc((size_t)cap * sizeof(double));
+    int64_t *bidx = malloc((size_t)cap * sizeof(int64_t));
+    int64_t *pruned = malloc((size_t)cap * sizeof(int64_t));
+    int64_t *lb1 = malloc((size_t)cap * sizeof(int64_t));
+    int64_t n_merges = 0, n_live;
+    if (live == NULL || targets == NULL || rev == NULL || out == NULL || inval == NULL ||
+        is_inval == NULL || thr == NULL || bval == NULL || bidx == NULL ||
+        pruned == NULL || lb1 == NULL)
+        goto fail;
+    for (int64_t s = 0; s < cap; s++)
+        thr[s] = INFINITY;
+    n_live = pending_slots(pending, cap, -1, live);
+
+    /* _NearestNeighbours.build: probe q of a block scans the pending
+     * slots before it; the block's own results land first, then each
+     * target takes its least proposal (ties to the lowest probe) on a
+     * strict improvement.  bval/bidx hold the proposals by position. */
+    int64_t offsets[BUILD_BLOCK + 1];
+    for (int64_t s = 0; s < n_live; s += BUILD_BLOCK) {
+        int64_t bs = n_live - s < BUILD_BLOCK ? n_live - s : BUILD_BLOCK;
+        const int64_t *block = live + s;
+        offsets[0] = 0;
+        for (int64_t q = 0; q < bs; q++) {
+            memcpy(targets + offsets[q], live, (size_t)(s + q) * sizeof(int64_t));
+            offsets[q + 1] = offsets[q] + s + q;
+        }
+        int64_t total = offsets[bs];
+        counts[LOOP_PROBES] += bs;
+        if (total == 0)
+            continue;
+        memset(rev, 1, (size_t)total);
+        memset(pruned, 0, (size_t)bs * sizeof(int64_t));
+        memset(lb1, 0, (size_t)bs * sizeof(int64_t));
+        if (glove_bounded_many_vs_some(
+                r, block, bs, targets, offsets, thr, rev, best_val,
+                w_sigma, w_tau, phi_sigma, phi_tau, out, pruned, lb1, counts + LOOP_HITS) != 0)
+            goto fail;
+        counts[LOOP_PAIRS] += total;
+        count_sweep(counts, pruned, lb1, bs);
+        for (int64_t t = 0; t < s + bs; t++)
+            bidx[t] = -1;
+        double own_val[BUILD_BLOCK];
+        int64_t own_idx[BUILD_BLOCK];
+        for (int64_t q = 0; q < bs; q++) {
+            const double *vals = out + offsets[q];
+            own_val[q] = row_min(vals, live, s + q, &own_idx[q]);
+            if (!(own_val[q] < INFINITY)) {
+                own_val[q] = INFINITY;
+                own_idx[q] = -1;
+                continue;
+            }
+            for (int64_t t = 0; t < s + q; t++) {
+                double v = vals[t];
+                if (v < INFINITY &&
+                    (bidx[t] < 0 || v < bval[t] || (v == bval[t] && block[q] < bidx[t]))) {
+                    bval[t] = v;
+                    bidx[t] = block[q];
+                }
+            }
+        }
+        for (int64_t q = 0; q < bs; q++) {
+            best_val[block[q]] = own_val[q];
+            best_idx[block[q]] = own_idx[q];
+        }
+        for (int64_t t = 0; t < s + bs; t++) {
+            if (bidx[t] >= 0 && bval[t] < best_val[live[t]]) {
+                best_val[live[t]] = bval[t];
+                best_idx[live[t]] = bidx[t];
+            }
+        }
+    }
+
+    /* The merge iterations. */
+    for (;;) {
+        n_live = pending_slots(pending, cap, -1, live);
+        if (n_live < 2)
+            break;
+        int64_t i = live[0];
+        for (int64_t p = 1; p < n_live; p++)
+            if (best_val[live[p]] < best_val[i])
+                i = live[p];
+        int64_t j = best_idx[i];
+        if (j < 0 || j >= cap || j == i || !pending[j]) {
+            n_merges = -2;
+            goto done;
+        }
+        int64_t dst = size + n_merges;
+        if (glove_merge_step(r, i, j, dst, reshape, atol, summarize,
+                             w_sigma, w_tau, phi_sigma, phi_tau) < 0)
+            goto fail;
+        merge_log[3 * n_merges] = i;
+        merge_log[3 * n_merges + 1] = j;
+        merge_log[3 * n_merges + 2] = dst;
+        n_merges++;
+        pending[i] = pending[j] = 0;
+        best_val[i] = best_val[j] = INFINITY;
+        best_idx[i] = best_idx[j] = -1;
+        /* Slots whose cached neighbour just died need a full re-scan. */
+        int64_t n_inval = 0;
+        for (int64_t p = 0; p < n_live; p++) {
+            int64_t s = live[p];
+            if (s != i && s != j && (best_idx[s] == i || best_idx[s] == j)) {
+                inval[n_inval++] = s;
+                is_inval[s] = 1;
+            }
+        }
+        if (r->counts[dst] < k) {
+            /* _NearestNeighbours.insert, without reverse propagation
+             * into the slots queued for the re-scan. */
+            pending[dst] = 1;
+            int64_t nt = pending_slots(pending, cap, dst, targets);
+            if (nt == 0) {
+                best_val[dst] = INFINITY;
+                best_idx[dst] = -1;
+            } else {
+                for (int64_t t = 0; t < nt; t++)
+                    rev[t] = !is_inval[targets[t]];
+                int64_t row[2] = {0, nt};
+                pruned[0] = lb1[0] = 0;
+                counts[LOOP_PROBES] += 1;
+                if (glove_bounded_many_vs_some(
+                        r, &dst, 1, targets, row, thr, rev, best_val,
+                        w_sigma, w_tau, phi_sigma, phi_tau, out, pruned, lb1,
+                        counts + LOOP_HITS) != 0)
+                    goto fail;
+                counts[LOOP_PAIRS] += nt;
+                count_sweep(counts, pruned, lb1, 1);
+                for (int64_t t = 0; t < nt; t++) {
+                    if (rev[t] && out[t] < best_val[targets[t]]) {
+                        best_val[targets[t]] = out[t];
+                        best_idx[targets[t]] = dst;
+                    }
+                }
+                best_val[dst] = row_min(out, targets, nt, &best_idx[dst]);
+            }
+        }
+        if (n_inval > 0) {
+            /* _NearestNeighbours.refresh_many over the pending set. */
+            int64_t nt = pending_slots(pending, cap, -1, targets);
+            memset(pruned, 0, (size_t)n_inval * sizeof(int64_t));
+            memset(lb1, 0, (size_t)n_inval * sizeof(int64_t));
+            counts[LOOP_PROBES] += n_inval;
+            if (glove_bounded_many_vs_all(
+                    r, inval, n_inval, targets, nt, thr,
+                    w_sigma, w_tau, phi_sigma, phi_tau, bval, bidx, pruned, lb1,
+                    counts + LOOP_HITS) != 0)
+                goto fail;
+            count_sweep(counts, pruned, lb1, n_inval);
+            for (int64_t p = 0; p < n_inval; p++) {
+                counts[LOOP_PAIRS] += nt - (pending[inval[p]] ? 1 : 0);
+                best_val[inval[p]] = bval[p];
+                best_idx[inval[p]] = bidx[p];
+                is_inval[inval[p]] = 0;
+            }
+        }
+    }
+
+    goto done;
+fail:
+    n_merges = -1;
+done:
+    free(live); free(targets); free(rev); free(out); free(inval); free(is_inval);
+    free(thr); free(bval); free(bidx); free(pruned); free(lb1);
+    return n_merges;
+}
 """
 
 #: ``-ffp-contract=off`` forbids FMA contraction — with it off, SIMD
@@ -1205,6 +1444,13 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ptr, c_i64, c_i64, c_i64,          # resident block, a, b, dst
         ctypes.c_int, c_f64, ctypes.c_int,  # reshape, atol, summarize
         *cfg,
+    ]
+    lib.glove_greedy_merge.restype = c_i64
+    lib.glove_greedy_merge.argtypes = [
+        ptr, c_i64, c_i64,                 # resident block, size, k
+        ptr, ptr, ptr,                     # pending, best_val, best_idx
+        ctypes.c_int, c_f64, ctypes.c_int,  # reshape, atol, summarize
+        *cfg, ptr, ptr,                    # merge_log, counts
     ]
     return lib
 

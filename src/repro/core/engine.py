@@ -225,8 +225,9 @@ class StretchBackend(abc.ABC):
     def __init__(self, compute: ComputeConfig, stretch: StretchConfig):
         self.compute = compute
         self.stretch = stretch
-        #: Python→kernel transitions: one per kernel invocation (a
-        #: batched native call moving P probes still counts one).
+        #: Python→kernel transitions: one per kernel call made from
+        #: Python (a batched native call moving P probes, or the native
+        #: greedy loop with all its sweeps, still counts one).
         self.n_boundary_crossings = 0
         #: Probe rows dispatched, across all entry points.
         self.n_probe_dispatches = 0
@@ -574,6 +575,33 @@ class CompiledBackend(StretchBackend):
         self.n_exact_memo_hits += exact_hits
         self.n_lb1_memo_hits += lb1_hits
 
+    def greedy_merge(
+        self, bounds, size, k, pending, best_val, best_idx, reshape, summarize
+    ) -> Tuple[np.ndarray, int, int]:
+        """One engine's whole greedy loop as one native call.
+
+        ``kernels.greedy_merge`` runs the loop's sweeps and merges on the
+        store and summaries of the Resident ``bounds``, updating
+        ``pending``, ``best_val`` and ``best_idx`` in place.  Returns the
+        ``(i, j, dst)`` merge log and the ``(probe, target)`` pairs its
+        searches covered and a bound pruned; the call counts one
+        crossing, and its sweeps' probes, prunes, level-1 pairs and memo
+        hits count as the bounded pair's would.
+        """
+        self.n_boundary_crossings += 1
+        log, counts = kernels.greedy_merge(
+            bounds, size, k, pending, best_val, best_idx, reshape, ATOL, summarize,
+            *self._args(),
+        )
+        pairs, pruned, lb1, exact_hits, lb1_hits, probes = counts.tolist()
+        self.n_probe_dispatches += probes
+        self.n_batched_probes += probes
+        self.n_bound_pruned += pruned
+        self.n_lb1_evaluations += lb1
+        self.n_exact_memo_hits += exact_hits
+        self.n_lb1_memo_hits += lb1_hits
+        return log, pairs, pruned
+
     def one_vs_all(self, probe_data, probe_count, packed, targets):
         targets = np.asarray(targets, dtype=np.int64)
         self.n_boundary_crossings += 1
@@ -819,26 +847,53 @@ class StretchEngine:
                 self._summarize(dst)
             return dst
         cfg = self.stretch
-        n = kernels.merge_step(
+        kernels.merge_step(
             self._resident, i, j, dst, reshape, ATOL, self.pruning,
             cfg.w_sigma, cfg.w_tau, cfg.phi_max_sigma_m, cfg.phi_max_tau_min,
         )
+        return self.commit_product(i, j)
+
+    def commit_product(self, i: int, j: int) -> int:
+        """Make the next slot live as the product of slots ``i`` and ``j``.
+
+        A native merge has written its row, length, count and mask; its
+        :class:`Fingerprint` is ``"<uid of i>+<uid of j>"`` with the
+        summed count and the joined members.  Returns the slot id.
+        """
+        store = self.store
         a, b = store.fps[i], store.fps[j]
+        dst = store.size
         return store.commit(
             Fingerprint(
-                f"{a.uid}+{b.uid}", store.data[dst, :n],
+                f"{a.uid}+{b.uid}", store.data[dst, : store.lengths[dst]],
                 count=a.count + b.count, members=a.members + b.members,
             )
         )
 
     def _next_slot(self) -> int:
-        """The slot the next product fills, growing the store and the
-        summaries (and rebinding them) first when the store is full."""
+        """The slot the next product fills, making room for it first."""
+        self.reserve(1)
+        return self.store.size
+
+    def reserve(self, n: int) -> None:
+        """Make room for ``n`` more slots, growing the store and the
+        summaries (and rebinding them) when it lacks them."""
         store = self.store
-        if store.size == store.capacity:
+        if store.capacity - store.size >= n:
+            return
+        while store.capacity - store.size < n:
             store.grow()
-            self._grow_bounds()
-        return store.size
+        self._grow_bounds()
+
+    def greedy_merge(self, k: int, pending, best_val, best_idx, reshape: bool):
+        """The greedy loop of Alg. 1 in one native call (DESIGN.md D9,
+        "The loop"): :meth:`CompiledBackend.greedy_merge` on this engine's
+        resident arrays, its products filling the slots from the next one
+        on, for which :meth:`reserve` must have made room."""
+        return self.backend.greedy_merge(
+            self._resident, self.store.size, k, pending, best_val, best_idx,
+            reshape, self.pruning,
+        )
 
     def retire(self, slot: int) -> None:
         """Retire a slot whose fingerprint was merged away."""

@@ -41,6 +41,7 @@ from repro.core.config import ComputeConfig, GloveConfig
 from repro.core.dataset import FingerprintDataset
 from repro.core.engine import (
     DISPATCH_COUNTERS,
+    CompiledBackend,
     StretchEngine,
     get_default_compute,
     get_glove_driver,
@@ -82,15 +83,19 @@ class GloveStats:
         search runs through the backend's bounded pair, so this equals
         ``n_bound_pruned``.
     n_boundary_crossings:
-        Python→kernel transitions the run's backend performed (a
-        batched native call moving a whole probe batch counts one).
-        The dispatch-efficiency denominator: a batched frontier that
-        silently degrades to per-probe dispatch shows up here rather
-        than only in wall time.
+        Python→kernel transitions the run's backend performed: one per
+        kernel call made from Python (a batched native call moving a
+        whole probe batch counts one).  On the compiled tier an
+        engine's whole greedy loop is one native call, so an unsharded
+        run makes ``1 + leftover_merged``.  The dispatch-efficiency
+        denominator: a run that silently falls back to the Python loop
+        or to per-probe dispatch shows up here rather than only in wall
+        time.
     n_probe_dispatches:
         Probe rows dispatched through the backend, across all entry
-        points.  ``n_probe_dispatches / n_boundary_crossings`` is the
-        mean probes-per-crossing of the run.
+        points, the native greedy loop's sweeps included.
+        ``n_probe_dispatches / n_boundary_crossings`` is the mean
+        probes-per-crossing of the run.
     n_batched_probes:
         Probe rows that went through a batched native multi-probe
         entry; 0 on the NumPy tier, whose walk enters the chunked
@@ -415,7 +420,66 @@ def _greedy_merge(
     The sharded tier uses this entry point per shard and handles
     leftovers in its cross-shard boundary-repair pass instead of the
     local fold of :func:`_fold_leftover`.
+
+    On the compiled tier the loop is one native call
+    (:func:`_native_greedy_merge`); on any other backend it is
+    :func:`_python_greedy_merge`, the native loop's reference.
     """
+    # A CompiledBackend subclass may redefine the bounded pair, which
+    # the native loop would bypass: only the tier itself takes it.
+    if type(engine.backend) is CompiledBackend:
+        return _native_greedy_merge(engine, fps, config, stats)
+    return _python_greedy_merge(engine, fps, config, stats)
+
+
+def _native_greedy_merge(
+    engine: StretchEngine,
+    fps: List[Fingerprint],
+    config: GloveConfig,
+    stats: GloveStats,
+) -> tuple:
+    """:func:`_python_greedy_merge` as one native call (DESIGN.md D9,
+    "The loop").
+
+    ``kernels.greedy_merge`` runs the build and every iteration in C and
+    returns the merge log; this replays it in merge order — each
+    product's :class:`Fingerprint` committed, both parents retired —
+    and returns what the Python loop returns, its counters included.
+    """
+    store = engine.store
+    k = config.k
+    n = len(fps)
+    initial = store.counts[:n] < k
+    # The loop makes at most one product fewer than it has pending slots.
+    engine.reserve(int(initial.sum()) - 1)
+    pending = np.zeros(store.capacity, dtype=np.uint8)
+    pending[:n] = initial
+    finished: List[int] = np.flatnonzero(~initial).tolist()
+    nn = _NearestNeighbours(engine, stats)
+    log, pairs, pruned = engine.greedy_merge(
+        k, pending, nn.best_val, nn.best_idx, config.reshape
+    )
+    for i, j, slot in log.tolist():
+        engine.commit_product(i, j)
+        engine.retire(i)
+        engine.retire(j)
+        if store.counts[slot] >= k:
+            finished.append(slot)
+    stats.n_merges += len(log)
+    stats.n_exact_evaluations += pairs - pruned
+    stats.n_pruned_evaluations += pruned
+    leftover = np.flatnonzero(pending)
+    return finished, (int(leftover[0]) if leftover.size else None), nn
+
+
+def _python_greedy_merge(
+    engine: StretchEngine,
+    fps: List[Fingerprint],
+    config: GloveConfig,
+    stats: GloveStats,
+) -> tuple:
+    """The greedy loop of :func:`_greedy_merge` in Python: the NumPy
+    tier's loop and the reference of the native one."""
     store = engine.store
     k = config.k
     n = len(fps)

@@ -17,13 +17,17 @@ one reference is the NumPy bodies: :mod:`repro.core.pairwise`,
 operation order — NumPy's maximum/minimum tie rule, explicit clamps so
 ``-0.0`` never appears where the reference produces ``+0.0``, and
 NumPy's pairwise summation over the same zero-padded widths — so every
-entry returns the reference's bits.
+entry returns the reference's bits.  :func:`greedy_merge` runs a whole
+greedy loop of Alg. 1 on those entries in one call; its reference is
+the Python loop ``repro.core.glove._python_greedy_merge`` (DESIGN.md
+D9, "The loop").
 
 The entries below are bound only when the library loads.
 ``COMPILED_TIER`` names the bound tier (``"cc"`` or ``None``) and
 ``COMPILED_AVAILABLE`` is true when it is bound — that is what
-:class:`repro.core.engine.CompiledBackend` and the engine's merge step
-and bound summaries key on; without it they run the NumPy bodies.
+:class:`repro.core.engine.CompiledBackend`, the greedy loop and the
+engine's merge step and bound summaries key on; without it they run the
+NumPy bodies.
 ``FALLBACK_REASON`` says why no tier is bound (``None`` when one is).
 The entries that read an engine's store and summaries take its
 :class:`Resident`, validated once per binding, so a call converts only
@@ -81,6 +85,27 @@ def _padded(data, lengths, counts):
             f"{data.shape}, {lengths.shape} and {counts.shape}"
         )
     return data, lengths, counts
+
+
+def _check_writable(name, arr, dtype, shape):
+    """``ValueError`` unless ``arr`` is a C-contiguous, writable array of
+    ``dtype`` and ``shape``: an array a native entry writes in place."""
+    if not (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.shape == shape
+        and arr.flags.c_contiguous
+        and arr.flags.writeable
+    ):
+        got = (
+            f"{arr.dtype} {arr.shape} (C-contiguous: {arr.flags.c_contiguous}, "
+            f"writable: {arr.flags.writeable})"
+            if isinstance(arr, np.ndarray) else type(arr).__name__
+        )
+        raise ValueError(
+            f"{name} must be a C-contiguous, writable "
+            f"{np.dtype(dtype)} array of shape {shape}, got {got}"
+        )
 
 
 #: Entries per slot of store capacity a :class:`PairMemo` holds of each
@@ -153,22 +178,7 @@ class Resident:
             ("edges", edges, np.float64, (n_buckets + 1,)),
         )
         for name, arr, dtype, shape in specs:
-            if not (
-                isinstance(arr, np.ndarray)
-                and arr.dtype == dtype
-                and arr.shape == shape
-                and arr.flags.c_contiguous
-                and arr.flags.writeable
-            ):
-                got = (
-                    f"{arr.dtype} {arr.shape} (C-contiguous: {arr.flags.c_contiguous}, "
-                    f"writable: {arr.flags.writeable})"
-                    if isinstance(arr, np.ndarray) else type(arr).__name__
-                )
-                raise ValueError(
-                    f"resident array {name} must be a C-contiguous, writable "
-                    f"{np.dtype(dtype)} array of shape {shape}, got {got}"
-                )
+            _check_writable(f"resident array {name}", arr, dtype, shape)
         self.arrays = {name: arr for name, arr, _, _ in specs}
         self.lengths = store.lengths
         self.hull, self.bucket_hull, self.bucket_occ = hull, bucket_hull, bucket_occ
@@ -317,6 +327,37 @@ def _bind_cc():
             raise MemoryError("merge kernel scratch allocation failed")
         return n
 
+    def greedy_merge_cc(
+        resident, size, k, pending, best_val, best_idx, reshape, atol, summarize,
+        w_sigma, w_tau, phi_sigma, phi_tau,
+    ):
+        # pending, best_val and best_idx are the loop's state, written in
+        # place, so they are checked rather than converted.
+        cap = resident.cap
+        _check_writable("pending", pending, np.uint8, (cap,))
+        _check_writable("best_val", best_val, np.float64, (cap,))
+        _check_writable("best_idx", best_idx, np.int64, (cap,))
+        live = np.flatnonzero(pending)
+        resident.check_filled(live)
+        n_products = max(live.size - 1, 0)
+        if not (live.size == 0 or live[-1] < size) or size > cap - n_products:
+            raise ValueError(
+                f"{live.size} pending slots below slot {size} need {n_products} "
+                f"free slots from it on, in a store of capacity {cap}"
+            )
+        log = np.empty((n_products, 3), dtype=np.int64)
+        counts = np.zeros(6, dtype=np.int64)
+        n = lib.glove_greedy_merge(
+            resident.address, size, k, _ptr(pending), _ptr(best_val), _ptr(best_idx),
+            bool(reshape), atol, bool(summarize), w_sigma, w_tau, phi_sigma, phi_tau,
+            _ptr(log), _ptr(counts),
+        )
+        if n == -1:
+            raise MemoryError("greedy loop scratch allocation failed")
+        if n < 0:
+            raise ValueError("a pending slot's cached neighbour is not a pending slot")
+        return log[:n], counts
+
     return (
         one_vs_all_cc,
         pairwise_matrix_cc,
@@ -324,6 +365,7 @@ def _bind_cc():
         bounded_many_vs_some_cc,
         summarize_arrays_cc,
         merge_step_cc,
+        greedy_merge_cc,
     ), None
 
 
@@ -337,6 +379,7 @@ if _cc is not None:
         bounded_many_vs_some_arrays,
         summarize_arrays,
         merge_step,
+        greedy_merge,
     ) = _cc
 
 #: True when the ``cc`` binding backs the ``compiled`` backend.

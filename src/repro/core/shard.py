@@ -46,6 +46,7 @@ from repro.core.engine import (
     DISPATCH_COUNTERS,
     StretchEngine,
     auto_backend,
+    create_backend,
     get_default_compute,
     register_backend,
     register_glove_driver,
@@ -61,7 +62,7 @@ from repro.core.glove import (
     validate_population,
 )
 from repro.core.merge import merge_fingerprints
-from repro.core.pairwise import PaddedFingerprints, one_vs_all
+from repro.core.pairwise import PaddedFingerprints
 from repro.core.reshape import reshape_fingerprint
 from repro.core.sample import DT, T
 
@@ -184,11 +185,14 @@ def _boundary_repair(
     Each leftover (one non-anonymous fingerprint at most per shard) is
     folded into the globally nearest finished group under the same
     Eq. 10 effort, mirroring the unsharded leftover rule (DESIGN.md D2)
-    across shard boundaries.  When *no* shard produced a finished group
-    (every shard's subscriber total was below ``k``), the leftovers are
-    greedy-merged with each other instead — the input validation
-    guarantees their combined count reaches ``k``.  Mutates ``finished``
-    in place.
+    across shard boundaries, scored on ``compute``'s backend (the
+    sharded driver passes the ``auto`` tier pick: the compiled kernel
+    when it is bound; the bytes are the same on every tier, DESIGN.md
+    D9).  When *no* shard produced a
+    finished group (every shard's subscriber total was below ``k``),
+    the leftovers are greedy-merged with each other instead — the input
+    validation guarantees their combined count reaches ``k``.  Mutates
+    ``finished`` in place.
     """
     if not leftovers:
         return
@@ -207,9 +211,13 @@ def _boundary_repair(
         )
         stats.leftover_merged = stats.leftover_merged or sub.leftover_merged
         return
+    # The backend's own crossing count is not harvested: each leftover
+    # counts one crossing and one probe here.
+    backend = create_backend(compute, config.stretch)
     packed = PaddedFingerprints(finished)
+    targets = np.arange(len(finished), dtype=np.int64)
     for fp in leftovers:
-        efforts = one_vs_all(fp.data, fp.count, packed, config.stretch, chunk=compute.chunk)
+        efforts = backend.one_vs_all(fp.data, fp.count, packed, targets)
         stats.n_exact_evaluations += efforts.shape[0]
         stats.n_boundary_crossings += 1
         stats.n_probe_dispatches += 1

@@ -1614,7 +1614,7 @@ class TestFallback:
             for name in (
                 "one_vs_all_arrays", "pairwise_matrix_arrays",
                 "bounded_many_vs_all_arrays", "bounded_many_vs_some_arrays",
-                "summarize_arrays", "merge_step",
+                "summarize_arrays", "merge_step", "greedy_merge",
             ):
                 assert not hasattr(kernels, name), name
             assert kernels.FALLBACK_REASON == "disabled by REPRO_CC_KERNEL=0"

@@ -90,6 +90,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative"):
             validate_sample_array(arr)
 
+    @pytest.mark.parametrize("col", [DX, DY, DT], ids=["dx", "dy", "dt"])
+    def test_rejects_each_negative_extent(self, col):
+        # The negative extent sits in a later row among positive ones,
+        # and the other columns hold negatives that are not extents.
+        arr = np.full((3, NCOLS), 5.0)
+        arr[:, [X, Y, T]] = -7.0
+        arr[2, col] = -1e-300
+        with pytest.raises(ValueError, match="extents dx, dy, dt must be non-negative"):
+            validate_sample_array(arr)
+
+    def test_accepts_negative_zero_extents(self):
+        arr = np.ones((2, NCOLS))
+        arr[:, [DX, DY, DT]] = -0.0
+        out = validate_sample_array(arr)
+        assert np.signbit(out[:, [DX, DY, DT]]).all()
+
+    def test_non_finite_reported_before_negative_extent(self):
+        arr = np.zeros((1, NCOLS))
+        arr[0, DX] = -1.0
+        arr[0, T] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_sample_array(arr)
+
     def test_accepts_valid(self):
         arr = np.zeros((2, NCOLS))
         out = validate_sample_array(arr)

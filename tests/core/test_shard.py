@@ -229,3 +229,43 @@ class TestBoundaryRepair:
         assert covered == {fp.uid for fp in fps}
         assert result.stats.boundary_repaired >= 1
         assert result.stats.leftover_merged
+
+    def test_repair_scores_on_the_tier_pick(self, small_civ, monkeypatch):
+        # The repair scores every leftover through the ``auto`` pick's
+        # one_vs_all (the compiled kernel when it is bound), one crossing
+        # and one probe per leftover, and publishes the bytes the NumPy
+        # body gives.
+        from repro.core import engine as engine_module
+        from repro.core import shard as shard_module
+        from repro.core.artifacts import dataset_digest
+
+        calls = []
+
+        def counted(backend_cls):
+            def one_vs_all(self, probe_data, probe_count, packed, targets):
+                calls.append((type(self).__name__, len(targets)))
+                return original[backend_cls](self, probe_data, probe_count, packed, targets)
+            return one_vs_all
+
+        original = {
+            cls: cls.one_vs_all
+            for cls in (engine_module.NumpyBackend, engine_module.CompiledBackend)
+        }
+        for cls in original:
+            monkeypatch.setattr(cls, "one_vs_all", counted(cls))
+        config, compute = GloveConfig(k=3), _compute(shards=4)
+        result = sharded_glove(small_civ, config, compute)
+        repaired = result.stats.boundary_repaired
+        assert repaired >= 1
+        expected = type(engine_module.create_backend(ComputeConfig(backend="auto"))).__name__
+        # Leftovers fold into finished groups, so those are the targets.
+        assert calls == [(expected, len(result.dataset))] * repaired
+
+        monkeypatch.setattr(
+            shard_module, "create_backend",
+            lambda compute, stretch: engine_module.NumpyBackend(compute, stretch),
+        )
+        reference = sharded_glove(small_civ, config, compute)
+        assert dataset_digest(result.dataset) == dataset_digest(reference.dataset)
+        for name in ("n_exact_evaluations", "n_boundary_crossings", "n_probe_dispatches"):
+            assert getattr(result.stats, name) == getattr(reference.stats, name), name
